@@ -25,16 +25,12 @@ from .seeds import (
     EndpointClass,
     IsotonicParams,
     QuasiPoly,
-    SeedEnergy,
     SeedKind,
     SeedSpec,
     bound_gauge,
     endpoint_class,
-    isotonic_spectrum,
     laguerre,
-    laguerre_negated_arg,
     make_seed,
-    quasipoly_diff,
 )
 from .spectral import (
     EOPFamily,
@@ -52,7 +48,6 @@ from .spectral import (
 from .wronskian import (
     ExtensionSpec,
     GReport,
-    WronskianGauge,
     build_gamma_matrix,
     check_origin_recurrence,
     compute_g,

@@ -11,9 +11,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import NotDivisible, NullSpaceDimension, OracleMismatch, SpecInvalid, XlagError
+from .errors import (
+    GridTooCoarse,
+    NotDivisible,
+    NullSpaceDimension,
+    OracleMismatch,
+    QuadratureNonconvergence,
+    SpecInvalid,
+    XlagError,
+)
 from .regularity import certify
-from .report import build_document, rat, spec_section
+from .report import SCHEMA_VERSION, build_document, eop_section, rat, spec_section
 from .spectral import (
     auto_grid,
     build_potential,
@@ -24,7 +32,14 @@ from .spectral import (
     wavefunction,
 )
 from .verify import CHECK_NAMES, run_lattice, summarize, worker_cap
-from .wronskian import ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
+from .wronskian import ORACLE_MAX_K, ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
+
+# exception -> (exit code, stderr prefix); the first matching row wins
+EXIT_CODES = (
+    ((NotDivisible, OracleMismatch, NullSpaceDimension), 3, "internal inconsistency"),
+    ((GridTooCoarse, QuadratureNonconvergence), 1, "numeric check failed"),
+    (XlagError, 2, "error"),
+)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -50,6 +65,11 @@ def parse_seeds(text: str):
         else:
             raise SpecInvalid(f"unknown seed type in {token!r}")
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
+
+
+def _check_nonnegative(flag: str, value: int):
+    if value < 0:
+        raise SpecInvalid(f"{flag} must be nonnegative, got {value}")
 
 
 def spec_from_args(args) -> ExtensionSpec:
@@ -86,19 +106,19 @@ def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) ->
     report = compute_g(spec)
     if not report.predictions_hold:
         raise OracleMismatch("computed g disagrees with its closed-form predictions")
-    if spec.k <= 5:
-        wronskian_direct(spec)
+    if spec.k <= ORACLE_MAX_K:
+        wronskian_direct(report)
     cert = certify(report)
-    recurrence = check_origin_recurrence(spec) if spec.k - spec.q >= 2 else None
+    recurrence = check_origin_recurrence(report) if spec.k - spec.q >= 2 else None
     potential = family = numeric = None
     if spec.l >= 0:
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            potential = build_potential(spec, report)
+            potential = build_potential(spec, report, cert.regular)
     if cert.regular and potential is not None:
-        family = solve_eop(spec, report, nu_max)
+        family = solve_eop(spec, report, nu_max, cert.regular)
         numeric = {}
         if with_numeric:
             off = [
@@ -122,6 +142,7 @@ def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) ->
 
 def cmd_extend(args) -> int:
     spec = spec_from_args(args)
+    _check_nonnegative("--nu-max", args.nu_max)
     doc = run_pipeline(spec, nu_max=args.nu_max, with_numeric=not args.skip_numeric)
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -129,29 +150,29 @@ def cmd_extend(args) -> int:
 
 def cmd_eop(args) -> int:
     spec = spec_from_args(args)
+    _check_nonnegative("--nu-max", args.nu_max)
     report = compute_g(spec)
     cert = certify(report)
     if not cert.regular:
         print("spec is not regular; no orthogonal polynomial family exists", file=sys.stderr)
         return 2
-    family = solve_eop(spec, report, args.nu_max)
-    doc = {
-        "schema": 1,
-        "spec": spec_section(spec),
-        "eop": {
-            "mu": family.mu,
-            "levels": [
-                {"nu": nu, "degree": family[nu].degree, "coefficients": [rat(c) for c in family[nu].coeffs]}
-                for nu in range(len(family))
-            ],
-        },
-    }
+    family = solve_eop(spec, report, args.nu_max, cert.regular)
+    doc = {"schema": SCHEMA_VERSION, "spec": spec_section(spec), "eop": eop_section(family)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
     spec = spec_from_args(args)
+    if not 0 < args.x_min < args.x_max:
+        raise SpecInvalid(f"need 0 < --x-min < --x-max, got {args.x_min} and {args.x_max}")
+    _check_nonnegative("--points", args.points)
+    try:
+        nus = [int(t) for t in filter(None, (s.strip() for s in args.wavefunctions.split(",")))]
+    except ValueError as exc:
+        raise SpecInvalid(f"--wavefunctions must list integers, got {args.wavefunctions!r}") from exc
+    for nu in nus:
+        _check_nonnegative("--wavefunctions", nu)
     report = compute_g(spec)
     cert = certify(report)
     if not cert.regular and not args.force:
@@ -163,11 +184,10 @@ def cmd_sample(args) -> int:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        potential = build_potential(spec, report)
-    nus = [int(t) for t in filter(None, (s.strip() for s in args.wavefunctions.split(",")))]
+        potential = build_potential(spec, report, cert.regular)
     psis = []
     if nus:
-        family = solve_eop(spec, report, max(nus))
+        family = solve_eop(spec, report, max(nus), cert.regular)
         psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
     v2 = potential(xs)
@@ -189,6 +209,8 @@ def cmd_verify(args) -> int:
         workers=workers,
     )
     summary = summarize(results)
+    if not summary["total"]:
+        raise SpecInvalid("the lattice is empty; --max-k, --max-m and --alpha-grid must be positive")
     print(f"lattice: {summary['total']} admissible specs "
           f"(k <= {args.max_k}, m <= {args.max_m}, {args.alpha_grid} alpha steps)")
     print(f"{'invariant':<18} {'checked':>8} {'passed':>8} {'failed':>8}")
@@ -215,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--nu-max", type=int, default=3, help="levels of the polynomial family (default 3)")
     p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
     p.set_defaults(func=cmd_extend)
 
@@ -250,15 +271,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotDivisible, OracleMismatch, NullSpaceDimension) as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
     except XlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix = next((code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

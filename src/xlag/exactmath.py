@@ -74,10 +74,6 @@ class Poly:
         return Poly((1,))
 
     @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
-    @staticmethod
     def monomial(coeff, power: int) -> "Poly":
         return Poly((0,) * power + (coeff,))
 
@@ -174,12 +170,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * z0 + c
-        return acc
-
-    def eval_float(self, z0: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z0 + float(c)
         return acc
 
     def shift_up(self, e: int) -> "Poly":

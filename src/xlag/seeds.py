@@ -1,5 +1,5 @@
-"""Generalized Laguerre polynomials, the radial-oscillator spectrum, and
-the type-I/II seed functions with their gauge factors and energies.
+"""Generalized Laguerre polynomials, the radial-oscillator parameters,
+and the type-I/II seed functions with their gauge factors.
 
 Seeds are kept in factored gauge-times-polynomial form (`QuasiPoly`),
 which is closed under differentiation, so every Wronskian entry stays an
@@ -36,11 +36,6 @@ def laguerre(n: int, a: Rational) -> Poly:
     return Poly(coeffs)
 
 
-def laguerre_negated_arg(n: int, a: Rational) -> Poly:
-    """L_n^{(a)}(-z) as an exact polynomial in z."""
-    return laguerre(n, a).compose_neg()
-
-
 @dataclass(frozen=True)
 class IsotonicParams:
     """Radial oscillator parameters: angular momentum l >= 0 and omega > 0."""
@@ -67,13 +62,6 @@ class IsotonicParams:
         return 0.25 * w * w * x * x + cf / (x * x)
 
 
-def isotonic_spectrum(params: IsotonicParams, nu: int) -> Rational:
-    """Bound-state energy omega*(2 nu + alpha + 1) of the unextended oscillator."""
-    if nu < 0:
-        raise ValueError("level index must be nonnegative")
-    return params.omega * (2 * nu + params.alpha + 1)
-
-
 class SeedKind(Enum):
     TYPE_I = "I"
     TYPE_II = "II"
@@ -87,13 +75,6 @@ class SeedSpec:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise SpecInvalid(f"seed index must be a positive integer, got {self.m}")
-
-
-@dataclass(frozen=True)
-class SeedEnergy:
-    """Factorization energy in units of omega."""
-
-    value: Rational
 
 
 @dataclass(frozen=True)
@@ -140,13 +121,8 @@ def _polyval(p: Poly, z):
     return acc
 
 
-def quasipoly_diff(q: QuasiPoly) -> QuasiPoly:
-    return q.diff()
-
-
-def make_seed(spec: SeedSpec, alpha_prime: Rational):
-    """Seed function and its energy (in units of omega) for the starting
-    potential with parameter alpha_prime.
+def make_seed(spec: SeedSpec, alpha_prime: Rational) -> QuasiPoly:
+    """Seed function for the starting potential with parameter alpha_prime.
 
     Type I comes from the omega -> -omega symmetry and lies below the
     ground state for every m; type II (alpha -> -alpha) requires
@@ -157,12 +133,8 @@ def make_seed(spec: SeedSpec, alpha_prime: Rational):
         raise SpecInvalid(f"alpha' must be >= 1/2, got {alpha_prime}")
     m = spec.m
     if spec.kind is SeedKind.TYPE_I:
-        qp = QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre_negated_arg(m, alpha_prime))
-        energy = SeedEnergy(-(alpha_prime + 2 * m + 1))
-    else:
-        qp = QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
-        energy = SeedEnergy(-(alpha_prime - 2 * m - 1))
-    return qp, energy
+        return QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre(m, alpha_prime).compose_neg())
+    return QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
 
 
 def bound_gauge(alpha: Rational) -> QuasiPoly:

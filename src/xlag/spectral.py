@@ -34,7 +34,6 @@ class ExtendedPotential:
     exact rational pair (rat_num, g^2) for the rational part."""
 
     base: IsotonicParams
-    g: Poly
     shift: Rational
     rat_num: Poly
     rat_den: Poly
@@ -54,12 +53,12 @@ class ExtendedPotential:
         return val if val.ndim else float(val)
 
 
-def build_potential(spec: ExtensionSpec, report: GReport) -> ExtendedPotential:
+def build_potential(spec: ExtensionSpec, report: GReport, regular: bool) -> ExtendedPotential:
     """Assemble the extended potential from a computed g.
 
-    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  If the
-    report has not been certified regular the potential is still built
-    (poles and all, useful for demonstrations) but flagged and warned.
+    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  If certify
+    found g irregular (`regular` false) the potential is still built (poles
+    and all, useful for demonstrations) but flagged and warned.
     """
     if spec.l < 0:
         raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
@@ -67,12 +66,10 @@ def build_potential(spec: ExtensionSpec, report: GReport) -> ExtendedPotential:
     gd = g.diff()
     gdd = gd.diff()
     num = (gd * g + (gdd * g - gd * gd).shift_up(1) * 2) * (-2 * spec.omega)
-    regular = report.regular is True
     if not regular:
         warnings.warn("potential built from a g not certified nodeless; it may have poles")
     return ExtendedPotential(
         base=IsotonicParams(spec.l, spec.omega),
-        g=g,
         shift=(spec.k - 2 * spec.q) * spec.omega,
         rat_num=num,
         rat_den=g * g,
@@ -124,9 +121,10 @@ def eop_nullspace(g: Poly, alpha, nu: int, degree: int):
     return rational_nullspace(rows)
 
 
-def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int) -> EOPFamily:
+def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) -> EOPFamily:
     """Exceptional polynomials for levels 0..nu_max by exact null-space
-    solve of the cleared-denominator differential equation.
+    solve of the cleared-denominator differential equation; a false
+    `regular`, the verdict of certify(report), draws a warning.
 
     Each solve must give a one-dimensional space (NullSpaceDimension
     otherwise) whose element has degree exactly mu+nu (OracleMismatch
@@ -134,7 +132,7 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int) -> EOPFamily:
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
-    if report.regular is not True:
+    if not regular:
         warnings.warn("solving the polynomial family for a g not certified nodeless")
     g = report.g
     mu = report.mu_computed

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotDivisible, OracleMismatch
+from .errors import NotDivisible, OracleMismatch, SpecInvalid
 from .regularity import certify
-from .wronskian import ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
+from .wronskian import ORACLE_MAX_K, ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
 
 CHECK_NAMES = (
     "divisible",
@@ -45,7 +45,7 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, omeg
 @dataclass
 class SpecCheck:
     """Outcome of every exact invariant for one spec; recurrence and the
-    Wronskian oracle may be None when not applicable / not requested."""
+    Wronskian oracle are None where they do not apply."""
 
     spec: ExtensionSpec
     divisible: bool = False
@@ -63,12 +63,8 @@ class SpecCheck:
         return not self.failures
 
 
-def check_extension(
-    spec: ExtensionSpec,
-    wronskian_oracle: bool = True,
-    negate_const_sign: bool = False,
-) -> SpecCheck:
-    """Run all exact invariants on one spec.
+def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> SpecCheck:
+    """Run all exact invariants on one spec, all of them on one computed g.
 
     `negate_const_sign` injects a deliberate fault into the constant-term
     prediction, used to prove the harness can fail.
@@ -91,10 +87,10 @@ def check_extension(
     )
     out.regular = cert.regular
     if spec.k - spec.q >= 2:
-        out.recurrence = check_origin_recurrence(spec)
-    if wronskian_oracle and spec.k <= 5:
+        out.recurrence = check_origin_recurrence(report)
+    if spec.k <= ORACLE_MAX_K:
         try:
-            wronskian_direct(spec)
+            wronskian_direct(report)
             out.wronskian_oracle = True
         except OracleMismatch:
             out.wronskian_oracle = False
@@ -105,8 +101,8 @@ def check_extension(
 
 
 def _worker(args):
-    spec, oracle, fault = args
-    return check_extension(spec, wronskian_oracle=oracle, negate_const_sign=fault)
+    spec, fault = args
+    return check_extension(spec, negate_const_sign=fault)
 
 
 def worker_cap(requested=None) -> int:
@@ -114,7 +110,11 @@ def worker_cap(requested=None) -> int:
     n = requested or os.cpu_count() or 1
     cap = os.environ.get("XLAG_THREADS")
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError as exc:
+            raise SpecInvalid(f"XLAG_THREADS must be an integer, got {cap!r}") from exc
+        n = min(n, max(1, cap))
     return max(1, n)
 
 
@@ -122,14 +122,13 @@ def run_lattice(
     max_k: int = 4,
     max_m: int = 6,
     alpha_steps: int = 7,
-    wronskian_oracle: bool = True,
     negate_const_sign: bool = False,
     workers: int = None,
 ):
     """Check every lattice spec, optionally in parallel; results come back
     in enumeration order regardless of worker scheduling."""
     specs = list(enumerate_lattice(max_k, max_m, alpha_steps))
-    jobs = [(s, wronskian_oracle, negate_const_sign) for s in specs]
+    jobs = [(s, negate_const_sign) for s in specs]
     n = worker_cap(workers)
     if n > 1 and len(jobs) > 8:
         import multiprocessing

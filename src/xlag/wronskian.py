@@ -5,12 +5,16 @@ seed-Wronskian oracle that cross-checks the whole construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
 from .exactmath import Poly, Rational, pochhammer, poly_mat_det, vandermonde
-from .seeds import HALF, SeedKind, SeedSpec, laguerre, laguerre_negated_arg, make_seed
+from .seeds import HALF, SeedKind, SeedSpec, laguerre, make_seed
+
+# largest k the direct seed-Wronskian oracle runs at; its cost grows
+# steeply with k
+ORACLE_MAX_K = 5
 
 
 def _check_indices(ms, label):
@@ -89,7 +93,7 @@ class ExtensionSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GReport:
     """Computed g plus every closed-form prediction it is checked against."""
 
@@ -102,9 +106,7 @@ class GReport:
     lead_computed: Rational
     const_predicted: Rational
     const_computed: Rational
-    divisible: bool
     admissible: bool
-    regular: bool = field(default=None)
 
     @property
     def predictions_hold(self) -> bool:
@@ -119,7 +121,7 @@ def _laguerre_or_zero(n: int, a: Rational, negated: bool) -> Poly:
     # entries with m_j - i + 1 < 0 use the zero-polynomial convention
     if n < 0:
         return Poly.zero()
-    return laguerre_negated_arg(n, a) if negated else laguerre(n, a)
+    return laguerre(n, a).compose_neg() if negated else laguerre(n, a)
 
 
 def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Rational) -> Poly:
@@ -195,70 +197,49 @@ def compute_g(spec: ExtensionSpec) -> GReport:
         lead_computed=g.leading,
         const_predicted=predict_const(spec),
         const_computed=g.constant,
-        divisible=True,
         admissible=spec.admissible,
     )
 
 
-@dataclass(frozen=True)
-class WronskianGauge:
-    """Symbolic prefactor of the seed Wronskian in the original variable:
-    (omega*x)^{x_power} * z^{zpower} * e^{expsign_total * z/2} times the
-    returned polynomial.  Never evaluated; only the polynomial matters
-    downstream."""
+def wronskian_direct(report: GReport) -> Poly:
+    """Direct exact Wronskian of the seeds of report.spec, checked against
+    the structured route: it must equal z^(k(k-1)/2 - q(k-q)) * report.g
+    exactly, or OracleMismatch is raised.
 
-    x_power: int
-    zpower: Rational
-    expsign_total: int
-
-
-def wronskian_direct(spec: ExtensionSpec, check: bool = True):
-    """Direct exact Wronskian of the seeds, as gauge metadata plus the
-    polynomial determinant of the derivative table.
-
-    With `check`, the polynomial is compared against the structured route:
-    it must equal z^(k(k-1)/2 - q(k-q)) * g exactly, or OracleMismatch is
-    raised.  The derivative table uses z-derivatives; the chain rule from
-    the physical variable contributes the (omega*x)^(k(k-1)/2) prefactor
-    recorded in the gauge.
+    The derivative table uses z-derivatives; the chain rule from the
+    physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
+    is not part of the returned polynomial.
     """
+    spec = report.spec
     k, q = spec.k, spec.q
-    if k > 5:
-        raise SpecInvalid("direct Wronskian oracle restricted to k <= 5")
-    seeds = [make_seed(sd, spec.alpha_prime)[0] for sd in spec.seed_specs()]
+    if k > ORACLE_MAX_K:
+        raise SpecInvalid(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
     cols = []
-    for qp in seeds:
-        col = [qp.poly]
-        cur = qp
+    for sd in spec.seed_specs():
+        cur = make_seed(sd, spec.alpha_prime)
+        col = [cur.poly]
         for _ in range(k - 1):
             cur = cur.diff()
             col.append(cur.poly)
         cols.append(col)
     w = poly_mat_det([[cols[j][i] for j in range(k)] for i in range(k)])
-    zsum = sum((qp.zpower for qp in seeds), Fraction(0))
-    gauge = WronskianGauge(
-        x_power=k * (k - 1) // 2,
-        zpower=zsum - Fraction(k * (k - 1), 2),
-        expsign_total=2 * q - k,
-    )
-    if check:
-        report = compute_g(spec)
-        expected = report.g.shift_up(k * (k - 1) // 2 - q * (k - q))
-        if w != expected:
-            raise OracleMismatch(
-                f"direct Wronskian disagrees with structured determinant for {spec}"
-            )
-    return gauge, w
+    if w != report.g.shift_up(k * (k - 1) // 2 - q * (k - q)):
+        raise OracleMismatch(
+            f"direct Wronskian disagrees with structured determinant for {spec}"
+        )
+    return w
 
 
-def check_origin_recurrence(spec: ExtensionSpec) -> bool:
-    """Exact identity tying g(0) to the three sub-extensions that drop the
-    last one or two type-II seeds (alpha shifted to keep alpha' fixed):
+def check_origin_recurrence(report: GReport) -> bool:
+    """Exact identity tying report.g(0) to the three sub-extensions of
+    report.spec that drop the last one or two type-II seeds (alpha shifted
+    to keep alpha' fixed), whose g are computed here:
 
         g(0) * g''(0) * (alpha+1) == (m_k - m_{k-1}) * g'(0) * gbar'(0)
 
     Applies only when the two last seeds are type II, i.e. k - q >= 2.
     """
+    spec = report.spec
     if spec.k - spec.q < 2:
         raise Inapplicable("origin recurrence needs at least two type-II seeds")
     mII = spec.m_type_ii
@@ -266,7 +247,7 @@ def check_origin_recurrence(spec: ExtensionSpec) -> bool:
     drop_last = replace(spec, alpha=spec.alpha + 1, m_type_ii=mII[:-1])
     drop_prev = replace(spec, alpha=spec.alpha + 1, m_type_ii=mII[:-2] + (m_last,))
     drop_both = replace(spec, alpha=spec.alpha + 2, m_type_ii=mII[:-2])
-    g0 = compute_g(spec).g.constant
+    g0 = report.g.constant
     g0_last = compute_g(drop_last).g.constant
     g0_prev = compute_g(drop_prev).g.constant
     g0_both = compute_g(drop_both).g.constant

@@ -107,8 +107,7 @@ def test_criterion_6_eop_suite():
         spec = _spec(alpha, m_i, m_ii)
         assert spec.admissible, spec
         report = compute_g(spec)
-        certify(report)
-        family = solve_eop(spec, report, 5)  # enforces 1-d null spaces
+        family = solve_eop(spec, report, 5, certify(report).regular)  # enforces 1-d null spaces
         for nu in range(6):
             assert family[nu].degree == report.mu_computed + nu
         for i in range(6):
@@ -133,8 +132,7 @@ def test_criterion_7_numeric_spectrum():
     for alpha, m_i, m_ii in SPECTRUM_SPECS:
         spec = _spec(alpha, m_i, m_ii)
         report = compute_g(spec)
-        certify(report)
-        pot = build_potential(spec, report)
+        pot = build_potential(spec, report, certify(report).regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))  # includes halving check
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             dev = abs(lv - float(e)) / abs(float(e))
@@ -149,11 +147,11 @@ def test_criterion_8_classical_reduction():
     spec = _spec("3/2")
     report = compute_g(spec)
     assert report.g == Poly.one()
-    certify(report)
-    family = solve_eop(spec, report, 6)
+    regular = certify(report).regular
+    family = solve_eop(spec, report, 6, regular)
     for nu in range(7):
         assert family[nu] == laguerre(nu, spec.alpha).monic()
-    pot = build_potential(spec, report)
+    pot = build_potential(spec, report, regular)
     assert pot.shift == 0 and pot.rat_num.is_zero
     xs = np.linspace(0.2, 7.0, 101)
     assert np.array_equal(pot(xs), pot.base.potential(xs))

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from xlag import cli
+from xlag import cli, verify, wronskian
+from xlag.errors import GridTooCoarse, QuadratureNonconvergence
 
 
 def run_cli(args, capsys):
@@ -77,10 +80,26 @@ def test_extend_seed_order_insensitive(capsys):
         ["extend", "--alpha", "5/2", "--l", "2", "--seeds", ""],
         ["extend", "--seeds", "I:1"],
         ["extend", "--alpha", "3/2", "--omega", "0", "--seeds", ""],
+        ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "-1"],
+        ["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "-1"],
+        ["XLAG_THREADS=abc", "verify", "--max-k", "1", "--parallel"],
+        ["verify", "--max-k", "0"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-min", "0"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--points", "-1"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "0,x"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "-1"],
     ],
 )
-def test_bad_input_exits_2(args, capsys):
-    assert cli.main(args) == 2
+def test_bad_input_exits_2(args, capsys, monkeypatch):
+    # a leading NAME=value sets that environment variable, as in a shell
+    if "=" in args[0]:
+        name, value = args[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        args = args[1:]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
@@ -88,14 +107,61 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
 
     def corrupted(spec):
         report = compute_g_real(spec)
-        report.const_predicted += 1
-        return report
+        return replace(report, const_predicted=report.const_predicted + 1)
 
     compute_g_real = wronskian.compute_g
     monkeypatch.setattr(cli, "compute_g", corrupted)
     code, _, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys)
     assert code == 3
     assert "inconsistency" in err
+
+
+@pytest.mark.parametrize(
+    "check, error",
+    [("numeric_spectrum", GridTooCoarse), ("orthogonality_check", QuadratureNonconvergence)],
+)
+def test_failed_numeric_check_exits_1(check, error, capsys, monkeypatch):
+    def fail(*args):
+        raise error("did not converge")
+
+    monkeypatch.setattr(cli, check, fail)
+    code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "numeric check failed: did not converge\n"
+
+
+@pytest.fixture
+def compute_g_calls(monkeypatch):
+    """Specs passed to compute_g, through every module that calls it."""
+    calls = []
+    original = wronskian.compute_g
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for module in (wronskian, verify, cli):
+        monkeypatch.setattr(module, "compute_g", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec: verify.check_extension(spec),
+        lambda spec: cli.main(["extend", "--alpha", "5/2", "--seeds", "I:1,II:1,II:2", "--skip-numeric"]),
+    ],
+    ids=["check_extension", "extend"],
+)
+def test_g_is_computed_once_per_spec(run, compute_g_calls, capsys):
+    # k - q = 2 and k <= ORACLE_MAX_K: certificate, recurrence and oracle all
+    # run; only the recurrence's three sub-extensions add compute_g calls
+    spec = wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2))
+    assert spec.k <= wronskian.ORACLE_MAX_K
+    run(spec)
+    assert compute_g_calls[0] == spec
+    assert len(compute_g_calls) == 1 + 3
+    assert spec not in compute_g_calls[1:]
 
 
 def test_out_file(tmp_path, capsys):

@@ -16,12 +16,11 @@ from xlag.seeds import (
     SeedKind,
     SeedSpec,
     endpoint_class,
-    isotonic_spectrum,
     laguerre,
-    laguerre_negated_arg,
     make_seed,
-    quasipoly_diff,
 )
+from xlag.spectral import expected_spectrum
+from xlag.wronskian import ExtensionSpec
 
 params = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -61,22 +60,22 @@ def test_laguerre_ode_identity(n, a):
 
 def test_negated_arg():
     a = F(5, 3)
-    assert laguerre_negated_arg(1, a) == Poly((a + 1, 1))
-    assert laguerre_negated_arg(0, a) == Poly.one()
-    assert laguerre_negated_arg(2, F(3, 2)) == Poly((F(35, 8), F(7, 2), F(1, 2)))
+    assert laguerre(1, a).compose_neg() == Poly((a + 1, 1))
+    assert laguerre(0, a).compose_neg() == Poly.one()
+    assert laguerre(2, F(3, 2)).compose_neg() == Poly((F(35, 8), F(7, 2), F(1, 2)))
 
 
 @given(st.integers(min_value=0, max_value=8), params.filter(lambda a: a > -1))
 def test_negated_arg_all_coefficients_positive(n, a):
-    assert all(c > 0 for c in laguerre_negated_arg(n, a).coeffs)
+    assert all(c > 0 for c in laguerre(n, a).compose_neg().coeffs)
 
 
 def test_isotonic_spectrum():
-    # omega*(2 nu + alpha + 1); values confirmed against an independent
-    # finite-difference eigensolve of the oscillator
-    assert isotonic_spectrum(IsotonicParams(1, 1), 0) == F(5, 2)
-    assert isotonic_spectrum(IsotonicParams(1, 1), 1) == F(9, 2)
-    assert isotonic_spectrum(IsotonicParams(0, 2), 0) == 3
+    # omega*(2 nu + alpha + 1), the spectrum of the empty extension; values
+    # confirmed against an independent finite-difference eigensolve of the
+    # oscillator
+    assert expected_spectrum(ExtensionSpec(F(3, 2), 1, (), ()), 2) == [F(5, 2), F(9, 2)]
+    assert expected_spectrum(ExtensionSpec(F(1, 2), 2, (), ()), 1) == [3]
 
 
 def test_isotonic_params_validation():
@@ -87,20 +86,18 @@ def test_isotonic_params_validation():
 
 
 def test_make_seed_type_i():
-    qp, energy = make_seed(SeedSpec(SeedKind.TYPE_I, 1), F(3, 2))
+    qp = make_seed(SeedSpec(SeedKind.TYPE_I, 1), F(3, 2))
     assert qp.poly == Poly((F(5, 2), 1))
     assert qp.zpower == 1
     assert qp.expsign == +1
-    assert energy.value == -(F(3, 2) + 2 + 1)
 
 
 def test_make_seed_type_ii():
     # L_1^{(-5/2)}(z) = -3/2 - z; gauge power -(alpha'-1/2)/2 = -1
-    qp, energy = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
+    qp = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
     assert qp.poly == Poly((F(-3, 2), -1))
     assert qp.zpower == -1
     assert qp.expsign == -1
-    assert energy.value == -(F(5, 2) - 2 - 1)
 
 
 def test_seed_spec_rejects_m_zero():
@@ -109,8 +106,8 @@ def test_seed_spec_rejects_m_zero():
 
 
 def test_endpoint_classes():
-    qp_i, _ = make_seed(SeedSpec(SeedKind.TYPE_I, 2), F(5, 2))
-    qp_ii, _ = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
+    qp_i = make_seed(SeedSpec(SeedKind.TYPE_I, 2), F(5, 2))
+    qp_ii = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
     assert endpoint_class(qp_i) is EndpointClass.I
     assert endpoint_class(qp_ii) is EndpointClass.II
     assert endpoint_class(QuasiPoly(F(-1, 2), +1, Poly.one())) is EndpointClass.III
@@ -121,11 +118,11 @@ def test_endpoint_classes():
 
 
 def test_quasipoly_diff_examples():
-    d = quasipoly_diff(QuasiPoly(0, -1, Poly.one()))
+    d = QuasiPoly(0, -1, Poly.one()).diff()
     assert (d.zpower, d.expsign, d.poly) == (-1, -1, Poly((0, F(-1, 2))))
-    d = quasipoly_diff(QuasiPoly(1, +1, Poly.one()))
+    d = QuasiPoly(1, +1, Poly.one()).diff()
     assert (d.zpower, d.expsign, d.poly) == (0, +1, Poly((1, F(1, 2))))
-    d2 = quasipoly_diff(quasipoly_diff(QuasiPoly(0, -1, Poly.one())))
+    d2 = QuasiPoly(0, -1, Poly.one()).diff().diff()
     assert (d2.zpower, d2.expsign, d2.poly) == (-2, -1, Poly((0, 0, F(1, 4))))
 
 
@@ -154,13 +151,13 @@ def test_type_ii_seed_nodeless_when_admissible(m):
     # L_m^{(-a')}(z) has no roots on (0, inf) whenever a' > m
     for j in range(1, 10):
         ap = m + F(j, 2)
-        qp, _ = make_seed(SeedSpec(SeedKind.TYPE_II, m), ap)
+        qp = make_seed(SeedSpec(SeedKind.TYPE_II, m), ap)
         assert count_roots_open_interval(qp.poly, 0) == 0
 
 
 def test_type_ii_seed_has_node_below_bound():
     # the counterexample configuration: alpha' = 3/2 < m = 2
-    qp, _ = make_seed(SeedSpec(SeedKind.TYPE_II, 2), F(3, 2))
+    qp = make_seed(SeedSpec(SeedKind.TYPE_II, 2), F(3, 2))
     assert count_roots_open_interval(qp.poly, 0) == 1
 
 

@@ -24,8 +24,7 @@ from xlag.wronskian import ExtensionSpec, compute_g
 def pipeline(alpha, m_i=(), m_ii=(), omega=1):
     spec = ExtensionSpec(F(alpha), omega, tuple(m_i), tuple(m_ii))
     report = compute_g(spec)
-    certify(report)
-    return spec, report
+    return spec, report, certify(report).regular
 
 
 def ode_residual(g, alpha, nu, y):
@@ -40,8 +39,8 @@ def ode_residual(g, alpha, nu, y):
 
 class TestPotential:
     def test_identity_extension_is_classical(self):
-        spec, report = pipeline("3/2")
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("3/2")
+        pot = build_potential(spec, report, regular)
         assert pot.shift == 0
         assert pot.rat_num.is_zero
         xs = np.linspace(0.3, 6.0, 50)
@@ -49,60 +48,60 @@ class TestPotential:
 
     def test_k1_rational_part_closed_form(self):
         # g = z + alpha gives V_rat = -2 omega (alpha - z) / (z + alpha)^2
-        spec, report = pipeline("5/2", m_i=(1,))
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("5/2", m_i=(1,))
+        pot = build_potential(spec, report, regular)
         a = F(5, 2)
         for z in (F(1, 3), F(2), F(17, 4)):
             expect = F(-2) * (a - z) / (z + a) ** 2
             assert pot.v_rat_exact(z) == expect
 
     def test_shift_values(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1, 2))  # k=3, q=1
-        assert build_potential(spec, report).shift == spec.omega
-        spec, report = pipeline("5/2", m_i=(1,))
-        assert build_potential(spec, report).shift == -spec.omega
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1, 2))  # k=3, q=1
+        assert build_potential(spec, report, regular).shift == spec.omega
+        spec, report, regular = pipeline("5/2", m_i=(1,))
+        assert build_potential(spec, report, regular).shift == -spec.omega
 
     def test_irregular_potential_flagged(self):
-        spec, report = pipeline("1/2", m_ii=(2,))
+        spec, report, regular = pipeline("1/2", m_ii=(2,))
         with pytest.warns(UserWarning):
-            pot = build_potential(spec, report)
+            pot = build_potential(spec, report, regular)
         assert not pot.certified_regular
 
 
 class TestEOP:
     def test_classical_limit_is_laguerre(self):
-        spec, report = pipeline("3/2")
-        family = solve_eop(spec, report, 6)
+        spec, report, regular = pipeline("3/2")
+        family = solve_eop(spec, report, 6, regular)
         for nu in range(7):
             assert family[nu] == laguerre(nu, F(3, 2)).monic()
 
     def test_k1_first_polynomial_hand_solved(self):
-        spec, report = pipeline("5/2", m_i=(1,))
-        family = solve_eop(spec, report, 0)
+        spec, report, regular = pipeline("5/2", m_i=(1,))
+        family = solve_eop(spec, report, 0, regular)
         assert family[0] == Poly((F(7, 2), 1))  # z + alpha + 1
 
     def test_degrees(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 2)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        family = solve_eop(spec, report, 2, regular)
         assert family.mu == 3
         assert [family[nu].degree for nu in range(3)] == [3, 4, 5]
 
     def test_ode_residual_exactly_zero(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 3)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        family = solve_eop(spec, report, 3, regular)
         for nu in range(4):
             assert ode_residual(report.g, spec.alpha, nu, family[nu]).is_zero
 
     def test_degree_gaps(self):
         # no polynomial of degree < mu solves the system, for any level
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         mu = report.mu_computed
         for nu in range(4):
             assert eop_nullspace(report.g, spec.alpha, nu, mu - 1) == []
             assert eop_nullspace(report.g, spec.alpha, nu, mu + nu - 1) == []
 
     def test_nullspace_dimension_is_one(self):
-        spec, report = pipeline("7/2", m_ii=(1, 2))
+        spec, report, regular = pipeline("7/2", m_ii=(1, 2))
         for nu in range(4):
             basis = eop_nullspace(report.g, spec.alpha, nu, report.mu_computed + nu)
             assert len(basis) == 1
@@ -110,16 +109,16 @@ class TestEOP:
 
 class TestWavefunction:
     def test_boundary_decay(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 0)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        family = solve_eop(spec, report, 0, regular)
         psi = wavefunction(spec, family, 0)
         assert abs(psi(1e-4)) < 1e-6
         assert abs(psi(14.0)) < 1e-12
         assert abs(psi(1.0)) > 1e-4
 
     def test_nodal_counts(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 3)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        family = solve_eop(spec, report, 3, regular)
         xs = np.linspace(0.02, 12.0, 6000)
         for nu in range(4):
             vals = wavefunction(spec, family, nu)(xs)
@@ -130,21 +129,21 @@ class TestWavefunction:
 
 class TestOrthogonality:
     def test_diagonal_is_one(self):
-        spec, report = pipeline("5/2", m_i=(1,))
-        family = solve_eop(spec, report, 2)
+        spec, report, regular = pipeline("5/2", m_i=(1,))
+        family = solve_eop(spec, report, 2, regular)
         assert orthogonality_check(family, 1, 1) == 1.0
 
     def test_classical_off_diagonal(self):
-        spec, report = pipeline("3/2")
-        family = solve_eop(spec, report, 5)
+        spec, report, regular = pipeline("3/2")
+        family = solve_eop(spec, report, 5, regular)
         worst = max(
             orthogonality_check(family, i, j) for i in range(6) for j in range(i + 1, 6)
         )
         assert worst < 1e-12
 
     def test_extended_off_diagonal(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 5)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        family = solve_eop(spec, report, 5, regular)
         worst = max(
             orthogonality_check(family, i, j) for i in range(6) for j in range(i + 1, 6)
         )
@@ -153,15 +152,15 @@ class TestOrthogonality:
 
 class TestSpectrum:
     def test_classical_control(self):
-        spec, report = pipeline("3/2")  # l = 1, omega = 1
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("3/2")  # l = 1, omega = 1
+        pot = build_potential(spec, report, regular)
         levels = numeric_spectrum(pot, 3, auto_grid(pot, 3))
         for lv, e in zip(levels, [2.5, 4.5, 6.5]):  # omega*(2 nu + alpha + 1)
             assert abs(lv - e) / e < 1e-3
 
     def test_shifted_spectrum(self):
-        spec, report = pipeline("5/2", m_i=(1,))
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("5/2", m_i=(1,))
+        pot = build_potential(spec, report, regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         expected = [float(e) for e in expected_spectrum(spec, 4)]
         for lv, e in zip(levels, expected):
@@ -170,17 +169,17 @@ class TestSpectrum:
         assert np.allclose(spacings, 2.0, rtol=1e-3)
 
     def test_non_unit_omega(self):
-        spec, report = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
+        pot = build_potential(spec, report, regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             assert abs(lv - float(e)) / abs(float(e)) < 1e-3
-        family = solve_eop(spec, report, 2)
+        family = solve_eop(spec, report, 2, regular)
         assert orthogonality_check(family, 0, 2) < 1e-8
 
     def test_grid_too_coarse(self):
-        spec, report = pipeline("3/2")
-        pot = build_potential(spec, report)
+        spec, report, regular = pipeline("3/2")
+        pot = build_potential(spec, report, regular)
         with pytest.raises(GridTooCoarse):
             numeric_spectrum(pot, 2, NumericGrid(0.5, 3.0, 16))
 

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from xlag.errors import Inapplicable, SpecInvalid
+from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
 from xlag.exactmath import Poly, poly_mat_det
-from xlag.seeds import laguerre, laguerre_negated_arg
+from xlag.seeds import laguerre
 from xlag.wronskian import (
     ExtensionSpec,
     _gamma_matrix,
@@ -65,7 +66,7 @@ class TestGammaMatrix:
     def test_k1_type_i(self):
         s = spec("7/2", m_i=(1,))
         m = build_gamma_matrix(s)
-        assert m == [[laguerre_negated_arg(1, s.alpha_prime)]]
+        assert m == [[laguerre(1, s.alpha_prime).compose_neg()]]
         assert m[0][0] == Poly((s.alpha_prime + 1, 1))
 
     def test_k1_type_ii(self):
@@ -87,7 +88,7 @@ class TestGammaMatrix:
         # q=2 pure type I with m=(1,2): row 2, column 1 hits degree -1
         s = spec("9/2", m_i=(1, 2))
         m = build_gamma_matrix(s)
-        assert m[1][0] == laguerre_negated_arg(0, s.alpha_prime + 1)
+        assert m[1][0] == laguerre(0, s.alpha_prime + 1).compose_neg()
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
         m3 = build_gamma_matrix(s3)
@@ -165,39 +166,48 @@ class TestPredictions:
 
 class TestWronskianOracle:
     def test_k1_wronskian_is_seed_polynomial(self):
-        s = spec("5/2", m_i=(1,))
-        gauge, w = wronskian_direct(s)
-        assert w == compute_g(s).g
-        assert gauge.x_power == 0
+        report = compute_g(spec("5/2", m_i=(1,)))
+        assert wronskian_direct(report) == report.g
 
     def test_k2_match(self):
-        gauge, w = wronskian_direct(spec("5/2", m_i=(1,), m_ii=(1,)))
-        assert gauge.x_power == 1
-        assert gauge.expsign_total == 0
+        # k(k-1)/2 - q(k-q) = 0: the Wronskian polynomial is g itself
+        report = compute_g(spec("5/2", m_i=(1,), m_ii=(1,)))
+        assert wronskian_direct(report) == report.g
 
     def test_k3_match(self):
-        wronskian_direct(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+        report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+        assert wronskian_direct(report) == report.g.shift_up(1)
 
     def test_k4_inadmissible_still_matches(self):
         # the oracle identity is algebraic; admissibility is irrelevant
         # (alpha' = 3/2 is far below max(m_ii) = 4)
-        wronskian_direct(spec("-5/2", m_ii=(1, 2, 3, 4)))
+        wronskian_direct(compute_g(spec("-5/2", m_ii=(1, 2, 3, 4))))
+
+    def test_detects_a_wrong_g(self):
+        # the oracle rebuilds the Wronskian from the seeds, so a g that does
+        # not come from them is caught
+        report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+        with pytest.raises(OracleMismatch):
+            wronskian_direct(replace(report, g=report.g + Poly.one()))
 
     def test_cost_guard(self):
         with pytest.raises(SpecInvalid):
-            wronskian_direct(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6)))
+            wronskian_direct(compute_g(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6))))
 
 
 class TestOriginRecurrence:
     def test_pure_type_ii_pair(self):
-        assert check_origin_recurrence(spec("5/2", m_ii=(1, 2)))
+        assert check_origin_recurrence(compute_g(spec("5/2", m_ii=(1, 2))))
 
     def test_mixed_k3(self):
-        assert check_origin_recurrence(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+        report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+        assert check_origin_recurrence(report)
+        # g(0) is read from the report, the sub-extensions are recomputed
+        assert not check_origin_recurrence(replace(report, g=report.g * 2))
 
     def test_inapplicable(self):
         with pytest.raises(Inapplicable):
-            check_origin_recurrence(spec("5/2", m_i=(1,), m_ii=(1,)))
+            check_origin_recurrence(compute_g(spec("5/2", m_i=(1,), m_ii=(1,))))
 
 
 def _det_cofactor(m):
@@ -253,7 +263,7 @@ def test_random_specs_outside_lattice():
             continue
         rep = compute_g(s)
         assert rep.predictions_hold, s
-        oracle(s)  # raises OracleMismatch on disagreement
+        oracle(rep)  # raises OracleMismatch on disagreement
         ok += 1
 
 
@@ -264,7 +274,7 @@ def test_small_lattice_invariants():
 
     checked = 0
     for s in enumerate_lattice(max_k=3, max_m=3, alpha_steps=2):
-        result = check_extension(s, wronskian_oracle=True)
+        result = check_extension(s)
         assert result.passed, (s, result.failures)
         checked += 1
     assert checked == 82  # 41 index configurations x 2 alpha' steps
