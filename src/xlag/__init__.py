@@ -19,7 +19,7 @@ from .errors import (
     XlagError,
     ZeroPolynomial,
 )
-from .exactmath import Poly, Rational, pochhammer, poly_gcd, poly_mat_det, squarefree_part, vandermonde
+from .exactmath import Poly, Rational, pochhammer, poly_gcd, poly_mat_det, vandermonde
 from .regularity import RegularityCertificate, certify, count_roots_open_interval, sturm_sequence
 from .seeds import (
     EndpointClass,

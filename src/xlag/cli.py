@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,11 +43,19 @@ EXIT_CODES = (
 )
 
 
+# the numeric layer takes spec rationals as floats and exact outputs grow as
+# powers of them, so numerator and denominator are kept at most 2^53
+RATIONAL_MAX = 2**53
+
+
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecInvalid(f"not a rational number: {text!r}") from exc
+    if abs(value.numerator) > RATIONAL_MAX or value.denominator > RATIONAL_MAX:
+        raise SpecInvalid(f"{text!r} is out of range: numerator and denominator must be at most 2^53")
+    return value
 
 
 def parse_seeds(text: str):
@@ -164,7 +173,7 @@ def cmd_eop(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = spec_from_args(args)
-    if not 0 < args.x_min < args.x_max:
+    if not 0 < args.x_min < args.x_max < math.inf:
         raise SpecInvalid(f"need 0 < --x-min < --x-max, got {args.x_min} and {args.x_max}")
     _check_nonnegative("--points", args.points)
     try:
@@ -225,8 +234,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad argv raises SpecInvalid, so it leaves main through EXIT_CODES
+    as one error line instead of a usage block and SystemExit."""
+
+    def error(self, message):
+        raise SpecInvalid(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xlag",
         description="Exact construction and certification of rationally-extended "
         "radial oscillators and their exceptional Laguerre polynomials.",
@@ -268,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except XlagError as exc:
         code, prefix = next((code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types))

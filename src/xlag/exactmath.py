@@ -212,12 +212,6 @@ class Poly:
                 rem.pop()
         return Poly(quot), Poly(rem)
 
-    def divexact(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise NotDivisible("polynomial division left a remainder")
-        return q
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no monic form")
@@ -260,26 +254,33 @@ def _coerce(v) -> Poly:
     raise TypeError(f"cannot coerce {type(v)!r} to Poly")
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (gcd(0,0) = 0)."""
+def remainder_chain(a: Poly, b: Poly):
+    """a, b and the negated primitive pseudo-remainders of Euclid's
+    algorithm on them, down to the last nonzero member, which is gcd(a, b)
+    up to a constant factor (a zero b is left out).
+
+    Members after the first two are rescaled by positive constants to
+    primitive integer form, so with b = a' this is the Sturm chain of a:
+    sign variations, which is all it is read for, are unaffected, while
+    coefficient growth stays tame.
+    """
+    chain = [a] if b.is_zero else [a, b]
     A = _int_primitive(list(a.coeffs))
     B = _int_primitive(list(b.coeffs))
     while B:
-        A = _int_prem(A, B)
-        _int_make_primitive(A)
-        A, B = B, A
-    if not A:
-        return Poly()
-    lead = A[-1]
-    return Poly(tuple(Fraction(c, lead) for c in A))
+        R = _int_prem(A, B)
+        if not R:
+            break
+        R = _int_make_primitive([-c for c in R])
+        chain.append(Poly(R))
+        A, B = B, R
+    return chain
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """p with repeated roots collapsed to simple ones (same leading sign)."""
-    if p.is_zero:
-        raise ZeroPolynomial("square-free part of zero polynomial")
-    g = poly_gcd(p, p.diff())
-    return p.divexact(g)
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over the rationals (gcd(0,0) = 0)."""
+    last = remainder_chain(a, b)[-1]
+    return last.monic() if last else last
 
 
 # -- integer-coefficient kernels ------------------------------------------

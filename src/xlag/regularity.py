@@ -11,57 +11,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryRoot, ZeroPolynomial
-from .exactmath import (
-    Poly,
-    _int_make_primitive,
-    _int_prem,
-    _int_primitive,
-    poly_gcd,
-    sign,
-    squarefree_part,
-)
+from .exactmath import Poly, remainder_chain, sign
 from .wronskian import GReport
 
 
 def sturm_sequence(p: Poly):
-    """Canonical Sturm chain of the square-free part of p.
+    """Sturm chain of p and p', ending in gcd(p, p') up to a constant.
 
-    Chain members after the first two are rescaled by positive constants
-    to primitive integer form; sign variations, which is all the chain is
-    read for, are unaffected, while coefficient growth stays tame.
+    At any point where p does not vanish its sign variations count the
+    distinct roots of p, repeated ones once, so no square-free reduction
+    is needed (Sturm's theorem in its general form).
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm sequence of the zero polynomial")
-    p0 = squarefree_part(p)
-    chain = [p0]
-    if p0.degree == 0:
-        return chain
-    p1 = p0.diff()
-    chain.append(p1)
-    a = _int_primitive(list(p0.coeffs))
-    b = _int_primitive(list(p1.coeffs))
-    while len(b) > 1:
-        r = _int_prem(a, b)
-        if not r:
-            # cannot happen for a square-free start, but fail loudly
-            raise ZeroPolynomial("Sturm chain hit a zero remainder")
-        r = _int_make_primitive([-c for c in r])
-        chain.append(Poly(tuple(Fraction(c) for c in r)))
-        a, b = b, r
-    return chain
+    return remainder_chain(p, p.diff())
 
 
 def _variations(values) -> int:
     nonzero = [v for v in values if v]
     return sum(1 for x, y in zip(nonzero, nonzero[1:]) if (x > 0) != (y > 0))
-
-
-def _variations_at(chain, point) -> int:
-    return _variations([p.eval(point) for p in chain])
-
-
-def _variations_at_infinity(chain) -> int:
-    return _variations([p.leading for p in chain])
 
 
 def count_roots_open_interval(p: Poly, lo, hi=None) -> int:
@@ -72,22 +40,16 @@ def count_roots_open_interval(p: Poly, lo, hi=None) -> int:
     z-power first.
     """
     chain = sturm_sequence(p)
-    return _count_from_chain(chain, lo, hi)
 
+    def variations_at(point, name):
+        if point is None:
+            return _variations([q.leading for q in chain])
+        point = Fraction(point)
+        if p.eval(point) == 0:
+            raise BoundaryRoot(f"{name} endpoint {point} is a root")
+        return _variations([q.eval(point) for q in chain])
 
-def _count_from_chain(chain, lo, hi=None) -> int:
-    lo = Fraction(lo)
-    if chain[0].eval(lo) == 0:
-        raise BoundaryRoot(f"lower endpoint {lo} is a root")
-    v_lo = _variations_at(chain, lo)
-    if hi is None:
-        v_hi = _variations_at_infinity(chain)
-    else:
-        hi = Fraction(hi)
-        if chain[0].eval(hi) == 0:
-            raise BoundaryRoot(f"upper endpoint {hi} is a root")
-        v_hi = _variations_at(chain, hi)
-    return v_lo - v_hi
+    return variations_at(lo, "lower") - variations_at(hi, "upper")
 
 
 @dataclass(frozen=True)
@@ -119,9 +81,11 @@ def certify(report: GReport) -> RegularityCertificate:
     order = next(i for i, c in enumerate(g.coeffs) if c)
     core = g.divexact_zpow(order)
     chain = sturm_sequence(core)
-    roots = _count_from_chain(chain, 0, None)
+    # core(0) != 0, so the chain is read at 0 from its constant terms
+    roots = _variations([q.constant for q in chain]) - _variations([q.leading for q in chain])
     regular = roots == 0 and sign_zero != 0
-    defect = poly_gcd(g, g.diff()).degree
+    # gcd(g, g') = z^(order-1) gcd(core, core'), and the chain ends in the latter
+    defect = chain[-1].degree + max(order - 1, 0)
     return RegularityCertificate(
         root_count_positive_axis=roots,
         sign_at_zero=sign_zero,
@@ -130,5 +94,5 @@ def certify(report: GReport) -> RegularityCertificate:
         admissible=report.admissible,
         sturm_sequence_length=len(chain),
         signs_match=sign_zero != 0 and sign_zero == sign_inf,
-        repeated_root_defect=defect if defect is not None else 0,
+        repeated_root_defect=defect,
     )

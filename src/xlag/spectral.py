@@ -174,19 +174,24 @@ def _gauss_legendre(n: int):
 def _inner_product(family: EOPFamily, i: int, j: int, nodes: int) -> float:
     """integral of y_i y_j z^alpha e^-z / g^2 over (0, inf) by mapped
     Gauss-Legendre with the z = u^2 substitution (removes the sqrt
-    endpoint behaviour of half-integer alpha)."""
-    zmax = 60.0 + 4.0 * (family.polys[i].degree + family.polys[j].degree + 2)
+    endpoint behaviour of half-integer alpha).
+
+    The integrand decays like z^p e^-z with p = alpha + nu_i + nu_j, which
+    peaks at z = p, so the cutoff sits far enough past p for any alpha; the
+    weight is taken in log space, where z^alpha cannot overflow."""
+    deg_i, deg_j = family.polys[i].degree, family.polys[j].degree
+    a = float(family.alpha)
+    p = max(a + deg_i + deg_j - 2 * family.mu, 0.0)
+    zmax = max(60.0 + 4.0 * (deg_i + deg_j + 2), p + 40.0 + 9.0 * np.sqrt(p))
     umax = np.sqrt(zmax)
     x, wts = _gauss_legendre(nodes)
     u = 0.5 * umax * (x + 1.0)
     wts = 0.5 * umax * wts
     z = u * u
-    a = float(family.alpha)
     val = (
         2.0
         * u
-        * np.power(z, a)
-        * np.exp(-z)
+        * np.exp(a * np.log(z) - z)
         * _polyval(family.polys[i], z)
         * _polyval(family.polys[j], z)
         / _polyval(family.g, z) ** 2
@@ -208,7 +213,7 @@ def orthogonality_check(family: EOPFamily, i: int, j: int) -> float:
         nii = _inner_product(family, i, i, nodes)
         njj = _inner_product(family, j, j, nodes)
         nij = _inner_product(family, i, j, nodes)
-        vals.append(abs(nij) / np.sqrt(nii * njj))
+        vals.append(abs(nij) / (np.sqrt(nii) * np.sqrt(njj)))
     if abs(vals[0] - vals[1]) > 1e-10:
         raise QuadratureNonconvergence(
             f"normalized inner product <{i},{j}> moved from {vals[0]} to {vals[1]}"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlag import cli, verify, wronskian
 from xlag.errors import GridTooCoarse, QuadratureNonconvergence
@@ -88,11 +92,17 @@ def test_extend_seed_order_insensitive(capsys):
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--points", "-1"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "0,x"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "-1"],
+        ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "abc"],
+        [],
+        ["extend", "--alpha", "5/2", "--seeds", "I:1", "--bogus"],
+        ["sample", "--alpha", "1e999", "--seeds", "I:1", "--points", "16"],
+        ["eop", "--alpha", "1e300", "--seeds", "I:1,II:1", "--nu-max", "14"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-max", "inf"],
     ],
 )
 def test_bad_input_exits_2(args, capsys, monkeypatch):
     # a leading NAME=value sets that environment variable, as in a shell
-    if "=" in args[0]:
+    if args and "=" in args[0]:
         name, value = args[0].split("=", 1)
         monkeypatch.setenv(name, value)
         args = args[1:]
@@ -100,6 +110,61 @@ def test_bad_input_exits_2(args, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extend", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: xlag extend")
+
+
+# argv for the fuzz below: each flag draws from its own values, well-formed
+# or not, and stray tokens break the flag/value pairing; every bound keeps
+# a call cheap (k <= 3, indices <= 4, nu <= 5, at most 50 points)
+FUZZ_VALUES = {
+    "--alpha": ["5/2", "3/2", "1/2", "7/2", "-1/2", "0", "1/0", "abc", "", "2.5", "1e999"],
+    "--l": ["2", "1", "-1", "1/2", "x"],
+    "--omega": ["1", "2", "1/3", "0", "-1", "nan"],
+    "--seeds": ["", "I:1", "II:2", "I:1,II:1", "I:2,II:1,II:3", "I:4,II:4", "I:0", "X:1",
+                "I:1,I:1", "I:x", "II:", ",", "I:1:2"],
+    "--nu-max": ["0", "2", "5", "-1", "abc", "1.5", ""],
+    "--points": ["16", "50", "0", "-1", "x"],
+    "--x-min": ["0.05", "0.5", "0", "-1", "nan", "inf", "y"],
+    "--x-max": ["8", "2", "0.01", "inf", "nan", "z"],
+    "--wavefunctions": ["", "0", "0,1", "5", "-1", "0,x", ",,"],
+}
+FUZZ_COMMANDS = {
+    "extend": ["--omega", "--seeds", "--nu-max"],
+    "eop": ["--omega", "--seeds", "--nu-max"],
+    "sample": ["--omega", "--seeds", "--points", "--x-min", "--x-max", "--wavefunctions"],
+}
+FUZZ_STRAY = ["--force", "--bogus", "--alpha", "--nu-max", "5/2", "verify"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command] + (["--skip-numeric"] if command == "extend" else [])
+    for flag in (draw(st.sampled_from(["--alpha", "--alpha", "--l"])), "--seeds"):
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES[flag]))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 7)):
+            flag = draw(st.sampled_from(FUZZ_COMMANDS[command]))
+            argv += [flag, draw(st.sampled_from(FUZZ_VALUES[flag]))]
+        else:
+            argv.append(draw(st.sampled_from(FUZZ_STRAY)))
+    return argv
+
+
+@given(fuzz_argv())
+@settings(deadline=None, max_examples=100)
+def test_argv_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

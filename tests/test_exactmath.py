@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlag.errors import NotDivisible
-from xlag.exactmath import Poly, pochhammer, poly_gcd, poly_mat_det, squarefree_part, vandermonde
+from xlag.exactmath import Poly, pochhammer, poly_gcd, poly_mat_det, remainder_chain, vandermonde
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
@@ -120,8 +120,12 @@ def test_gcd_divides_both(p, q):
 
 
 def test_squarefree_part_collapses_multiplicity():
+    # the chain of p and p' ends in the repeated factor; p over it is square-free
     p = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
-    assert squarefree_part(p) == Poly((-1, 1)) * Poly((2, 1))
+    last = remainder_chain(p, p.diff())[-1]
+    assert last.monic() == Poly((-1, 1))
+    assert p.divmod(last) == (Poly((-2, 1, 1)) * (p.leading / last.leading), Poly.zero())
+    assert poly_gcd(p, p.diff()) == Poly((-1, 1))
 
 
 def _det_cofactor(m):

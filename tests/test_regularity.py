@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlag.errors import BoundaryRoot, ZeroPolynomial
 from xlag.exactmath import Poly
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
-from xlag.wronskian import ExtensionSpec, compute_g
+from xlag.wronskian import ExtensionSpec, GReport, compute_g
 
 
 def test_chain_linear():
@@ -18,9 +21,14 @@ def test_chain_quadratic():
 
 
 def test_chain_applies_squarefree_reduction():
-    p = Poly((-1, 1)) * Poly((-1, 1))
+    # no square-free pre-pass: the chain of p and p' ends in gcd(p, p'),
+    # and read where p does not vanish it counts the double root once
+    p = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
     chain = sturm_sequence(p)
-    assert chain[0] == Poly((-1, 1))
+    assert chain[:2] == [p, p.diff()]
+    assert chain[-1].monic() == Poly((-1, 1))
+    assert count_roots_open_interval(p, 0) == 1
+    assert count_roots_open_interval(p, -3, 2) == 2
 
 
 def test_chain_rejects_zero():
@@ -127,30 +135,108 @@ def test_certify_identity_extension():
     assert cert.root_count_positive_axis == 0
 
 
-def test_certify_reports_multiplicity_defect():
-    from xlag.wronskian import GReport
-
-    g = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
-    fake = GReport(
-        spec=None, g=g, mu_predicted=3, mu_computed=3, sigma=0,
-        lead_predicted=1, lead_computed=1, const_predicted=g.constant,
+def _report(g):
+    # a GReport around an arbitrary g, for certify only
+    return GReport(
+        spec=None, g=g, mu_predicted=g.degree, mu_computed=g.degree, sigma=0,
+        lead_predicted=g.leading, lead_computed=g.leading, const_predicted=g.constant,
         const_computed=g.constant, admissible=False,
     )
-    cert = certify(fake)
+
+
+def test_certify_reports_multiplicity_defect():
+    g = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
+    cert = certify(_report(g))
     assert cert.repeated_root_defect == 1
     assert cert.root_count_positive_axis == 1  # the double root counts once
 
 
 def test_certify_strips_vanishing_constant_term():
-    from xlag.wronskian import GReport
-
     g = (Poly((-2, 1)) * Poly((3, 1))).shift_up(2)  # z^2 (z-2)(z+3)
-    fake = GReport(
-        spec=None, g=g, mu_predicted=4, mu_computed=4, sigma=0,
-        lead_predicted=1, lead_computed=1, const_predicted=0,
-        const_computed=0, admissible=False,
-    )
-    cert = certify(fake)
+    cert = certify(_report(g))
     assert cert.sign_at_zero == 0
     assert cert.root_count_positive_axis == 1
     assert not cert.regular
+
+
+# -- the square-free route, kept as an oracle ------------------------------
+#
+# The reference reduces g's core to its square-free part by a gcd, runs
+# Sturm on that with Horner evaluation and takes the defect from a second
+# gcd.  It uses Fraction Euclid through Poly.divmod, so it shares no code
+# with the integer pseudo-remainder kernel behind certify.
+
+
+def _euclid_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def _reference_certificate(g):
+    """(distinct roots on (0, inf), deg gcd(g, g')) by the square-free route."""
+    order = next(i for i, c in enumerate(g.coeffs) if c)
+    core = Poly(g.coeffs[order:])
+    sf = core.divmod(_euclid_gcd(core, core.diff()))[0]
+    chain = [sf]
+    if sf.degree:
+        chain.append(sf.diff())
+        while chain[-1].degree:
+            chain.append(-chain[-2].divmod(chain[-1])[1])
+    # every root lies below the Cauchy bound, so (0, bound) is (0, inf)
+    bound = 1 + max(abs(c / sf.leading) for c in sf.coeffs)
+
+    def variations(point):
+        values = [v for v in (p.eval(point) for p in chain) if v]
+        return sum(1 for x, y in zip(values, values[1:]) if (x > 0) != (y > 0))
+
+    return variations(0) - variations(bound), _euclid_gcd(g, g.diff()).degree
+
+
+def _inadmissible_probes(max_k, max_m):
+    # alpha' = j/2 up to the largest type-II index: every spec fails the
+    # admissibility bound, so g may have positive and repeated roots
+    for k in range(1, max_k + 1):
+        for q in range(k):
+            for m_i in combinations(range(1, max_m + 1), q):
+                for m_ii in combinations(range(1, max_m + 1), k - q):
+                    for j in range(1, 2 * max(m_ii) + 1):
+                        yield ExtensionSpec(F(j, 2) - k + 2 * q, 1, m_i, m_ii)
+
+
+def test_certify_agrees_with_the_squarefree_route_on_inadmissible_probes():
+    specs = list(_inadmissible_probes(3, 5))
+    assert len(specs) == 1050
+    defects = 0
+    for spec in specs:
+        report = compute_g(spec)
+        cert = certify(report)
+        got = (cert.root_count_positive_axis, cert.repeated_root_defect)
+        assert got == _reference_certificate(report.g), spec
+        defects += cert.repeated_root_defect > 0
+    assert defects  # the probes do reach repeated roots
+
+
+rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(
+    st.lists(st.tuples(rational_roots, st.integers(1, 3)), min_size=1, max_size=5, unique_by=lambda t: t[0]),
+    st.lists(st.integers(1, 9), max_size=2),
+    st.fractions(min_value=-5, max_value=5).filter(bool),
+)
+@settings(deadline=None, max_examples=60)
+def test_certify_agrees_with_the_squarefree_route_on_planted_roots(roots, quadratics, lead):
+    # (z - r)^mult for each planted root, times (z^2 + c) factors with no
+    # real root, times a constant; the factors fix both answers outright
+    g = Poly.const(lead)
+    for r, mult in roots:
+        for _ in range(mult):
+            g = g * Poly((-r, 1))
+    for c in quadratics:
+        g = g * Poly((c, 0, 1))
+    positive = sum(1 for r, _ in roots if r > 0)
+    defect = sum(mult - 1 for _, mult in roots) + 2 * (len(quadratics) - len(set(quadratics)))
+    cert = certify(_report(g))
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect) == (positive, defect)
+    assert _reference_certificate(g) == (positive, defect)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -148,6 +149,24 @@ class TestOrthogonality:
             orthogonality_check(family, i, j) for i in range(6) for j in range(i + 1, 6)
         )
         assert worst < 1e-8
+
+    def test_large_alpha_off_diagonal(self):
+        # the weight z^alpha e^-z peaks near z = alpha; a cutoff set by the
+        # degrees alone truncated it here and read 0.04
+        spec, report, regular = pipeline("121/2", m_i=(1,))
+        family = solve_eop(spec, report, 3, regular)
+        worst = max(
+            orthogonality_check(family, i, j) for i in range(4) for j in range(i + 1, 4)
+        )
+        assert worst < 1e-8
+
+    def test_large_alpha_detects_a_non_orthogonal_pair(self):
+        # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
+        # norm product to inf and read exactly 0.0 for this pair
+        spec, report, regular = pipeline("201/2", m_i=(1,))
+        family = solve_eop(spec, report, 1, regular)
+        mixed = replace(family, polys=(family[0], family[0] + family[1]))
+        assert orthogonality_check(mixed, 0, 1) > 1e-3
 
 
 class TestSpectrum:
