@@ -288,6 +288,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # only --help leaves argparse this way, after printing
+        return exc.code
     except XlagError as exc:
         code, prefix = next((code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)

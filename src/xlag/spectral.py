@@ -1,7 +1,8 @@
 """Extended potential assembly, exceptional-polynomial construction by
-exact linear algebra on their differential equation, bound-state
-wavefunctions, and the numeric verification layer (quadrature
-orthogonality and a finite-difference eigensolve).
+exact back-substitution on their banded differential operator (dense
+null-space reduction kept as its oracle), bound-state wavefunctions, and
+the numeric verification layer (quadrature orthogonality and a
+finite-difference eigensolve).
 
 The polynomial layer stays exact; floats appear only in evaluation,
 integration, and the eigensolver.
@@ -94,41 +95,43 @@ class EOPFamily:
         return len(self.polys)
 
 
-def _ode_operator_columns(g: Poly, alpha, nu: int, degree: int):
-    """Columns of the cleared-denominator eigenvalue equation applied to
-    the monomial basis 1, z, ..., z^degree."""
+def _ode_operator(g: Poly, alpha, nu: int):
+    """entry(r, d): the coefficient of z^r in the cleared-denominator
+    eigenvalue operator z g y'' + q1 y' + q0 y applied to y = z^d.
+
+    Column d spans rows d-1 .. d+mu (mu = deg g) and its top entry, in row
+    d+mu, is lead(g) (mu + nu - d): the system is banded and triangular
+    from the top.
+    """
     gd = g.diff()
-    gdd = gd.diff()
     q1 = g * Poly((alpha + 1, -1)) - gd.shift_up(1) * 2
-    q0 = gd * Poly((-alpha, 1)) + gdd.shift_up(1) + g * nu
-    cols = []
-    for d in range(degree + 1):
-        col = q0.shift_up(d)
-        if d >= 1:
-            col = col + (q1 * d).shift_up(d - 1)
-        if d >= 2:
-            col = col + (g * (d * (d - 1))).shift_up(d - 1)
-        cols.append(col)
-    return cols
+    q0 = gd * Poly((-alpha, 1)) + gd.diff().shift_up(1) + g * nu
+
+    def entry(r: int, d: int) -> Rational:
+        return q0[r - d] + d * q1[r - d + 1] + d * (d - 1) * g[r - d + 1]
+
+    return entry
 
 
 def eop_nullspace(g: Poly, alpha, nu: int, degree: int):
     """Basis of polynomial solutions of degree <= degree with eigenvalue
-    -nu, as coefficient vectors."""
-    cols = _ode_operator_columns(g, alpha, Fraction(nu), degree)
-    nrows = max((c.degree + 1 for c in cols if not c.is_zero), default=1)
-    rows = [[cols[d][p] for d in range(degree + 1)] for p in range(nrows)]
+    -nu, as coefficient vectors, by dense null-space reduction (the oracle
+    for solve_eop's back-substitution)."""
+    entry = _ode_operator(g, alpha, nu)
+    rows = [[entry(r, d) for d in range(degree + 1)] for r in range(degree + g.degree + 1)]
     return rational_nullspace(rows)
 
 
 def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) -> EOPFamily:
-    """Exceptional polynomials for levels 0..nu_max by exact null-space
-    solve of the cleared-denominator differential equation; a false
-    `regular`, the verdict of certify(report), draws a warning.
+    """Exceptional polynomials for levels 0..nu_max by back-substitution on
+    the cleared-denominator differential equation; a false `regular`, the
+    verdict of certify(report), draws a warning.
 
-    Each solve must give a one-dimensional space (NullSpaceDimension
-    otherwise) whose element has degree exactly mu+nu (OracleMismatch
-    otherwise); the result is normalized monic.
+    With c_{mu+nu} = 1, row mu+d of the banded operator fixes c_d for d =
+    mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
+    (OracleMismatch if it were zero), so the solution is monic, of degree
+    mu+nu and unique.  Rows 0..mu-1, which fix no coefficient, must then
+    vanish, or no polynomial solution exists (NullSpaceDimension(0)).
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
@@ -138,15 +141,17 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) 
     mu = report.mu_computed
     polys = []
     for nu in range(nu_max + 1):
-        basis = eop_nullspace(g, spec.alpha, nu, mu + nu)
-        if len(basis) != 1:
-            raise NullSpaceDimension(len(basis))
-        y = Poly(basis[0])
-        if y.degree != mu + nu:
-            raise OracleMismatch(
-                f"polynomial for nu={nu} has degree {y.degree}, expected {mu + nu}"
-            )
-        polys.append(y.monic())
+        n = mu + nu
+        entry = _ode_operator(g, spec.alpha, nu)
+        c = [Fraction(0)] * n + [Fraction(1)]
+        for d in range(n - 1, -1, -1):
+            pivot = entry(mu + d, d)
+            if not pivot:
+                raise OracleMismatch(f"zero pivot in row {mu + d} for nu={nu}")
+            c[d] = -sum(entry(mu + d, j) * c[j] for j in range(d + 1, min(n, mu + d + 1) + 1)) / pivot
+        if any(sum(entry(r, j) * c[j] for j in range(r + 2)) for r in range(mu)):
+            raise NullSpaceDimension(0)
+        polys.append(Poly(c))
     return EOPFamily(alpha=spec.alpha, g=g, mu=mu, polys=tuple(polys))
 
 
@@ -166,9 +171,28 @@ def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
     return psi
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1, |x| < 1)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=8)
 def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1]: eigenvalues of the
+    tridiagonal Jacobi matrix, one Newton step on P_n, weights
+    2 / ((1 - x^2) P_n'(x)^2), then symmetrised about 0.  (numpy's leggauss
+    takes a dense eigensolve, whose multi-threaded BLAS start-up can cost
+    far more than the quadrature itself.)"""
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    p, dp = _legendre(n, x)
+    x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _inner_product(family: EOPFamily, i: int, j: int, nodes: int) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotDivisible, OracleMismatch, SpecInvalid
+from .errors import NotDivisible, OracleMismatch, SpecInvalid, XlagError
 from .regularity import certify
 from .wronskian import ORACLE_MAX_K, ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
 
@@ -76,24 +76,29 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     except NotDivisible:
         out.failures.append("divisible")
         return out
-    out.mu = report.mu_predicted == report.mu_computed
-    out.lead = report.lead_predicted == report.lead_computed
-    const_predicted = -report.const_predicted if negate_const_sign else report.const_predicted
-    out.const = const_predicted == report.const_computed
-    cert = certify(report)
-    expected_sign = -1 if report.sigma % 2 else 1
-    out.sign_theorem = (
-        cert.sign_at_zero == expected_sign and cert.sign_at_infinity == expected_sign
-    )
-    out.regular = cert.regular
-    if spec.k - spec.q >= 2:
-        out.recurrence = check_origin_recurrence(report)
-    if spec.k <= ORACLE_MAX_K:
-        try:
-            wronskian_direct(report)
-            out.wronskian_oracle = True
-        except OracleMismatch:
-            out.wronskian_oracle = False
+    try:
+        out.mu = report.mu_predicted == report.mu_computed
+        out.lead = report.lead_predicted == report.lead_computed
+        const_predicted = -report.const_predicted if negate_const_sign else report.const_predicted
+        out.const = const_predicted == report.const_computed
+        cert = certify(report)
+        expected_sign = -1 if report.sigma % 2 else 1
+        out.sign_theorem = (
+            cert.sign_at_zero == expected_sign and cert.sign_at_infinity == expected_sign
+        )
+        out.regular = cert.regular
+        if spec.k - spec.q >= 2:
+            out.recurrence = check_origin_recurrence(report)
+        if spec.k <= ORACLE_MAX_K:
+            try:
+                wronskian_direct(report)
+                out.wronskian_oracle = True
+            except OracleMismatch:
+                out.wronskian_oracle = False
+    except XlagError as exc:
+        # recorded, not raised, so that one bad spec cannot abort run_lattice;
+        # the checks it cut short keep their defaults, False ones listed after it
+        out.failures.append(f"{type(exc).__name__}: {exc}")
     for name in CHECK_NAMES:
         if getattr(out, name) is False:
             out.failures.append(name)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlag import cli, verify, wronskian
-from xlag.errors import GridTooCoarse, QuadratureNonconvergence
+from xlag import cli, exactmath, spectral, verify, wronskian
+from xlag.errors import GridTooCoarse, QuadratureNonconvergence, ZeroPolynomial
 
 
 def run_cli(args, capsys):
@@ -113,9 +113,7 @@ def test_bad_input_exits_2(args, capsys, monkeypatch):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["extend", "--help"])
-    assert exc.value.code == 0
+    assert cli.main(["extend", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xlag extend")
 
 
@@ -181,6 +179,19 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert "inconsistency" in err
 
 
+def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
+    # one coefficient of g off: the polynomial equation has no solution
+    def perturbed(spec):
+        report = compute_g_real(spec)
+        return replace(report, g=report.g + 1)
+
+    compute_g_real = wronskian.compute_g
+    monkeypatch.setattr(cli, "compute_g", perturbed)
+    code, out, err = run_cli(["eop", "--alpha", "5/2", "--seeds", "I:1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal inconsistency: ")
+
+
 @pytest.mark.parametrize(
     "check, error",
     [("numeric_spectrum", GridTooCoarse), ("orthogonality_check", QuadratureNonconvergence)],
@@ -227,6 +238,48 @@ def test_g_is_computed_once_per_spec(run, compute_g_calls, capsys):
     assert compute_g_calls[0] == spec
     assert len(compute_g_calls) == 1 + 3
     assert spec not in compute_g_calls[1:]
+
+
+def test_extend_makes_no_nullspace_call(monkeypatch, capsys):
+    calls = []
+    original = exactmath.rational_nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    for module in (exactmath, spectral):
+        monkeypatch.setattr(module, "rational_nullspace", counted)
+    assert cli.main(["extend", "--alpha", "5/2", "--seeds", "I:1,II:1,II:2", "--skip-numeric"]) == 0
+    assert calls == []
+    # the counter does see the oracle route
+    report = wronskian.compute_g(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), ()))
+    spectral.eop_nullspace(report.g, report.spec.alpha, 0, 1)
+    assert len(calls) == 1
+
+
+def test_one_bad_spec_does_not_abort_the_lattice(monkeypatch, capsys):
+    lattice = {"max_k": 1, "max_m": 2, "alpha_steps": 1}
+    specs = list(verify.enumerate_lattice(**lattice))
+    bad = specs[1]
+    certify_real = verify.certify
+
+    def certify(report):
+        if report.spec == bad:
+            raise ZeroPolynomial("planted")
+        return certify_real(report)
+
+    monkeypatch.setattr(verify, "certify", certify)
+    results = verify.run_lattice(workers=1, **lattice)
+    assert [r.spec for r in results] == specs
+    assert all(r.passed for r in results if r.spec != bad)
+    failures = verify.summarize(results)["failures"]
+    assert [r.spec for r in failures] == [bad]
+    assert failures[0].failures[0] == "ZeroPolynomial: planted"
+    code, out, err = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
+    assert code == 1
+    assert "all invariants hold" not in out
+    assert "ZeroPolynomial: planted" in err
 
 
 def test_out_file(tmp_path, capsys):

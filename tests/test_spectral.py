@@ -4,12 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from xlag.errors import GridTooCoarse
+from test_acceptance import EOP_SPECS
+from test_regularity import _inadmissible_probes
+from xlag.errors import GridTooCoarse, NullSpaceDimension
 from xlag.exactmath import Poly
 from xlag.regularity import certify
 from xlag.seeds import laguerre
 from xlag.spectral import (
     NumericGrid,
+    _gauss_legendre,
     auto_grid,
     build_potential,
     eop_nullspace,
@@ -107,6 +110,32 @@ class TestEOP:
             basis = eop_nullspace(report.g, spec.alpha, nu, report.mu_computed + nu)
             assert len(basis) == 1
 
+    @pytest.mark.filterwarnings("ignore:solving the polynomial family")
+    @pytest.mark.parametrize(
+        "specs, nu_max",
+        [
+            (EOP_SPECS, 5),
+            ([("29/2", (2, 4, 6), (3, 5, 7))], 1),  # the mu = 30 rung
+            ([(s.alpha, s.m_type_i, s.m_type_ii) for s in _inadmissible_probes(2, 3)], 2),
+        ],
+        ids=["eop_suite", "mu30", "inadmissible"],
+    )
+    def test_backsubstitution_equals_the_nullspace_oracle(self, specs, nu_max):
+        for alpha, m_i, m_ii in specs:
+            spec, report, regular = pipeline(alpha, m_i, m_ii)
+            family = solve_eop(spec, report, nu_max, regular)
+            for nu in range(nu_max + 1):
+                basis = eop_nullspace(report.g, spec.alpha, nu, report.mu_computed + nu)
+                assert len(basis) == 1, (spec, nu)
+                assert family[nu] == Poly(basis[0]).monic(), (spec, nu)
+
+    def test_perturbed_g_has_no_polynomial_solution(self):
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        bad = replace(report, g=report.g + 1)
+        assert eop_nullspace(bad.g, spec.alpha, 0, bad.mu_computed) == []
+        with pytest.raises(NullSpaceDimension):
+            solve_eop(spec, bad, 0, regular)
+
 
 class TestWavefunction:
     def test_boundary_decay(self):
@@ -126,6 +155,22 @@ class TestWavefunction:
             sig = vals[np.abs(vals) > np.max(np.abs(vals)) * 1e-12]
             changes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
             assert changes == nu
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 5, 200, 301])
+    def test_exact_on_even_powers(self, n):
+        x, w = _gauss_legendre(n)
+        for j in range(n):  # degree 2j <= 2n - 1
+            assert abs(np.dot(w, x ** (2 * j)) - 2 / (2 * j + 1)) < 1e-14
+
+    # leggauss(301) is left out: its dense eigensolve takes ~1 s under a multi-threaded BLAS
+    @pytest.mark.parametrize("n", [1, 5, 64, 200])
+    def test_agrees_with_leggauss(self, n):
+        x, w = _gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - x_ref)) < 1e-14
+        assert np.max(np.abs(w / w_ref - 1)) < 1e-9
 
 
 class TestOrthogonality:
