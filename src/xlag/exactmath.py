@@ -1,7 +1,8 @@
 """Exact rational arithmetic, combinatorial symbols, and dense polynomials.
 
-Everything here is exact: coefficients are `fractions.Fraction`, so no
-operation ever rounds.  Floats enter the codebase only in the numeric
+Everything here is exact, so no operation ever rounds: a polynomial is a
+tuple of Python-int numerators over one int denominator, and scalars are
+`fractions.Fraction`.  Floats enter the codebase only in the numeric
 verification layer (`spectral`), never here.
 """
 from __future__ import annotations
@@ -44,21 +45,26 @@ def sign(x) -> int:
 
 
 class Poly:
-    """Dense univariate polynomial in z over exact rationals.
+    """Dense univariate polynomial in z over the rationals, in integer
+    content form: a tuple `num` of int numerators, lowest power first with
+    no trailing zeros, over one positive int denominator `den`, reduced so
+    that gcd(den, *num) = 1.
 
-    Coefficients are stored lowest power first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree `None`
-    (a sentinel, so degree arithmetic never silently mixes in -1).
-    Instances are immutable and hashable.
+    The form is canonical, so equality and hashing are tuple compares, and
+    arithmetic runs on the ints with a single gcd per result.  `coeffs` is
+    a read-only Fraction view.  The zero polynomial has num = (), den = 1
+    and degree `None` (a sentinel, so degree arithmetic never silently
+    mixes in -1).  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError(f"Poly coefficients must be int or Fraction, got {coeffs!r}")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _init(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -84,75 +90,75 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest power first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self):
         """Degree as int, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     @property
     def leading(self) -> Rational:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[len(self.num) - 1]
 
     @property
     def constant(self) -> Rational:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self[0]
 
     def __getitem__(self, power: int) -> Rational:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.num):
+            return Fraction(self.num[power], self.den)
         return Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = math.gcd(den, other.den)
+            a = [c * (other.den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other.den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
+        if isinstance(other, int):
+            return _poly([c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
         other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
+        return _poly(_int_mul(self.num, other.num), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -162,21 +168,24 @@ class Poly:
 
     def diff(self) -> "Poly":
         """Exact formal derivative with respect to z."""
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _poly([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def eval(self, z0) -> Rational:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point p/q, on the ints:
+        sum num_i p^i q^(n-i), over den q^n."""
         z0 = Fraction(z0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z0 + c
-        return acc
+        p, q = z0.numerator, z0.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.den * qpow // q) if self.num else Fraction(0)
 
     def shift_up(self, e: int) -> "Poly":
         """Multiply by z^e."""
-        if not self.coeffs:
-            return Poly()
-        return Poly((Fraction(0),) * e + self.coeffs)
+        if e < 0:
+            raise ValueError("power must be nonnegative")
+        return _poly([0] * e + list(self.num), self.den) if self.num else self
 
     def divexact_zpow(self, e: int) -> "Poly":
         """Divide by z^e, requiring the e lowest coefficients to vanish.
@@ -189,38 +198,28 @@ class Poly:
             raise ValueError("power must be nonnegative")
         if self.is_zero:
             return self
-        if any(self.coeffs[i] for i in range(min(e, len(self.coeffs)))) or len(self.coeffs) < e:
+        if len(self.num) < e or any(self.num[:e]):
             raise NotDivisible(f"polynomial not divisible by z^{e}")
-        return Poly(self.coeffs[e:])
+        return _poly(list(self.num[e:]), self.den)
 
     def divmod(self, other: "Poly"):
         """Euclidean division: self = q*other + r with deg r < deg other."""
         if other.is_zero:
             raise ZeroPolynomial("division by zero polynomial")
-        rem = list(self.coeffs)
-        d = len(other.coeffs)
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - d + 1, 0)
-        while len(rem) >= d:
-            c = rem[-1] / lead
-            pos = len(rem) - d
-            quot[pos] = c
-            for i, b in enumerate(other.coeffs):
-                rem[pos + i] -= c * b
-            rem.pop()
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly(quot), Poly(rem)
+        # pseudo-division: lead^steps num = quot other.num + rem, over the ints
+        scale = other.num[-1] ** max(len(self.num) - len(other.num) + 1, 0)
+        quot, rem = _int_divmod([c * scale for c in self.num], other.num)
+        den = scale * self.den
+        return _poly([c * other.den for c in quot], den), _poly(rem, den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no monic form")
-        inv = 1 / self.leading
-        return Poly(tuple(c * inv for c in self.coeffs))
+        return _poly(list(self.num), self.num[-1])
 
     def compose_neg(self) -> "Poly":
         """Substitute z -> -z."""
-        return Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return _poly([-c if i % 2 else c for i, c in enumerate(self.num)], self.den)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -229,8 +228,7 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             mag = abs(c)
@@ -244,6 +242,26 @@ class Poly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _init(p: Poly, num: list, den: int) -> Poly:
+    """Trim num, reduce num/den by gcd(den, *num) with den > 0, and store."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(p, "num", tuple(num))
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _poly(num: list, den: int = 1) -> Poly:
+    """The Poly num/den; num is consumed."""
+    return _init(object.__new__(Poly), num, den)
 
 
 def _coerce(v) -> Poly:
@@ -262,17 +280,16 @@ def remainder_chain(a: Poly, b: Poly):
     Members after the first two are rescaled by positive constants to
     primitive integer form, so with b = a' this is the Sturm chain of a:
     sign variations, which is all it is read for, are unaffected, while
-    coefficient growth stays tame.
+    coefficient growth stays tame.  The chain runs on the numerators.
     """
     chain = [a] if b.is_zero else [a, b]
-    A = _int_primitive(list(a.coeffs))
-    B = _int_primitive(list(b.coeffs))
+    A, B = _int_primitive(a.num), _int_primitive(b.num)
     while B:
         R = _int_prem(A, B)
         if not R:
             break
-        R = _int_make_primitive([-c for c in R])
-        chain.append(Poly(R))
+        R = _int_primitive([-c for c in R])
+        chain.append(_poly(R))
         A, B = B, R
     return chain
 
@@ -285,10 +302,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 # -- integer-coefficient kernels ------------------------------------------
 #
-# Determinants and remainder chains spend all their time in coefficient
-# arithmetic, and Python ints are ~20x faster than Fraction.  The helpers
-# below work on plain lists of ints (lowest power first, no trailing
-# zeros); callers scale in and out of Fraction at the boundary.
+# Plain lists of ints, lowest power first: Poly's numerators, and the
+# entries of the determinant and the remainder chain.
 
 
 def _int_trim(a):
@@ -314,85 +329,49 @@ def _int_sub(a, b):
     return _int_trim(out)
 
 
-def _int_divexact(a, b):
-    """Exact quotient in Z[z]; the caller guarantees divisibility."""
+def _int_divmod(a, b):
+    """Quotient and remainder in Z[z]; lead(b) must divide each leading term
+    met, as in an exact division or a pseudo-division's scaled dividend."""
     a = list(a)
     d = len(b)
-    lead = b[-1]
     quot = [0] * max(len(a) - d + 1, 0)
     while len(a) >= d:
-        c = a[-1] // lead
+        c = a[-1] // b[-1]
         pos = len(a) - d
         quot[pos] = c
         for i, bc in enumerate(b):
             a[pos + i] -= c * bc
         _int_trim(a)
-    return quot
+    return quot, a
 
 
 def _int_prem(a, b):
     """Pseudo-remainder scaled so it is a *positive* multiple of rem(a, b)."""
-    a = list(a)
-    d = len(b)
-    lead = b[-1]
-    steps = len(a) - d + 1
-    if steps > 0:
-        scale = lead ** steps
-        a = [c * scale for c in a]
-    while len(a) >= d:
-        c = a[-1] // lead
-        pos = len(a) - d
-        for i, bc in enumerate(b):
-            a[pos + i] -= c * bc
-        _int_trim(a)
-    if steps > 0 and lead < 0 and steps % 2:
-        a = [-c for c in a]
-    return a
+    steps = max(len(a) - len(b) + 1, 0)
+    scale = b[-1] ** steps
+    _, rem = _int_divmod([c * scale for c in a], b)
+    return [-c for c in rem] if b[-1] < 0 and steps % 2 else rem
 
 
-def _int_make_primitive(a):
-    if a:
-        g = 0
-        for c in a:
-            g = math.gcd(g, c)
-        if g > 1:
-            for i in range(len(a)):
-                a[i] //= g
-    return a
-
-
-def _int_primitive(coeffs):
-    """Scale Fraction coefficients to a primitive int list (sign kept)."""
-    if not coeffs:
-        return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = [int(c * den) for c in coeffs]
-    return _int_make_primitive(out)
+def _int_primitive(a):
+    """a divided by the gcd of its entries (sign kept), as a list."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else list(a)
 
 
 def poly_mat_det(matrix) -> Poly:
     """Determinant of a square matrix of Poly, by fraction-free elimination.
 
-    Bareiss one-step elimination: every intermediate entry is divisible by
-    the previous pivot, so all divisions are exact in Z[z].  Column scaling
-    clears denominators up front; the accumulated scale is divided back out
-    of the final entry.
+    Bareiss one-step elimination on the numerators: every intermediate
+    entry is divisible by the previous pivot, so all divisions are exact in
+    Z[z].  Each column is scaled up front by the lcm of its denominators;
+    their product is the determinant's denominator.
     """
     n = len(matrix)
     if n == 0:
         return Poly.one()
-    scale = Fraction(1)
-    cols = []
-    for j in range(n):
-        den = 1
-        for i in range(n):
-            for c in matrix[i][j].coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        scale *= den
-        cols.append(den)
-    M = [[[int(c * cols[j]) for c in matrix[i][j].coeffs] for j in range(n)] for i in range(n)]
+    cols = [math.lcm(*(row[j].den for row in matrix)) for j in range(n)]
+    M = [[[c * (cols[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix]
     sgn = 1
     prev = [1]
     for k in range(n - 1):
@@ -407,14 +386,14 @@ def poly_mat_det(matrix) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = _int_sub(_int_mul(M[k][k], M[i][j]), _int_mul(M[i][k], M[k][j]))
-                M[i][j] = _int_divexact(num, prev) if k else num
+                M[i][j] = _int_divmod(num, prev)[0] if k else num
         prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return Poly(tuple(Fraction(sgn * c, 1) / scale for c in det))
+    return _poly([sgn * c for c in M[n - 1][n - 1]], math.prod(cols))
 
 
 def rational_nullspace(rows):
-    """Null-space basis of a matrix of Fractions (list of row lists).
+    """Null-space basis of a matrix of ints or Fractions (list of row
+    lists), reduced over Fractions.
 
     Returns a list of basis vectors (lists of Fraction), one per free
     column after reduction to row echelon form.
@@ -422,7 +401,7 @@ def rational_nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    M = [list(r) for r in rows]
+    M = [[Fraction(v) for v in r] for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):

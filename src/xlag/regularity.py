@@ -74,15 +74,16 @@ def certify(report: GReport) -> RegularityCertificate:
     g = report.g
     if g.is_zero:
         raise ZeroPolynomial("cannot certify the zero polynomial")
-    sign_zero = sign(g.constant)
-    sign_inf = sign(g.leading)
+    # den > 0, so the numerators carry the signs
+    sign_zero = sign(g.num[0])
+    sign_inf = sign(g.num[-1])
     # a vanishing constant term (never the case for admissible specs) is
     # handled exactly by stripping the z-power before counting
-    order = next(i for i, c in enumerate(g.coeffs) if c)
+    order = next(i for i, c in enumerate(g.num) if c)
     core = g.divexact_zpow(order)
     chain = sturm_sequence(core)
     # core(0) != 0, so the chain is read at 0 from its constant terms
-    roots = _variations([q.constant for q in chain]) - _variations([q.leading for q in chain])
+    roots = _variations([q.num[0] for q in chain]) - _variations([q.num[-1] for q in chain])
     regular = roots == 0 and sign_zero != 0
     # gcd(g, g') = z^(order-1) gcd(core, core'), and the chain ends in the latter
     defect = chain[-1].degree + max(order - 1, 0)

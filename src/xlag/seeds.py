@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SpecInvalid, Unclassifiable
-from .exactmath import Poly, Rational, pochhammer
+from .exactmath import Poly, Rational
 
 HALF = Fraction(1, 2)
 
@@ -24,16 +24,18 @@ def laguerre(n: int, a: Rational) -> Poly:
     """Exact L_n^{(a)}(z) from the series; degree exactly n.
 
     Coefficient of z^i is (-1)^i (a+i+1)_{n-i} / ((n-i)! i!), which gives
-    L_n^{(a)}(0) = (a+1)_n / n!.
+    L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q, n! q^n times it is the int
+    (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     a = Fraction(a)
-    coeffs = []
-    for i in range(n + 1):
-        c = pochhammer(a + i + 1, n - i) / (math.factorial(n - i) * math.factorial(i))
-        coeffs.append(-c if i % 2 else c)
-    return Poly(coeffs)
+    p, q = a.numerator, a.denominator
+    num, prod = [0] * (n + 1), 1
+    for i in range(n, -1, -1):
+        num[i] = (-1) ** i * math.comb(n, i) * q**i * prod
+        prod *= p + i * q
+    return Poly(num) * Fraction(1, q**n * math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,10 @@ class QuasiPoly:
 def _polyval(p: Poly, z):
     import numpy as np
 
+    # int / int rounds correctly, as float(Fraction) does
     acc = np.zeros_like(z, dtype=float)
-    for c in reversed(p.coeffs):
-        acc = acc * z + float(c)
+    for c in reversed(p.num):
+        acc = acc * z + c / p.den
     return acc
 
 
@@ -161,7 +164,7 @@ def endpoint_class(q: QuasiPoly) -> EndpointClass:
     """
     if q.is_zero:
         raise Unclassifiable("zero function has no endpoint class")
-    order = next(i for i, c in enumerate(q.poly.coeffs) if c)
+    order = next(i for i, c in enumerate(q.poly.num) if c)
     a_eff = q.zpower + order
     if a_eff == 0:
         raise Unclassifiable("value tends to a finite nonzero limit at 0+")

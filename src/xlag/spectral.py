@@ -9,6 +9,7 @@ integration, and the eigensolver.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,20 +96,29 @@ class EOPFamily:
         return len(self.polys)
 
 
-def _ode_operator(g: Poly, alpha, nu: int):
-    """entry(r, d): the coefficient of z^r in the cleared-denominator
-    eigenvalue operator z g y'' + q1 y' + q0 y applied to y = z^d.
+def _ode_operator(g: Poly, alpha):
+    """entry(r, d, nu): the coefficient of z^r in the eigenvalue operator
+    z g y'' + q1 y' + q0 y of level nu applied to y = z^d, times
+    den(g) den(alpha), so an int.
 
-    Column d spans rows d-1 .. d+mu (mu = deg g) and its top entry, in row
-    d+mu, is lead(g) (mu + nu - d): the system is banded and triangular
-    from the top.
+    q1 = (alpha + 1 - z) g - 2 z g' and q0 = (z - alpha) g' + z g'' + nu g;
+    only q0's nu g term depends on nu.  Column d spans rows d-1 .. d+mu
+    (mu = deg g) and its top entry, in row d+mu, is the scaled lead(g)
+    (mu + nu - d): the system is banded and triangular from the top.
     """
-    gd = g.diff()
-    q1 = g * Poly((alpha + 1, -1)) - gd.shift_up(1) * 2
-    q0 = gd * Poly((-alpha, 1)) + gd.diff().shift_up(1) + g * nu
+    alpha = Fraction(alpha)
+    a, s = alpha.numerator, alpha.denominator
+    G = Poly(g.num)
+    Gd = G.diff()
+    q1 = G * Poly((a + s, -s)) - Gd.shift_up(1) * (2 * s)
+    q0 = Gd * Poly((-a, s)) + Gd.diff().shift_up(1) * s
+    # entry(r, d, nu) reads slot r - d + 1 of z q0, z g, q1 and g, scaled
+    w = g.degree + 2
+    A, N, B, C = ([*p.num] + [0] * (w - len(p.num)) for p in (q0.shift_up(1), G.shift_up(1) * s, q1, G * s))
 
-    def entry(r: int, d: int) -> Rational:
-        return q0[r - d] + d * q1[r - d + 1] + d * (d - 1) * g[r - d + 1]
+    def entry(r: int, d: int, nu: int) -> int:
+        i = r - d + 1
+        return A[i] + nu * N[i] + d * B[i] + d * (d - 1) * C[i] if 0 <= i < w else 0
 
     return entry
 
@@ -117,8 +127,8 @@ def eop_nullspace(g: Poly, alpha, nu: int, degree: int):
     """Basis of polynomial solutions of degree <= degree with eigenvalue
     -nu, as coefficient vectors, by dense null-space reduction (the oracle
     for solve_eop's back-substitution)."""
-    entry = _ode_operator(g, alpha, nu)
-    rows = [[entry(r, d) for d in range(degree + 1)] for r in range(degree + g.degree + 1)]
+    entry = _ode_operator(g, alpha)
+    rows = [[entry(r, d, nu) for d in range(degree + 1)] for r in range(degree + g.degree + 1)]
     return rational_nullspace(rows)
 
 
@@ -131,7 +141,8 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) 
     mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
     (OracleMismatch if it were zero), so the solution is monic, of degree
     mu+nu and unique.  Rows 0..mu-1, which fix no coefficient, must then
-    vanish, or no polynomial solution exists (NullSpaceDimension(0)).
+    vanish, or no polynomial solution exists (NullSpaceDimension(0)).  The
+    band is built once and holds ints; c_j = C_j / D over one common D.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
@@ -139,19 +150,24 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) 
         warnings.warn("solving the polynomial family for a g not certified nodeless")
     g = report.g
     mu = report.mu_computed
+    entry = _ode_operator(g, spec.alpha)
     polys = []
     for nu in range(nu_max + 1):
         n = mu + nu
-        entry = _ode_operator(g, spec.alpha, nu)
-        c = [Fraction(0)] * n + [Fraction(1)]
+        C, D = [0] * n + [1], 1
         for d in range(n - 1, -1, -1):
-            pivot = entry(mu + d, d)
+            pivot = entry(mu + d, d, nu)
             if not pivot:
                 raise OracleMismatch(f"zero pivot in row {mu + d} for nu={nu}")
-            c[d] = -sum(entry(mu + d, j) * c[j] for j in range(d + 1, min(n, mu + d + 1) + 1)) / pivot
-        if any(sum(entry(r, j) * c[j] for j in range(r + 2)) for r in range(mu)):
+            s = sum(entry(mu + d, j, nu) * C[j] for j in range(d + 1, min(n, mu + d + 1) + 1))
+            c = Fraction(-s, D * pivot)
+            f = c.denominator // math.gcd(c.denominator, D)  # D becomes lcm(D, den c_d)
+            if f > 1:
+                C, D = [x * f for x in C], D * f
+            C[d] = c.numerator * (D // c.denominator)
+        if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
             raise NullSpaceDimension(0)
-        polys.append(Poly(c))
+        polys.append(Poly(C) * Fraction(1, D))
     return EOPFamily(alpha=spec.alpha, g=g, mu=mu, polys=tuple(polys))
 
 

@@ -44,16 +44,17 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, omeg
 
 @dataclass
 class SpecCheck:
-    """Outcome of every exact invariant for one spec; recurrence and the
-    Wronskian oracle are None where they do not apply."""
+    """Outcome of every exact invariant for one spec; a check is None until
+    it runs, and recurrence and the Wronskian oracle stay None where they
+    do not apply."""
 
     spec: ExtensionSpec
     divisible: bool = False
-    mu: bool = False
-    lead: bool = False
-    const: bool = False
-    sign_theorem: bool = False
-    regular: bool = False
+    mu: bool = None
+    lead: bool = None
+    const: bool = None
+    sign_theorem: bool = None
+    regular: bool = None
     recurrence: bool = None
     wronskian_oracle: bool = None
     failures: list = field(default_factory=list)
@@ -97,7 +98,7 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
                 out.wronskian_oracle = False
     except XlagError as exc:
         # recorded, not raised, so that one bad spec cannot abort run_lattice;
-        # the checks it cut short keep their defaults, False ones listed after it
+        # the checks it cut short stay None, so summarize does not count them
         out.failures.append(f"{type(exc).__name__}: {exc}")
     for name in CHECK_NAMES:
         if getattr(out, name) is False:

@@ -248,9 +248,9 @@ def check_origin_recurrence(report: GReport) -> bool:
     drop_prev = replace(spec, alpha=spec.alpha + 1, m_type_ii=mII[:-2] + (m_last,))
     drop_both = replace(spec, alpha=spec.alpha + 2, m_type_ii=mII[:-2])
     g0 = report.g.constant
-    g0_last = compute_g(drop_last).g.constant
-    g0_prev = compute_g(drop_prev).g.constant
-    g0_both = compute_g(drop_both).g.constant
+    g0_last = compute_g(drop_last).const_computed
+    g0_prev = compute_g(drop_prev).const_computed
+    g0_both = compute_g(drop_both).const_computed
     lhs = g0 * g0_both * (spec.alpha + 1)
     rhs = (m_last - m_prev) * g0_last * g0_prev
     return lhs == rhs

@@ -273,12 +273,19 @@ def test_one_bad_spec_does_not_abort_the_lattice(monkeypatch, capsys):
     results = verify.run_lattice(workers=1, **lattice)
     assert [r.spec for r in results] == specs
     assert all(r.passed for r in results if r.spec != bad)
-    failures = verify.summarize(results)["failures"]
+    summary = verify.summarize(results)
+    failures = summary["failures"]
     assert [r.spec for r in failures] == [bad]
-    assert failures[0].failures[0] == "ZeroPolynomial: planted"
+    assert failures[0].failures == ["ZeroPolynomial: planted"]
+    # the checks the exception cut short did not run, so they are not counted
+    for name in ("sign_theorem", "regular"):
+        assert summary["counts"][name] == {"checked": 3, "passed": 3}
+    assert summary["counts"]["const"] == {"checked": 4, "passed": 4}
     code, out, err = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
     assert code == 1
     assert "all invariants hold" not in out
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    assert rows["sign_theorem"] == rows["regular"] == ["3", "3", "0"]
     assert "ZeroPolynomial: planted" in err
 
 

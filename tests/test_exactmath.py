@@ -1,15 +1,170 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlag.errors import NotDivisible
-from xlag.exactmath import Poly, pochhammer, poly_gcd, poly_mat_det, remainder_chain, vandermonde
+from xlag.exactmath import (
+    Poly,
+    pochhammer,
+    poly_gcd,
+    poly_mat_det,
+    rational_nullspace,
+    remainder_chain,
+    vandermonde,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+# ints and Fractions over mixed denominators, as coefficient lists
+coeff_lists = st.lists(st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=720), max_size=8)
+scalars = st.integers(-12, 12) | st.fractions(-12, 12, max_denominator=30)
+
+
+# -- Fraction-list reference ---------------------------------------------
+#
+# The plain route that Poly's integer-content form replaces: lists of
+# Fractions, lowest power first, trimmed, one Fraction operation per
+# coefficient.
+
+
+def ref(coeffs):
+    c = [F(x) for x in coeffs]
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_sub(a, b):
+    return ref_add(a, [-c for c in b])
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_scale(a, s):
+    return ref([c * s for c in a])
+
+
+def ref_diff(a):
+    return ref([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_shift_up(a, e):
+    return ref([0] * e + a) if a else []
+
+
+def ref_compose_neg(a):
+    return ref([-c if i % 2 else c for i, c in enumerate(a)])
+
+
+def ref_monic(a):
+    return ref([c / a[-1] for c in a])
+
+
+def ref_divexact_zpow(a, e):
+    assert not any(a[:e])
+    return ref(a[e:])
+
+
+def ref_eval(a, z):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = c
+        rem = ref_sub(rem, [F(0)] * (len(rem) - len(b)) + [c * x for x in b])
+    return ref(quot), rem
+
+
+def canonical(p):
+    # int numerators over one positive int denominator, reduced and trimmed
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    return list(p.coeffs)
+
+
+@given(coeff_lists, coeff_lists, scalars)
+@example([F(1, 2), F(-3, 4)], [F(5, 6), 0, F(-7, 9)], F(-2, 3))  # negative leading coefficients
+@example([], [0, 0], 0)  # zero polynomials
+def test_poly_matches_the_fraction_reference(a, b, s):
+    p, q = Poly(a), Poly(b)
+    a, b = ref(a), ref(b)
+    assert canonical(p) == a
+    assert canonical(p + q) == ref_add(a, b)
+    assert canonical(p - q) == ref_sub(a, b)
+    assert canonical(-p) == ref_scale(a, -1)
+    assert canonical(p * q) == ref_mul(a, b)
+    assert canonical(p * s) == canonical(s * p) == ref_scale(a, s)
+    assert canonical(p.diff()) == ref_diff(a)
+    assert canonical(p.compose_neg()) == ref_compose_neg(a)
+    for e in range(3):
+        assert canonical(p.shift_up(e)) == ref_shift_up(a, e)
+        assert canonical(p.shift_up(e).divexact_zpow(e)) == ref_divexact_zpow(ref_shift_up(a, e), e)
+    for z in (F(0), F(-3, 2), F(7, 5), s):
+        assert p.eval(z) == ref_eval(a, z)
+    if a:
+        assert canonical(p.monic()) == ref_monic(a)
+        assert p.leading == a[-1] and p.constant == a[0]
+    if b:
+        quo, rem = p.divmod(q)
+        assert (canonical(quo), canonical(rem)) == ref_divmod(a, b)
+
+
+@given(coeff_lists, coeff_lists, scalars.filter(bool))
+def test_equal_polynomials_from_different_routes_compare_and_hash_equal(a, b, s):
+    p, q = Poly(a), Poly(b)
+    routes = [
+        p,
+        Poly(p.coeffs),
+        (p + q) - q,
+        p * s * (1 / F(s)),
+        p.shift_up(2).divexact_zpow(2),
+        p.compose_neg().compose_neg(),
+        p * Poly.one(),
+    ]
+    for r in routes:
+        canonical(r)
+        assert r == p and hash(r) == hash(p)
+        assert (r.num, r.den) == (p.num, p.den)
+
+
+def test_non_rational_coefficient_is_rejected():
+    with pytest.raises(TypeError):
+        Poly((0.1,))
+    with pytest.raises(TypeError):
+        Poly((1, "2"))
+
+
+def test_negative_shift_is_rejected():
+    with pytest.raises(ValueError):
+        Poly((1, 2)).shift_up(-1)
+
+
+def test_nullspace_of_integer_rows_stays_exact():
+    basis = rational_nullspace([[2, 4], [1, 2]])
+    assert basis == [[F(-2), F(1)]]
+    assert all(type(v) is F for v in basis[0])
 
 
 def test_difference_of_squares():

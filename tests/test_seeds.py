@@ -15,6 +15,7 @@ from xlag.seeds import (
     QuasiPoly,
     SeedKind,
     SeedSpec,
+    _polyval,
     endpoint_class,
     laguerre,
     make_seed,
@@ -39,6 +40,27 @@ def test_laguerre_value_at_origin_paper_case():
 @given(st.integers(min_value=0, max_value=10), params)
 def test_laguerre_value_at_origin(n, a):
     assert laguerre(n, a).eval(0) == pochhammer(a + 1, n) / math.factorial(n)
+
+
+@given(st.integers(min_value=0, max_value=12), params)
+def test_laguerre_matches_the_pochhammer_series(n, a):
+    # the Fraction route laguerre's integer form replaces, coefficient by coefficient
+    series = [
+        (-1) ** i * pochhammer(a + i + 1, n - i) / (math.factorial(n - i) * math.factorial(i))
+        for i in range(n + 1)
+    ]
+    assert laguerre(n, a).coeffs == tuple(series)
+
+
+@given(st.lists(st.fractions(-(10**6), 10**6, max_denominator=10**9), max_size=8))
+def test_polyval_is_bit_identical_to_the_fraction_route(coeffs):
+    # numerator / denominator and float(Fraction) both round the same rational once
+    p = Poly(coeffs)
+    z = np.linspace(0.1, 5.0, 7)
+    expect = np.zeros_like(z)
+    for c in reversed(p.coeffs):
+        expect = expect * z + float(c)
+    assert np.array_equal(_polyval(p, z), expect)
 
 
 @given(st.integers(min_value=1, max_value=9), params)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import EOP_SPECS
+from test_exactmath import ref_add, ref_diff, ref_mul, ref_scale, ref_shift_up, ref_sub
 from test_regularity import _inadmissible_probes
 from xlag.errors import GridTooCoarse, NullSpaceDimension
 from xlag.exactmath import Poly
@@ -64,6 +65,24 @@ class TestPotential:
         assert build_potential(spec, report, regular).shift == spec.omega
         spec, report, regular = pipeline("5/2", m_i=(1,))
         assert build_potential(spec, report, regular).shift == -spec.omega
+
+    @pytest.mark.filterwarnings("ignore:potential built from a g not certified")
+    @pytest.mark.parametrize(
+        "specs",
+        [EOP_SPECS, [("5/2", (6, 8, 10, 12), (7, 9, 11, 13))]],  # the nodal rung: deg g = 80
+        ids=["eop_suite", "nodal"],
+    )
+    def test_rational_part_matches_the_fraction_formula(self, specs):
+        # -2 omega [g'g + 2z(g''g - g'^2)] / g^2 over plain Fraction lists
+        for alpha, m_i, m_ii in specs:
+            spec, report, regular = pipeline(alpha, m_i, m_ii)
+            pot = build_potential(spec, report, regular)
+            g = list(report.g.coeffs)
+            gd = ref_diff(g)
+            inner = ref_shift_up(ref_sub(ref_mul(ref_diff(gd), g), ref_mul(gd, gd)), 1)
+            num = ref_scale(ref_add(ref_mul(gd, g), ref_scale(inner, 2)), -2 * spec.omega)
+            assert list(pot.rat_num.coeffs) == num, spec
+            assert list(pot.rat_den.coeffs) == ref_mul(g, g), spec
 
     def test_irregular_potential_flagged(self):
         spec, report, regular = pipeline("1/2", m_ii=(2,))
