@@ -15,20 +15,17 @@ from .errors import (
     OracleMismatch,
     QuadratureNonconvergence,
     SpecInvalid,
-    Unclassifiable,
     XlagError,
     ZeroPolynomial,
 )
 from .exactmath import Poly, Rational, pochhammer, poly_gcd, poly_mat_det, vandermonde
 from .regularity import RegularityCertificate, certify, count_roots_open_interval, sturm_sequence
 from .seeds import (
-    EndpointClass,
     IsotonicParams,
     QuasiPoly,
     SeedKind,
     SeedSpec,
     bound_gauge,
-    endpoint_class,
     laguerre,
     make_seed,
 )

@@ -119,6 +119,8 @@ def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) ->
         wronskian_direct(report)
     cert = certify(report)
     recurrence = check_origin_recurrence(report) if spec.k - spec.q >= 2 else None
+    if recurrence is False:
+        raise OracleMismatch(f"origin recurrence fails for {spec}")
     potential = family = numeric = None
     if spec.l >= 0:
         import warnings

@@ -29,10 +29,6 @@ class BoundaryRoot(XlagError):
     """Root counting endpoint coincides with a root."""
 
 
-class Unclassifiable(XlagError):
-    """Endpoint behaviour does not fall into one of the three seed classes."""
-
-
 class NullSpaceDimension(XlagError):
     """ODE null space has unexpected dimension."""
 

@@ -69,6 +69,10 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle would restore the slots through __setattr__; rebuild instead
+        return (_poly, (list(self.num), self.den))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -359,36 +363,51 @@ def _int_primitive(a):
     return [c // g for c in a] if g > 1 else list(a)
 
 
-def poly_mat_det(matrix) -> Poly:
+def poly_mat_det(matrix, minors: bool = False):
     """Determinant of a square matrix of Poly, by fraction-free elimination.
 
     Bareiss one-step elimination on the numerators: every intermediate
     entry is divisible by the previous pivot, so all divisions are exact in
     Z[z].  Each column is scaled up front by the lcm of its denominators;
     their product is the determinant's denominator.
+
+    Entries left in place are minors (Bareiss 1968).  With `minors`, the
+    result is (det, minors) with the three that the last step reads, for
+    n >= 2 (0-based): the leading (n-1)-minor, the one on rows 0..n-2 and
+    columns 0..n-3, n-1, and the leading (n-2)-minor; None after a row swap.
     """
     n = len(matrix)
     if n == 0:
-        return Poly.one()
+        return (Poly.one(), None) if minors else Poly.one()
     cols = [math.lcm(*(row[j].den for row in matrix)) for j in range(n)]
     M = [[[c * (cols[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix]
     sgn = 1
     prev = [1]
+    swapped = sub = None
     for k in range(n - 1):
         if not M[k][k]:
             for i in range(k + 1, n):
                 if M[i][k]:
                     M[k], M[i] = M[i], M[k]
                     sgn = -sgn
+                    swapped = True
                     break
             else:
-                return Poly()
+                return (Poly(), None) if minors else Poly()
+        if minors and k == n - 2 and not swapped:
+            scale = math.prod(cols[: n - 2])
+            sub = (
+                _poly(list(M[k][k]), scale * cols[n - 2]),
+                _poly(list(M[k][n - 1]), scale * cols[n - 1]),
+                _poly(list(prev), scale),
+            )
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = _int_sub(_int_mul(M[k][k], M[i][j]), _int_mul(M[i][k], M[k][j]))
                 M[i][j] = _int_divmod(num, prev)[0] if k else num
         prev = M[k][k]
-    return _poly([sgn * c for c in M[n - 1][n - 1]], math.prod(cols))
+    det = _poly([sgn * c for c in M[n - 1][n - 1]], math.prod(cols))
+    return (det, sub) if minors else det
 
 
 def rational_nullspace(rows):

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SpecInvalid, Unclassifiable
+from .errors import SpecInvalid
 from .exactmath import Poly, Rational
 
 HALF = Fraction(1, 2)
@@ -144,34 +144,3 @@ def bound_gauge(alpha: Rational) -> QuasiPoly:
     """Ground-state gauge factor z^{(alpha+1/2)/2} e^{-z/2}."""
     return QuasiPoly((Fraction(alpha) + HALF) / 2, -1, Poly.one())
 
-
-class EndpointClass(Enum):
-    """Boundary behaviour on (0, inf), up to overall sign: I vanishes at 0
-    and blows up at infinity, II the reverse, III blows up at both ends."""
-
-    I = "I"
-    II = "II"
-    III = "III"
-
-
-def endpoint_class(q: QuasiPoly) -> EndpointClass:
-    """Classify endpoint behaviour from the gauge exponents alone.
-
-    The z-power is adjusted by the order of the polynomial factor at the
-    origin, so a vanishing constant term does not misclassify.  A value
-    bounded at either end (zpower 0, or decay at both ends) is not one of
-    the three seed classes and raises Unclassifiable.
-    """
-    if q.is_zero:
-        raise Unclassifiable("zero function has no endpoint class")
-    order = next(i for i, c in enumerate(q.poly.num) if c)
-    a_eff = q.zpower + order
-    if a_eff == 0:
-        raise Unclassifiable("value tends to a finite nonzero limit at 0+")
-    if a_eff > 0 and q.expsign == +1:
-        return EndpointClass.I
-    if a_eff < 0 and q.expsign == -1:
-        return EndpointClass.II
-    if a_eff < 0 and q.expsign == +1:
-        return EndpointClass.III
-    raise Unclassifiable("value decays at both ends (bound-state-like)")

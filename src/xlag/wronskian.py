@@ -5,7 +5,7 @@ seed-Wronskian oracle that cross-checks the whole construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
@@ -107,6 +107,9 @@ class GReport:
     const_predicted: Rational
     const_computed: Rational
     admissible: bool
+    # g(0) of the sub-extensions dropping the last, the next-to-last and both
+    # last type-II seeds, alpha' kept; None when k - q < 2
+    sub_constants: tuple = None
 
     @property
     def predictions_hold(self) -> bool:
@@ -179,13 +182,30 @@ def compute_g(spec: ExtensionSpec) -> GReport:
     """Exact g via fraction-free determinant of the structured matrix,
     with the z-power divided out, against the closed-form predictions.
 
-    NotDivisible propagating from the z-power division means the computed
+    When k - q >= 2 the one elimination also gives `sub_constants`: only
+    the type-II z-shift depends on k, so each sub-extension's matrix is a
+    minor `poly_mat_det` passes through, with one z per dropped seed too
+    many in each type-II column.  Leading minors are such g too and never
+    vanish, so a row swap is a bug and raises OracleMismatch.
+
+    NotDivisible propagating from a z-power division means a computed
     determinant violates the structure theory - an implementation bug, not
     a property of the input.
     """
     k, q = spec.k, spec.q
-    det = poly_mat_det(build_gamma_matrix(spec))
+    det, minors = poly_mat_det(build_gamma_matrix(spec), minors=True)
     g = det.divexact_zpow((k - q) * (k - q - 1))
+    sub_constants = None
+    if k - q >= 2:
+        if minors is None:
+            raise OracleMismatch(f"elimination of the gamma matrix of {spec} swapped rows")
+        r = k - q - 1  # type-II seeds left after dropping one
+        last, prev, both = minors
+        sub_constants = (
+            last.divexact_zpow(r * r).constant,
+            prev.divexact_zpow(r * r).constant,
+            both.divexact_zpow((r - 1) * r).constant,
+        )
     mu, sigma, lead = predict_mu_sigma_lead(spec)
     return GReport(
         spec=spec,
@@ -198,6 +218,7 @@ def compute_g(spec: ExtensionSpec) -> GReport:
         const_predicted=predict_const(spec),
         const_computed=g.constant,
         admissible=spec.admissible,
+        sub_constants=sub_constants,
     )
 
 
@@ -231,26 +252,19 @@ def wronskian_direct(report: GReport) -> Poly:
 
 
 def check_origin_recurrence(report: GReport) -> bool:
-    """Exact identity tying report.g(0) to the three sub-extensions of
-    report.spec that drop the last one or two type-II seeds (alpha shifted
-    to keep alpha' fixed), whose g are computed here:
+    """Exact identity tying report.g(0) to the constants g(0) of the three
+    sub-extensions of report.spec in report.sub_constants, which drop the
+    last seed (g_last), the next-to-last (g_prev) or both (g_both):
 
-        g(0) * g''(0) * (alpha+1) == (m_k - m_{k-1}) * g'(0) * gbar'(0)
+        g(0) * g_both(0) * (alpha+1) == (m_k - m_{k-1}) * g_last(0) * g_prev(0)
 
     Applies only when the two last seeds are type II, i.e. k - q >= 2.
     """
     spec = report.spec
     if spec.k - spec.q < 2:
         raise Inapplicable("origin recurrence needs at least two type-II seeds")
-    mII = spec.m_type_ii
-    m_last, m_prev = mII[-1], mII[-2]
-    drop_last = replace(spec, alpha=spec.alpha + 1, m_type_ii=mII[:-1])
-    drop_prev = replace(spec, alpha=spec.alpha + 1, m_type_ii=mII[:-2] + (m_last,))
-    drop_both = replace(spec, alpha=spec.alpha + 2, m_type_ii=mII[:-2])
-    g0 = report.g.constant
-    g0_last = compute_g(drop_last).const_computed
-    g0_prev = compute_g(drop_prev).const_computed
-    g0_both = compute_g(drop_both).const_computed
-    lhs = g0 * g0_both * (spec.alpha + 1)
+    m_last, m_prev = spec.m_type_ii[-1], spec.m_type_ii[-2]
+    g0_last, g0_prev, g0_both = report.sub_constants
+    lhs = report.g.constant * g0_both * (spec.alpha + 1)
     rhs = (m_last - m_prev) * g0_last * g0_prev
     return lhs == rhs

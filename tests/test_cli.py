@@ -179,6 +179,19 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert "inconsistency" in err
 
 
+def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
+    def perturbed(spec):
+        report = compute_g_real(spec)
+        last, prev, both = report.sub_constants
+        return replace(report, sub_constants=(last, prev, both * 2))
+
+    compute_g_real = wronskian.compute_g
+    monkeypatch.setattr(cli, "compute_g", perturbed)
+    code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "II:1,II:2", "--skip-numeric"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: origin recurrence")
+
+
 def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
     # one coefficient of g off: the polynomial equation has no solution
     def perturbed(spec):
@@ -231,13 +244,11 @@ def compute_g_calls(monkeypatch):
 )
 def test_g_is_computed_once_per_spec(run, compute_g_calls, capsys):
     # k - q = 2 and k <= ORACLE_MAX_K: certificate, recurrence and oracle all
-    # run; only the recurrence's three sub-extensions add compute_g calls
+    # run, the recurrence on constants the one elimination already gave
     spec = wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2))
     assert spec.k <= wronskian.ORACLE_MAX_K
     run(spec)
-    assert compute_g_calls[0] == spec
-    assert len(compute_g_calls) == 1 + 3
-    assert spec not in compute_g_calls[1:]
+    assert compute_g_calls == [spec]
 
 
 def test_extend_makes_no_nullspace_call(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -303,6 +304,37 @@ def _det_cofactor(m):
 def test_bareiss_matches_cofactor_expansion(entries):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
     assert poly_mat_det(m) == _det_cofactor(m)
+
+
+@given(st.lists(st.lists(rationals, min_size=2, max_size=2).map(Poly), min_size=16, max_size=16))
+@settings(deadline=None, max_examples=25)
+@example([Poly((c,)) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 7)])
+def test_bareiss_minors_match_cofactor_expansion(entries):
+    m = [entries[4 * i : 4 * i + 4] for i in range(4)]
+    det, minors = poly_mat_det(m, minors=True)
+    assert det == _det_cofactor(m)
+    if m[0][0].is_zero:
+        assert minors is None  # a row swap was needed
+    if minors is not None:
+        assert minors == (
+            _det_cofactor([row[:3] for row in m[:3]]),
+            _det_cofactor([row[:2] + row[3:] for row in m[:3]]),
+            _det_cofactor([row[:2] for row in m[:2]]),
+        )
+
+
+def test_minors_of_a_2x2_and_a_swap():
+    a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
+    assert poly_mat_det([[a, b], [c, d]], minors=True) == (a * d - b * c, (a, b, Poly.one()))
+    # a zero (1,1) entry: the determinant still comes back, the minors do not
+    zero = Poly.zero()
+    assert poly_mat_det([[zero, b], [c, d]], minors=True) == (-(b * c), None)
+
+
+def test_poly_pickles():
+    for p in (Poly(), Poly((1, 2)), Poly((F(-3, 4), 0, F(5, 6)))):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and (back.num, back.den) == (p.num, p.den)
 
 
 def test_det_of_empty_and_singular():

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlag.errors import SpecInvalid, Unclassifiable
+from xlag.errors import SpecInvalid
 from xlag.exactmath import Poly, pochhammer
 from xlag.regularity import count_roots_open_interval
 from xlag.seeds import (
-    EndpointClass,
     IsotonicParams,
     QuasiPoly,
     SeedKind,
     SeedSpec,
     _polyval,
-    endpoint_class,
     laguerre,
     make_seed,
 )
@@ -125,18 +123,6 @@ def test_make_seed_type_ii():
 def test_seed_spec_rejects_m_zero():
     with pytest.raises(SpecInvalid):
         SeedSpec(SeedKind.TYPE_I, 0)
-
-
-def test_endpoint_classes():
-    qp_i = make_seed(SeedSpec(SeedKind.TYPE_I, 2), F(5, 2))
-    qp_ii = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
-    assert endpoint_class(qp_i) is EndpointClass.I
-    assert endpoint_class(qp_ii) is EndpointClass.II
-    assert endpoint_class(QuasiPoly(F(-1, 2), +1, Poly.one())) is EndpointClass.III
-    with pytest.raises(Unclassifiable):
-        endpoint_class(QuasiPoly(0, +1, Poly.one()))
-    with pytest.raises(Unclassifiable):
-        endpoint_class(QuasiPoly(1, -1, Poly.one()))  # decays at both ends
 
 
 def test_quasipoly_diff_examples():

@@ -1,11 +1,15 @@
+import pickle
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from test_regularity import _inadmissible_probes
+from xlag import wronskian
 from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
 from xlag.exactmath import Poly, poly_mat_det
 from xlag.seeds import laguerre
+from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
     ExtensionSpec,
     _gamma_matrix,
@@ -202,12 +206,85 @@ class TestOriginRecurrence:
     def test_mixed_k3(self):
         report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
         assert check_origin_recurrence(report)
-        # g(0) is read from the report, the sub-extensions are recomputed
+        # g(0) and the sub-extension constants are both read from the report:
+        # doubling g alone breaks the identity
         assert not check_origin_recurrence(replace(report, g=report.g * 2))
 
     def test_inapplicable(self):
         with pytest.raises(Inapplicable):
             check_origin_recurrence(compute_g(spec("5/2", m_i=(1,), m_ii=(1,))))
+
+
+# -- the sub-extension route, kept as an oracle ----------------------------
+#
+# Each sub-extension the origin recurrence reads, built as a spec of its own
+# and sent through compute_g, against the constants compute_g reads off the
+# minors of the spec's own elimination.
+
+
+def _sub_extensions(s):
+    mII = s.m_type_ii
+    return (
+        replace(s, alpha=s.alpha + 1, m_type_ii=mII[:-1]),
+        replace(s, alpha=s.alpha + 1, m_type_ii=mII[:-2] + (mII[-1],)),
+        replace(s, alpha=s.alpha + 2, m_type_ii=mII[:-2]),
+    )
+
+
+# the benchmark's deep pool: type-I and type-II indices, and the alpha'
+# half-steps above the largest type-II index
+DEEP_SKELETONS = (
+    ((15,), (1, 3, 5, 6, 15), (1, 3, 5)),
+    ((6, 8), (4, 5, 7, 12, 15), (2, 4, 6)),
+    ((3, 10, 12, 15), (1, 2, 3, 18), (1, 3, 5)),
+    ((7,), (4, 8, 9, 15, 16, 17, 18), (2, 4, 6)),
+)
+
+
+def _deep_pool():
+    for m_i, m_ii, steps in DEEP_SKELETONS:
+        k, q = len(m_i) + len(m_ii), len(m_i)
+        for step in steps:
+            yield ExtensionSpec(max(m_ii) + F(step, 2) - k + 2 * q, 1, m_i, m_ii)
+
+
+@pytest.mark.parametrize(
+    "specs, count",
+    [
+        pytest.param(lambda: enumerate_lattice(max_k=4, max_m=6, alpha_steps=3), 1455, id="lattice"),
+        pytest.param(_deep_pool, 12, id="deep"),
+        pytest.param(lambda: _inadmissible_probes(4, 6), 4718, id="inadmissible"),
+    ],
+)
+def test_sub_constants_equal_the_sub_extensions_g0(specs, count):
+    checked = 0
+    for s in specs():
+        if s.k - s.q < 2:
+            assert compute_g(s).sub_constants is None
+            continue
+        report = compute_g(s)
+        assert report.sub_constants == tuple(compute_g(sub).const_computed for sub in _sub_extensions(s)), s
+        checked += 1
+    assert checked == count
+
+
+def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
+    # I:1,2 II:1,2 has a zero in row 3 of its first column (L_{-1}); a cyclic
+    # shift of the first three rows keeps det, and so g, but puts that zero
+    # in the (1,1) entry, so the elimination must swap rows
+    s = spec("5/2", m_i=(1, 2), m_ii=(1, 2))
+    matrix = build_gamma_matrix(s)
+    assert matrix[2][0].is_zero and not matrix[0][0].is_zero
+    shifted = [matrix[2], matrix[0], matrix[1]] + matrix[3:]
+    assert poly_mat_det(shifted) == poly_mat_det(matrix)
+    monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: shifted)
+    with pytest.raises(OracleMismatch, match="swapped rows"):
+        compute_g(s)
+
+
+def test_report_pickles():
+    report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def _det_cofactor(m):
