@@ -2,8 +2,8 @@
 
 Everything here is exact, so no operation ever rounds: a polynomial is a
 tuple of Python-int numerators over one int denominator, and scalars are
-`fractions.Fraction`.  Floats enter the codebase only in the numeric
-verification layer (`spectral`), never here.
+built on ints and handed out as `fractions.Fraction`.  Floats enter the
+codebase only in the numeric verification layer (`spectral`), never here.
 """
 from __future__ import annotations
 
@@ -16,13 +16,15 @@ Rational = Fraction
 
 
 def pochhammer(a: Rational, n: int) -> Rational:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1: for a = p/q
+    the int p (p+q) ... (p+(n-1)q) over q^n, as one Fraction.  A float `a` is
+    rejected with TypeError, neither rounded nor converted."""
+    if not isinstance(a, (int, Fraction)):
+        raise TypeError(f"pochhammer argument must be int or Fraction, got {a!r}")
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
 def vandermonde(ns) -> int:
@@ -82,10 +84,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return Poly((1,))
-
-    @staticmethod
-    def monomial(coeff, power: int) -> "Poly":
-        return Poly((0,) * power + (coeff,))
 
     @staticmethod
     def const(c) -> "Poly":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SpecInvalid
-from .exactmath import Poly, Rational
+from .exactmath import Poly, Rational, _poly
 
 HALF = Fraction(1, 2)
 
@@ -25,7 +25,7 @@ def laguerre(n: int, a: Rational) -> Poly:
 
     Coefficient of z^i is (-1)^i (a+i+1)_{n-i} / ((n-i)! i!), which gives
     L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q, n! q^n times it is the int
-    (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q).
+    (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q), reduced once at the end.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -35,7 +35,7 @@ def laguerre(n: int, a: Rational) -> Poly:
     for i in range(n, -1, -1):
         num[i] = (-1) ** i * math.comb(n, i) * q**i * prod
         prod *= p + i * q
-    return Poly(num) * Fraction(1, q**n * math.factorial(n))
+    return _poly(num, q**n * math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,15 @@ class QuasiPoly:
         if self.expsign not in (-1, 1):
             raise ValueError("expsign must be -1 or +1")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
     def diff(self) -> "QuasiPoly":
-        """d/dz [z^a e^{sz/2} P] = z^{a-1} e^{sz/2} (aP + (s/2) zP + zP')."""
+        """d/dz [z^a e^{sz/2} P] = z^{a-1} e^{sz/2} (aP + (s/2) zP + zP'), in one
+        int pass: with a = an/ad and P = num/den, the coefficient of z^i is
+        2 (an + i ad) num_i + s ad num_{i-1}, over 2 ad den."""
         a, s, p = self.zpower, self.expsign, self.poly
-        zp = p.shift_up(1)
-        new = a * p + zp * Fraction(s, 2) + p.diff().shift_up(1)
-        return QuasiPoly(a - 1, s, new)
+        an, ad = a.numerator, a.denominator
+        pairs = enumerate(zip((*p.num, 0), (0, *p.num)))
+        num = [2 * (an + i * ad) * c + s * ad * b for i, (c, b) in pairs]
+        return QuasiPoly(a - 1, s, _poly(num, 2 * ad * p.den))
 
     def eval_float(self, z):
         """Floating-point value at z > 0 (scalar or numpy array)."""

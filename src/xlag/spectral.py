@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     GridTooCoarse,
@@ -202,6 +201,8 @@ def _gauss_legendre(n: int):
     2 / ((1 - x^2) P_n'(x)^2), then symmetrised about 0.  (numpy's leggauss
     takes a dense eigensolve, whose multi-threaded BLAS start-up can cost
     far more than the quadrature itself.)"""
+    # scipy is imported on first use, so that `import xlag` and verify skip it
+    from scipy.linalg import eigvalsh_tridiagonal
     k = np.arange(1.0, n)
     x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
     p, dp = _legendre(n, x)
@@ -294,6 +295,7 @@ def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 2000)
 
 
 def _fd_levels(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
+    from scipy.linalg import eigvalsh_tridiagonal
     x = grid.values
     h = x[1] - x[0]
     diag = 2.0 / h**2 + potential(x)

@@ -49,7 +49,7 @@ class SpecCheck:
     do not apply."""
 
     spec: ExtensionSpec
-    divisible: bool = False
+    divisible: bool = None
     mu: bool = None
     lead: bool = None
     const: bool = None
@@ -74,10 +74,6 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     try:
         report = compute_g(spec)
         out.divisible = True
-    except NotDivisible:
-        out.failures.append("divisible")
-        return out
-    try:
         out.mu = report.mu_predicted == report.mu_computed
         out.lead = report.lead_predicted == report.lead_computed
         const_predicted = -report.const_predicted if negate_const_sign else report.const_predicted
@@ -99,7 +95,10 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     except XlagError as exc:
         # recorded, not raised, so that one bad spec cannot abort run_lattice;
         # the checks it cut short stay None, so summarize does not count them
-        out.failures.append(f"{type(exc).__name__}: {exc}")
+        if out.divisible is None and isinstance(exc, NotDivisible):
+            out.divisible = False
+        else:
+            out.failures.append(f"{type(exc).__name__}: {exc}")
     for name in CHECK_NAMES:
         if getattr(out, name) is False:
             out.failures.append(name)

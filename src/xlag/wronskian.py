@@ -130,14 +130,15 @@ def _laguerre_or_zero(n: int, a: Rational, negated: bool) -> Poly:
 def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Rational) -> Poly:
     if j <= q:
         if i <= q + 1:
-            return _laguerre_or_zero(m - i + 1, ap + i - 1, negated=True)
-        return _laguerre_or_zero(m - q, ap + i - 1, negated=True)
+            return _laguerre_or_zero(m - i + 1, ap + (i - 1), negated=True)
+        return _laguerre_or_zero(m - q, ap + (i - 1), negated=True)
+    # (m+1)_r is the int (m+r)! / m!
     if i <= q + 1:
-        pref = pochhammer(Fraction(m + 1), i - 1)
-        body = _laguerre_or_zero(m + i - 1, -ap - i + 1, negated=False)
+        pref = math.perm(m + i - 1, i - 1)
+        body = _laguerre_or_zero(m + i - 1, (1 - i) - ap, negated=False)
     else:
-        pref = pochhammer(Fraction(m + 1), q) * pochhammer(m - ap - i + q + 2, i - q - 1)
-        body = _laguerre_or_zero(m + q, -ap - i + 1, negated=False)
+        pref = math.perm(m + q, q) * pochhammer((m - i + q + 2) - ap, i - q - 1)
+        body = _laguerre_or_zero(m + q, (1 - i) - ap, negated=False)
     return (body * pref).shift_up(k - i)
 
 

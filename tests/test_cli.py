@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlag import cli, exactmath, spectral, verify, wronskian
-from xlag.errors import GridTooCoarse, QuadratureNonconvergence, ZeroPolynomial
+from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
 
 
 def run_cli(args, capsys):
@@ -298,6 +299,79 @@ def test_one_bad_spec_does_not_abort_the_lattice(monkeypatch, capsys):
     rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
     assert rows["sign_theorem"] == rows["regular"] == ["3", "3", "0"]
     assert "ZeroPolynomial: planted" in err
+
+
+def _cycled_rows(bad):
+    """build_gamma_matrix with rows 0, 1, 2 of bad's matrix reordered as 2, 0, 1."""
+    build_real = wronskian.build_gamma_matrix
+
+    def build(spec):
+        m = build_real(spec)
+        return [m[2], m[0], m[1]] + m[3:] if spec == bad else m
+
+    return build
+
+
+def _not_divisible(bad):
+    compute_g_real = wronskian.compute_g
+
+    def compute_g(spec):
+        if spec == bad:
+            raise NotDivisible("planted")
+        return compute_g_real(spec)
+
+    return compute_g
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, failure, divisible",
+    [
+        # the elimination swaps rows, so compute_g raises OracleMismatch
+        (
+            wronskian, "build_gamma_matrix", _cycled_rows,
+            "OracleMismatch: elimination of the gamma matrix of {bad} swapped rows",
+            {"checked": 14, "passed": 14},
+        ),
+        (verify, "compute_g", _not_divisible, "divisible", {"checked": 15, "passed": 14}),
+    ],
+    ids=["row-swap", "not-divisible"],
+)
+def test_a_compute_g_error_is_the_specs_failure(module, name, fault, failure, divisible, monkeypatch, capsys):
+    lattice = {"max_k": 4, "max_m": 2, "alpha_steps": 1}
+    bad = wronskian.ExtensionSpec(Fraction(5, 2), 1, (1, 2), (1, 2))
+    monkeypatch.setattr(module, name, fault(bad))
+    results = verify.run_lattice(workers=1, **lattice)
+    assert len(results) == 15
+    assert all(r.passed for r in results if r.spec != bad)
+    summary = verify.summarize(results)
+    assert [r.spec for r in summary["failures"]] == [bad]
+    assert summary["failures"][0].failures == [failure.format(bad=bad)]
+    # divisibility is counted only where compute_g returned or raised
+    # NotDivisible; no other check ran on bad
+    assert summary["counts"]["divisible"] == divisible
+    for check in verify.CHECK_NAMES[1:]:
+        assert summary["counts"][check]["checked"] == summary["counts"][check]["passed"] <= 14
+    code, out, err = run_cli(["verify", "--max-k", "4", "--max-m", "2", "--alpha-grid", "1"], capsys)
+    assert code == 1
+    assert "all invariants hold" not in out
+    assert f"first failing spec: {bad}" in err
+
+
+def test_verify_does_not_import_scipy():
+    # scipy serves only the numeric layer: extend imports it on first use
+    script = (
+        "import sys\n"
+        "from xlag import cli, verify\n"
+        "assert verify.check_extension(next(verify.enumerate_lattice())).passed\n"
+        "print('scipy' in sys.modules)\n"
+        "cli.main(['extend', '--alpha', '5/2', '--seeds', 'I:1', '--nu-max', '1', '--out', sys.argv[1]])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_out_file(tmp_path, capsys):

@@ -179,11 +179,11 @@ def test_additive_identity():
 
 def test_hand_convolution():
     # (2z+3) * z^2 = 2z^3 + 3z^2
-    assert Poly((3, 2)) * Poly.monomial(1, 2) == Poly((0, 0, 3, 2))
+    assert Poly((3, 2)) * Poly((0, 0, 1)) == Poly((0, 0, 3, 2))
 
 
 def test_diff_power_rule():
-    assert Poly.monomial(1, 3).diff() == Poly((0, 0, 3))
+    assert Poly((0, 0, 0, 1)).diff() == Poly((0, 0, 3))
     assert Poly.const(F(9, 4)).diff().is_zero
 
 
@@ -209,6 +209,38 @@ def test_pochhammer_values():
     assert pochhammer(a, 0) == 1
     assert pochhammer(F(3), 2) == 12
     assert pochhammer(F(-1, 2), 3) == F(-3, 8)
+
+
+def ref_pochhammer(a, n):
+    """The Fraction product loop that pochhammer's integer product replaces."""
+    if n < 0:
+        raise ValueError("pochhammer order must be nonnegative")
+    out = F(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+@given(st.integers(-40, 40) | st.fractions(-40, 40, max_denominator=24), st.integers(0, 12))
+@example(F(-3), 5)  # a zero factor
+@example(F(-7, 2), 12)  # factors of both signs
+def test_pochhammer_matches_the_fraction_product(a, n):
+    out = pochhammer(a, n)
+    assert type(out) is F
+    assert out == ref_pochhammer(F(a), n)
+
+
+@pytest.mark.parametrize("a", [0.1, 2.0])
+def test_pochhammer_rejects_a_non_rational_argument(a):
+    # a float is neither rounded (0.11000000000000001) nor silently
+    # converted to its binary fraction
+    with pytest.raises(TypeError):
+        pochhammer(a, 2)
+
+
+def test_pochhammer_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        pochhammer(F(1, 2), -1)
 
 
 def test_vandermonde_values():

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_exactmath import ref_pochhammer
 from xlag.errors import SpecInvalid
-from xlag.exactmath import Poly, pochhammer
+from xlag.exactmath import Poly
 from xlag.regularity import count_roots_open_interval
 from xlag.seeds import (
     IsotonicParams,
@@ -37,14 +38,14 @@ def test_laguerre_value_at_origin_paper_case():
 
 @given(st.integers(min_value=0, max_value=10), params)
 def test_laguerre_value_at_origin(n, a):
-    assert laguerre(n, a).eval(0) == pochhammer(a + 1, n) / math.factorial(n)
+    assert laguerre(n, a).eval(0) == ref_pochhammer(a + 1, n) / math.factorial(n)
 
 
 @given(st.integers(min_value=0, max_value=12), params)
 def test_laguerre_matches_the_pochhammer_series(n, a):
     # the Fraction route laguerre's integer form replaces, coefficient by coefficient
     series = [
-        (-1) ** i * pochhammer(a + i + 1, n - i) / (math.factorial(n - i) * math.factorial(i))
+        (-1) ** i * ref_pochhammer(a + i + 1, n - i) / (math.factorial(n - i) * math.factorial(i))
         for i in range(n + 1)
     ]
     assert laguerre(n, a).coeffs == tuple(series)
@@ -132,6 +133,27 @@ def test_quasipoly_diff_examples():
     assert (d.zpower, d.expsign, d.poly) == (0, +1, Poly((1, F(1, 2))))
     d2 = QuasiPoly(0, -1, Poly.one()).diff().diff()
     assert (d2.zpower, d2.expsign, d2.poly) == (-2, -1, Poly((0, 0, F(1, 4))))
+
+
+def ref_quasipoly_diff(qp):
+    """The scalar-times-Poly route that QuasiPoly.diff's integer pass replaces."""
+    a, s, p = qp.zpower, qp.expsign, qp.poly
+    zp = p.shift_up(1)
+    new = a * p + zp * F(s, 2) + p.diff().shift_up(1)
+    return QuasiPoly(a - 1, s, new)
+
+
+@given(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from([-1, 1]),
+    st.lists(params, max_size=8).map(Poly),
+)
+@example(F(0), 1, Poly())  # the zero polynomial
+@example(F(-1, 4), -1, Poly((F(3, 2), 1)))  # the z^1 coefficient cancels
+def test_quasipoly_diff_matches_the_fraction_route(a, s, poly):
+    # equal QuasiPolys hold equal zpowers and the same reduced num and den
+    qp = QuasiPoly(a, s, poly)
+    assert qp.diff() == ref_quasipoly_diff(qp)
 
 
 @given(

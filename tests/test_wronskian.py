@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_exactmath import ref_pochhammer
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
 from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
@@ -13,6 +14,7 @@ from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
     ExtensionSpec,
     _gamma_matrix,
+    _laguerre_or_zero,
     build_gamma_matrix,
     check_origin_recurrence,
     compute_g,
@@ -266,6 +268,37 @@ def test_sub_constants_equal_the_sub_extensions_g0(specs, count):
         assert report.sub_constants == tuple(compute_g(sub).const_computed for sub in _sub_extensions(s)), s
         checked += 1
     assert checked == count
+
+
+# -- the Fraction-prefactor gamma entry, kept as an oracle -----------------
+
+
+def _ref_gamma_entry(i, j, k, q, m, ap):
+    """_gamma_entry with its prefactors as Fraction Pochhammer products."""
+    if j <= q:
+        if i <= q + 1:
+            return _laguerre_or_zero(m - i + 1, ap + i - 1, negated=True)
+        return _laguerre_or_zero(m - q, ap + i - 1, negated=True)
+    if i <= q + 1:
+        pref = ref_pochhammer(F(m + 1), i - 1)
+        body = _laguerre_or_zero(m + i - 1, -ap - i + 1, negated=False)
+    else:
+        pref = ref_pochhammer(F(m + 1), q) * ref_pochhammer(m - ap - i + q + 2, i - q - 1)
+        body = _laguerre_or_zero(m + q, -ap - i + 1, negated=False)
+    return (body * pref).shift_up(k - i)
+
+
+def test_gamma_matrix_matches_the_fraction_prefactor_route():
+    # three alpha' steps give integer and half-integer alpha' above each bound
+    checked = 0
+    for s in enumerate_lattice(max_k=4, max_m=6, alpha_steps=3):
+        matrix = build_gamma_matrix(s)
+        for i in range(1, s.k + 1):
+            for j in range(1, s.k + 1):
+                expect = _ref_gamma_entry(i, j, s.k, s.q, s.all_m[j - 1], s.alpha_prime)
+                assert matrix[i - 1][j - 1] == expect, (s, i, j)
+                checked += 1
+    assert checked == 30528
 
 
 def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
