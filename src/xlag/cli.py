@@ -132,12 +132,7 @@ def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) ->
         family = solve_eop(spec, report, nu_max, cert.regular)
         numeric = {}
         if with_numeric:
-            off = [
-                orthogonality_check(family, i, j)
-                for i in range(len(family))
-                for j in range(i + 1, len(family))
-            ]
-            numeric["orthogonality_max_offdiag"] = max(off) if off else None
+            numeric["orthogonality_max_offdiag"] = orthogonality_check(family)
             n_levels = min(nu_max, 3) + 1
             levels = numeric_spectrum(potential, n_levels, auto_grid(potential, n_levels))
             expected = expected_spectrum(spec, n_levels)
@@ -193,13 +188,13 @@ def cmd_sample(args) -> int:
 
     import numpy as np
 
+    psis = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         potential = build_potential(spec, report, cert.regular)
-    psis = []
-    if nus:
-        family = solve_eop(spec, report, max(nus), cert.regular)
-        psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
+        if nus:
+            family = solve_eop(spec, report, max(nus), cert.regular)
+            psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
     v2 = potential(xs)
     cols = [v2] + [psi(xs) for _, psi in psis]
@@ -212,13 +207,7 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     workers = worker_cap(None) if args.parallel else 1
-    results = run_lattice(
-        max_k=args.max_k,
-        max_m=args.max_m,
-        alpha_steps=args.alpha_grid,
-        negate_const_sign=args.self_test_negate_sign,
-        workers=workers,
-    )
+    results = run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid, workers=workers)
     summary = summarize(results)
     if not summary["total"]:
         raise SpecInvalid("the lattice is empty; --max-k, --max-m and --alpha-grid must be positive")
@@ -264,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=6)
     p.add_argument("--alpha-grid", type=int, default=7, help="half-integer alpha' steps per index set")
     p.add_argument("--parallel", action="store_true", help="fan out across processes (XLAG_THREADS caps)")
-    p.add_argument("--self-test-negate-sign", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="emit CSV of the potential and wavefunctions")

@@ -89,7 +89,6 @@ class QuasiPoly:
     poly: Poly
 
     def __post_init__(self):
-        object.__setattr__(self, "zpower", Fraction(self.zpower))
         if self.expsign not in (-1, 1):
             raise ValueError("expsign must be -1 or +1")
 

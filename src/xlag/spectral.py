@@ -40,10 +40,6 @@ class ExtendedPotential:
     rat_den: Poly
     certified_regular: bool
 
-    def v_rat_exact(self, z0) -> Rational:
-        """Exact value of the rational part at rational z0."""
-        return self.rat_num.eval(z0) / self.rat_den.eval(z0)
-
     def __call__(self, x):
         """Float evaluation at x > 0 (scalar or array)."""
         x = np.asarray(x, dtype=float)
@@ -212,54 +208,43 @@ def _gauss_legendre(n: int):
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
-def _inner_product(family: EOPFamily, i: int, j: int, nodes: int) -> float:
-    """integral of y_i y_j z^alpha e^-z / g^2 over (0, inf) by mapped
-    Gauss-Legendre with the z = u^2 substitution (removes the sqrt
-    endpoint behaviour of half-integer alpha).
+def orthogonality_check(family: EOPFamily) -> float | None:
+    """Largest normalized off-diagonal |G_ij| / sqrt(G_ii G_jj) of the Gram
+    matrix G_ij = integral of y_i y_j z^alpha e^-z / g^2 over (0, inf), or
+    None for a single level.
 
-    The integrand decays like z^p e^-z with p = alpha + nu_i + nu_j, which
-    peaks at z = p, so the cutoff sits far enough past p for any alpha; the
-    weight is taken in log space, where z^alpha cannot overflow."""
-    deg_i, deg_j = family.polys[i].degree, family.polys[j].degree
-    a = float(family.alpha)
-    p = max(a + deg_i + deg_j - 2 * family.mu, 0.0)
-    zmax = max(60.0 + 4.0 * (deg_i + deg_j + 2), p + 40.0 + 9.0 * np.sqrt(p))
-    umax = np.sqrt(zmax)
-    x, wts = _gauss_legendre(nodes)
-    u = 0.5 * umax * (x + 1.0)
-    wts = 0.5 * umax * wts
-    z = u * u
-    val = (
-        2.0
-        * u
-        * np.exp(a * np.log(z) - z)
-        * _polyval(family.polys[i], z)
-        * _polyval(family.polys[j], z)
-        / _polyval(family.g, z) ** 2
-    )
-    return float(np.dot(wts, val))
-
-
-def orthogonality_check(family: EOPFamily, i: int, j: int) -> float:
-    """Normalized inner product |<i,j>| / sqrt(<i,i><j,j>) under the
-    family's weight; 1.0 on the diagonal by construction.
-
-    Two node counts (200 and 301) must agree to 1e-10 on the normalized
-    value or QuadratureNonconvergence is raised.
+    Mapped Gauss-Legendre with the z = u^2 substitution (removes the sqrt
+    endpoint behaviour of half-integer alpha); g, the weight and each y_nu
+    are evaluated once per node count and G = (Y w) Y^T.  The integrand of
+    a pair decays like z^p e^-z with p = alpha + nu_i + nu_j, which peaks
+    at z = p, so the one cutoff, set by the two highest degrees, sits far
+    enough past every pair's p for any alpha; the weight is taken in log
+    space, where z^alpha cannot overflow.  Two node counts (200 and 301)
+    must agree to 1e-10 entrywise or QuadratureNonconvergence is raised.
     """
-    if i == j:
-        return 1.0
-    vals = []
+    if len(family) < 2:
+        return None
+    d = sum(sorted(y.degree for y in family.polys)[-2:])
+    a = float(family.alpha)
+    p = max(a + d - 2 * family.mu, 0.0)
+    umax = np.sqrt(max(60.0 + 4.0 * (d + 2), p + 40.0 + 9.0 * np.sqrt(p)))
+    norm = []
     for nodes in (200, 301):
-        nii = _inner_product(family, i, i, nodes)
-        njj = _inner_product(family, j, j, nodes)
-        nij = _inner_product(family, i, j, nodes)
-        vals.append(abs(nij) / (np.sqrt(nii) * np.sqrt(njj)))
-    if abs(vals[0] - vals[1]) > 1e-10:
+        x, wts = _gauss_legendre(nodes)
+        u = 0.5 * umax * (x + 1.0)
+        z = u * u
+        w = umax * wts * u * np.exp(a * np.log(z) - z) / _polyval(family.g, z) ** 2
+        Y = np.array([_polyval(y, z) for y in family.polys])
+        G = (Y * w) @ Y.T
+        s = np.sqrt(np.diag(G))
+        norm.append(np.abs(G) / np.outer(s, s))
+    moved = np.abs(norm[1] - norm[0])
+    if moved.max() > 1e-10:
+        i, j = np.unravel_index(moved.argmax(), moved.shape)
         raise QuadratureNonconvergence(
-            f"normalized inner product <{i},{j}> moved from {vals[0]} to {vals[1]}"
+            f"normalized inner product <{i},{j}> moved from {norm[0][i, j]} to {norm[1][i, j]}"
         )
-    return vals[1]
+    return float(norm[1][np.triu_indices(len(family), 1)].max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,11 +105,6 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     return out
 
 
-def _worker(args):
-    spec, fault = args
-    return check_extension(spec, negate_const_sign=fault)
-
-
 def worker_cap(requested=None) -> int:
     """Parallelism, bounded by the XLAG_THREADS environment variable."""
     n = requested or os.cpu_count() or 1
@@ -123,26 +118,17 @@ def worker_cap(requested=None) -> int:
     return max(1, n)
 
 
-def run_lattice(
-    max_k: int = 4,
-    max_m: int = 6,
-    alpha_steps: int = 7,
-    negate_const_sign: bool = False,
-    workers: int = None,
-):
+def run_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, workers: int = None):
     """Check every lattice spec, optionally in parallel; results come back
     in enumeration order regardless of worker scheduling."""
     specs = list(enumerate_lattice(max_k, max_m, alpha_steps))
-    jobs = [(s, negate_const_sign) for s in specs]
     n = worker_cap(workers)
-    if n > 1 and len(jobs) > 8:
+    if n > 1 and len(specs) > 8:
         import multiprocessing
 
         with multiprocessing.Pool(n) as pool:
-            results = pool.map(_worker, jobs, chunksize=32)
-    else:
-        results = [_worker(j) for j in jobs]
-    return results
+            return pool.map(check_extension, specs, chunksize=32)
+    return [check_extension(s) for s in specs]
 
 
 def summarize(results):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
 from .exactmath import Poly, Rational, pochhammer, poly_mat_det, vandermonde
@@ -63,7 +64,7 @@ class ExtensionSpec:
     def q(self) -> int:
         return len(self.m_type_i)
 
-    @property
+    @cached_property
     def alpha_prime(self) -> Rational:
         return self.alpha + self.k - 2 * self.q
 

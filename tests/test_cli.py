@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlag
 from xlag import cli, exactmath, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
 
@@ -435,6 +438,11 @@ class TestSample:
         code, out, _ = run_cli(args + ["--force"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "x,V2"
+        # the family is solved for the uncertified g too, and its warning stays silent
+        code, out, err = run_cli(args + ["--force", "--wavefunctions", "0"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "x,V2,psi_0"
+        assert err == ""
 
 
 class TestVerify:
@@ -461,16 +469,20 @@ class TestVerify:
         monkeypatch.delenv("XLAG_THREADS")
         assert worker_cap(3) == 3
 
-    def test_fault_injection_detected(self, capsys):
-        code, _, err = run_cli(
-            [
-                "verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1",
-                "--self-test-negate-sign",
-            ],
-            capsys,
-        )
+    def test_fault_injection_detected(self, capsys, monkeypatch):
+        predict_const = wronskian.predict_const
+        monkeypatch.setattr(wronskian, "predict_const", lambda spec: -predict_const(spec))
+        code, _, err = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
         assert code == 1
         assert "first failing spec" in err
+
+
+def test_readme_library_sketch_runs_on_the_package_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(sketch, {})
+    (names,) = re.findall(r"^from xlag import (.*)$", sketch, re.M)
+    assert sorted(names.split(", ")) == sorted(xlag.__all__)
 
 
 def test_console_entry_point():

@@ -7,10 +7,11 @@ import pytest
 from test_acceptance import EOP_SPECS
 from test_exactmath import ref_add, ref_diff, ref_mul, ref_scale, ref_shift_up, ref_sub
 from test_regularity import _inadmissible_probes
-from xlag.errors import GridTooCoarse, NullSpaceDimension
+from xlag import spectral
+from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence
 from xlag.exactmath import Poly
 from xlag.regularity import certify
-from xlag.seeds import laguerre
+from xlag.seeds import _polyval, laguerre
 from xlag.spectral import (
     NumericGrid,
     _gauss_legendre,
@@ -58,7 +59,7 @@ class TestPotential:
         a = F(5, 2)
         for z in (F(1, 3), F(2), F(17, 4)):
             expect = F(-2) * (a - z) / (z + a) ** 2
-            assert pot.v_rat_exact(z) == expect
+            assert pot.rat_num.eval(z) / pot.rat_den.eval(z) == expect
 
     def test_shift_values(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1, 2))  # k=3, q=1
@@ -192,37 +193,60 @@ class TestGaussLegendre:
         assert np.max(np.abs(w / w_ref - 1)) < 1e-9
 
 
+def pairwise_inner_product(family, i, j, nodes):
+    # integral of y_i y_j z^alpha e^-z / g^2 over (0, inf) by mapped
+    # Gauss-Legendre with z = u^2, the cutoff set by this pair's degrees
+    deg_i, deg_j = family.polys[i].degree, family.polys[j].degree
+    a = float(family.alpha)
+    p = max(a + deg_i + deg_j - 2 * family.mu, 0.0)
+    zmax = max(60.0 + 4.0 * (deg_i + deg_j + 2), p + 40.0 + 9.0 * np.sqrt(p))
+    umax = np.sqrt(zmax)
+    x, wts = _gauss_legendre(nodes)
+    u = 0.5 * umax * (x + 1.0)
+    wts = 0.5 * umax * wts
+    z = u * u
+    val = (
+        2.0
+        * u
+        * np.exp(a * np.log(z) - z)
+        * _polyval(family.polys[i], z)
+        * _polyval(family.polys[j], z)
+        / _polyval(family.g, z) ** 2
+    )
+    return float(np.dot(wts, val))
+
+
+def pairwise_offdiag(family, i, j):
+    """The pairwise route orthogonality_check replaced, kept as its oracle:
+    |<i,j>| / sqrt(<i,i><j,j>), three integrals per node count."""
+    vals = []
+    for nodes in (200, 301):
+        nii = pairwise_inner_product(family, i, i, nodes)
+        njj = pairwise_inner_product(family, j, j, nodes)
+        nij = pairwise_inner_product(family, i, j, nodes)
+        vals.append(abs(nij) / (np.sqrt(nii) * np.sqrt(njj)))
+    assert abs(vals[0] - vals[1]) <= 1e-10
+    return vals[1]
+
+
 class TestOrthogonality:
-    def test_diagonal_is_one(self):
+    def test_single_level_has_no_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        family = solve_eop(spec, report, 2, regular)
-        assert orthogonality_check(family, 1, 1) == 1.0
+        assert orthogonality_check(solve_eop(spec, report, 0, regular)) is None
 
     def test_classical_off_diagonal(self):
         spec, report, regular = pipeline("3/2")
-        family = solve_eop(spec, report, 5, regular)
-        worst = max(
-            orthogonality_check(family, i, j) for i in range(6) for j in range(i + 1, 6)
-        )
-        assert worst < 1e-12
+        assert orthogonality_check(solve_eop(spec, report, 5, regular)) < 1e-12
 
     def test_extended_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 5, regular)
-        worst = max(
-            orthogonality_check(family, i, j) for i in range(6) for j in range(i + 1, 6)
-        )
-        assert worst < 1e-8
+        assert orthogonality_check(solve_eop(spec, report, 5, regular)) < 1e-8
 
     def test_large_alpha_off_diagonal(self):
         # the weight z^alpha e^-z peaks near z = alpha; a cutoff set by the
         # degrees alone truncated it here and read 0.04
         spec, report, regular = pipeline("121/2", m_i=(1,))
-        family = solve_eop(spec, report, 3, regular)
-        worst = max(
-            orthogonality_check(family, i, j) for i in range(4) for j in range(i + 1, 4)
-        )
-        assert worst < 1e-8
+        assert orthogonality_check(solve_eop(spec, report, 3, regular)) < 1e-8
 
     def test_large_alpha_detects_a_non_orthogonal_pair(self):
         # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
@@ -230,7 +254,36 @@ class TestOrthogonality:
         spec, report, regular = pipeline("201/2", m_i=(1,))
         family = solve_eop(spec, report, 1, regular)
         mixed = replace(family, polys=(family[0], family[0] + family[1]))
-        assert orthogonality_check(mixed, 0, 1) > 1e-3
+        worst = orthogonality_check(mixed)
+        assert worst > 1e-3
+        assert abs(worst - pairwise_offdiag(mixed, 0, 1)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "specs, nu_max",
+        [
+            (EOP_SPECS, 5),
+            # nu <= 3: at nu = 5 both routes read round-off (up to ~1e-12 at 301/2)
+            ([(a, (1,), ()) for a in ("121/2", "201/2", "301/2")], 3),
+            ([("27/2", (2, 4, 6), (3, 5, 7))], 3),  # the mu = 30 rung
+        ],
+        ids=["eop_suite", "large_alpha", "mu30"],
+    )
+    def test_gram_matrix_equals_the_pairwise_oracle(self, specs, nu_max):
+        for alpha, m_i, m_ii in specs:
+            spec, report, regular = pipeline(alpha, m_i, m_ii)
+            assert regular, spec
+            family = solve_eop(spec, report, nu_max, regular)
+            pairs = [(i, j) for i in range(nu_max + 1) for j in range(i + 1, nu_max + 1)]
+            oracle = max(pairwise_offdiag(family, i, j) for i, j in pairs)
+            assert abs(orthogonality_check(family) - oracle) < 1e-13, spec
+
+    def test_node_counts_that_disagree_raise(self, monkeypatch):
+        # the 200-node rule replaced by a 6-node one cannot integrate y_5^2
+        gauss_legendre = spectral._gauss_legendre
+        monkeypatch.setattr(spectral, "_gauss_legendre", lambda n: gauss_legendre(6 if n == 200 else n))
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        with pytest.raises(QuadratureNonconvergence, match="moved from"):
+            orthogonality_check(solve_eop(spec, report, 5, regular))
 
 
 class TestSpectrum:
@@ -258,7 +311,7 @@ class TestSpectrum:
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             assert abs(lv - float(e)) / abs(float(e)) < 1e-3
         family = solve_eop(spec, report, 2, regular)
-        assert orthogonality_check(family, 0, 2) < 1e-8
+        assert orthogonality_check(family) < 1e-8
 
     def test_grid_too_coarse(self):
         spec, report, regular = pipeline("3/2")
