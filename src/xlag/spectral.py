@@ -247,61 +247,60 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     return float(norm[1][np.triu_indices(len(family), 1)].max())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NumericGrid:
-    """Uniform abscissae for the finite-difference eigensolve."""
+    """Interior abscissae x_i = i h, h = x_max / (n_points + 1), of the
+    finite-difference eigensolve; its Dirichlet walls sit at 0 and x_max."""
 
-    x_min: float
     x_max: float
     n_points: int
-    values: np.ndarray = None
 
     def __post_init__(self):
-        if not (0 < self.x_min < self.x_max):
-            raise ValueError("need 0 < x_min < x_max")
+        if not 0 < self.x_max < math.inf:
+            raise ValueError("need 0 < x_max < inf")
         if self.n_points < 16:
             raise ValueError("grid too small")
-        if self.values is None:
-            object.__setattr__(self, "values", np.linspace(self.x_min, self.x_max, self.n_points))
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.linspace(0.0, self.x_max, self.n_points + 2)[1:-1]
 
     def refined(self) -> "NumericGrid":
-        return NumericGrid(self.x_min, self.x_max, 2 * self.n_points - 1)
+        """The same walls at half the step: every point of self stays."""
+        return NumericGrid(self.x_max, 2 * self.n_points + 1)
 
 
-def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 2000) -> NumericGrid:
-    """Grid sized from the classical turning point of the highest level."""
+def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 500) -> NumericGrid:
+    """Grid from the wall at x = 0 to past the classical turning point of
+    the highest level, where that level has decayed far below round-off."""
     w = float(potential.base.omega)
     alpha = float(potential.base.alpha)
     e_top = w * (2 * (n_levels - 1) + alpha + 1) + abs(float(potential.shift))
     x_turn = 2.0 * np.sqrt(e_top) / w
-    x_max = float(np.sqrt(x_turn**2 + 120.0 / w))
-    x_min = 0.01 / np.sqrt(w)
-    return NumericGrid(x_min, x_max, n_points)
+    return NumericGrid(float(np.sqrt(x_turn**2 + 120.0 / w)), n_points)
 
 
 def _fd_levels(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
     from scipy.linalg import eigvalsh_tridiagonal
     x = grid.values
-    h = x[1] - x[0]
+    h = x[0]  # the wall sits one step below, at x = 0
     diag = 2.0 / h**2 + potential(x)
     off = np.full(len(x) - 1, -1.0 / h**2)
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
 
 
 def numeric_spectrum(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
-    """Lowest n_levels eigenvalues of -d^2/dx^2 + V(x) with Dirichlet ends.
-
-    Symmetric second-order differences; the step-halving check rejects a
-    grid whose ground level moves by more than 1e-3 relative, and the
-    halved-step values are the ones returned.
+    """Lowest n_levels eigenvalues of -d^2/dx^2 + V(x), Dirichlet walls at 0
+    and grid.x_max: second-order differences on the grid and on its
+    refinement (the step exactly halved), Richardson-extrapolated to
+    (4 fine - coarse) / 3, which cancels the h^2 error.  GridTooCoarse if
+    the ground level moves by more than 1e-3 relative under the halving.
     """
     coarse = _fd_levels(potential, n_levels, grid)
     fine = _fd_levels(potential, n_levels, grid.refined())
     if abs(fine[0] - coarse[0]) > 1e-3 * abs(fine[0]):
-        raise GridTooCoarse(
-            f"ground level moved {coarse[0]} -> {fine[0]} under step halving"
-        )
-    return [float(e) for e in fine]
+        raise GridTooCoarse(f"ground level moved {coarse[0]} -> {fine[0]} under step halving")
+    return [float(e) for e in (4.0 * fine - coarse) / 3.0]
 
 
 def expected_spectrum(spec: ExtensionSpec, n_levels: int):

@@ -117,6 +117,7 @@ def test_criterion_6_eop_suite():
 
 
 SPECTRUM_SPECS = [
+    ("1/2", (), ()),  # l = 0: the wall at x = 0 is the physical one
     ("3/2", (), ()),  # classical control
     ("5/2", (1,), ()),
     ("5/2", (), (1,)),
@@ -135,10 +136,10 @@ def test_criterion_7_numeric_spectrum():
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             dev = abs(lv - float(e)) / abs(float(e))
             worst = max(worst, dev)
-    assert worst < 1e-3
+    assert worst < 1e-6
     print(f"\nPASS criterion 7: finite-difference levels nu <= 3 match "
           f"omega(2nu+alpha+1)+(k-2q)omega on {len(SPECTRUM_SPECS)} specs, "
-          f"worst relative deviation {worst:.2e} < 1e-3")
+          f"worst relative deviation {worst:.2e} < 1e-6")
 
 
 def test_criterion_8_classical_reduction():

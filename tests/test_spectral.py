@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from test_acceptance import EOP_SPECS
+from test_acceptance import EOP_SPECS, SPECTRUM_SPECS
 from test_exactmath import ref_add, ref_diff, ref_mul, ref_scale, ref_shift_up, ref_sub
 from test_regularity import _inadmissible_probes
 from xlag import spectral
@@ -286,13 +286,40 @@ class TestOrthogonality:
             orthogonality_check(solve_eop(spec, report, 5, regular))
 
 
+def ref_fd_levels(potential, n_levels, n_points=2000):
+    """The replaced finite-difference solve, kept as the oracle: n_points
+    refined to 2 n_points - 1 from x_min = 0.01 / sqrt(omega) to the same
+    x_max, every point interior, so its implicit walls sit one step outside
+    the grid and move with the step; returns the refined grid's levels."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    w = float(potential.base.omega)
+    e_top = w * (2 * (n_levels - 1) + float(potential.base.alpha) + 1) + abs(float(potential.shift))
+    x_max = np.sqrt((2.0 * np.sqrt(e_top) / w) ** 2 + 120.0 / w)
+    x = np.linspace(0.01 / np.sqrt(w), x_max, 2 * n_points - 1)
+    h = x[1] - x[0]
+    off = np.full(len(x) - 1, -1.0 / h**2)
+    return eigvalsh_tridiagonal(2.0 / h**2 + potential(x), off, select="i", select_range=(0, n_levels - 1))
+
+
+# the extend ladder's mu = 5 and mu = 30 rungs at each alpha they run at
+RUNG_SPECS = [(a, (1,), (1, 2)) for a in ("9/2", "11/2", "13/2")] + [
+    (a, (2, 4, 6), (3, 5, 7)) for a in ("27/2", "29/2", "31/2")
+]
+
+
+def spectrum_dev(spec, potential, n_levels=4):
+    levels = numeric_spectrum(potential, n_levels, auto_grid(potential, n_levels))
+    return max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected_spectrum(spec, n_levels)))
+
+
 class TestSpectrum:
     def test_classical_control(self):
         spec, report, regular = pipeline("3/2")  # l = 1, omega = 1
         pot = build_potential(spec, report, regular)
         levels = numeric_spectrum(pot, 3, auto_grid(pot, 3))
         for lv, e in zip(levels, [2.5, 4.5, 6.5]):  # omega*(2 nu + alpha + 1)
-            assert abs(lv - e) / e < 1e-3
+            assert abs(lv - e) / e < 1e-6
 
     def test_shifted_spectrum(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
@@ -300,30 +327,67 @@ class TestSpectrum:
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         expected = [float(e) for e in expected_spectrum(spec, 4)]
         for lv, e in zip(levels, expected):
-            assert abs(lv - e) / e < 1e-3
+            assert abs(lv - e) / e < 1e-6
         spacings = np.diff(levels)
-        assert np.allclose(spacings, 2.0, rtol=1e-3)
+        assert np.allclose(spacings, 2.0, rtol=1e-6)
 
     def test_non_unit_omega(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
         pot = build_potential(spec, report, regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
-            assert abs(lv - float(e)) / abs(float(e)) < 1e-3
+            assert abs(lv - float(e)) / abs(float(e)) < 1e-6
         family = solve_eop(spec, report, 2, regular)
         assert orthogonality_check(family) < 1e-8
+
+    def test_large_alpha(self):
+        # l = 150: the centrifugal term reads ~1e7 at the first grid point
+        spec, report, regular = pipeline("301/2", m_i=(1,))
+        pot = build_potential(spec, report, regular)
+        assert pot(auto_grid(pot, 4).values[0]) > 1e6
+        assert spectrum_dev(spec, pot) < 1e-6
+
+    def test_ten_levels(self):
+        spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
+        assert spectrum_dev(spec, build_potential(spec, report, regular), 10) < 1e-6
+
+    @pytest.mark.parametrize(
+        "alpha, m_i, m_ii", [s for s in SPECTRUM_SPECS if F(s[0]) >= F(3, 2)] + RUNG_SPECS
+    )
+    def test_levels_match_the_moving_wall_oracle(self, alpha, m_i, m_ii):
+        spec, report, regular = pipeline(alpha, m_i, m_ii)
+        pot = build_potential(spec, report, regular)
+        levels = np.array(numeric_spectrum(pot, 4, auto_grid(pot, 4)))
+        oracle = ref_fd_levels(pot, 4)
+        expected = np.array([float(e) for e in expected_spectrum(spec, 4)])
+        assert np.all(np.abs(levels - oracle) < 1e-5 * oracle)
+        assert np.all(np.abs(levels - expected) <= np.abs(oracle - expected))
+
+    def test_a_scaled_rational_part_breaches_the_bound(self):
+        # a 0.1% fault reads 8.8e-6; a bound of 1e-3 would let a ~1% fault through
+        spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
+        pot = build_potential(spec, report, regular)
+        assert spectrum_dev(spec, pot) < 1e-6
+        assert spectrum_dev(spec, replace(pot, rat_num=pot.rat_num * F(1001, 1000))) > 1e-6
 
     def test_grid_too_coarse(self):
         spec, report, regular = pipeline("3/2")
         pot = build_potential(spec, report, regular)
-        with pytest.raises(GridTooCoarse):
-            numeric_spectrum(pot, 2, NumericGrid(0.5, 3.0, 16))
+        with pytest.raises(GridTooCoarse):  # the ground level moves 1.9e-3
+            numeric_spectrum(pot, 2, NumericGrid(3.0, 16))
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            NumericGrid(-1.0, 5.0, 100)
-        with pytest.raises(ValueError):
-            NumericGrid(5.0, 1.0, 100)
-        g = NumericGrid(0.1, 5.0, 100)
-        assert np.all(np.diff(g.values) > 0)
-        assert g.refined().n_points == 199
+        for x_max, n_points in ((-1.0, 100), (0.0, 100), (np.inf, 100), (5.0, 15)):
+            with pytest.raises(ValueError):
+                NumericGrid(x_max, n_points)
+
+    @pytest.mark.parametrize("x_max, n_points", [(3.0, 16), (np.pi, 17), (21.3, 500), (7.0, 1001)])
+    def test_refinement_halves_the_step_between_fixed_walls(self, x_max, n_points):
+        coarse = NumericGrid(x_max, n_points)
+        fine = coarse.refined()
+        assert fine.n_points == 2 * n_points + 1 and fine.x_max == x_max
+        h = coarse.values[0]
+        assert np.allclose(np.diff(coarse.values), h, rtol=1e-12, atol=0)
+        assert abs(x_max - coarse.values[-1] - h) < 1e-12 * x_max  # walls at 0 and x_max
+        assert fine.values[0] == h / 2
+        assert np.array_equal(fine.values[1::2], coarse.values)  # every coarse point stays
