@@ -1,8 +1,12 @@
 """Command-line front end: extend | verify | sample | eop.
 
+extend, eop and sample first run the exact stage: compute_g, certify and
+verify.check_report, the checks xlag verify runs on every lattice spec.
+
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 verification failure, 2 bad input, 3 internal
-inconsistency (an exact oracle disagreed).
+inconsistency (an exact check of the exact stage failed or an exact
+oracle disagreed).
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ from .spectral import (
     solve_eop,
     wavefunction,
 )
-from .verify import CHECK_NAMES, run_lattice, summarize, worker_cap
-from .wronskian import ORACLE_MAX_K, ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
+from .verify import CHECK_NAMES, check_report, run_lattice, summarize, worker_cap
+from .wronskian import ExtensionSpec, compute_g
 
 # exception -> (exit code, stderr prefix); the first matching row wins
 EXIT_CODES = (
@@ -109,27 +113,26 @@ def _emit(text: str, out):
             sys.stdout.write("\n")
 
 
-def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) -> dict:
-    """compute_g -> certify -> potential -> polynomial family -> numeric
-    checks, collected into one report document."""
+def exact_stage(spec: ExtensionSpec):
+    """compute_g -> certify -> verify.check_report; OracleMismatch if any
+    exact check fails.  Returns the report, its certificate and the check."""
     report = compute_g(spec)
-    if not report.predictions_hold:
-        raise OracleMismatch("computed g disagrees with its closed-form predictions")
-    if spec.k <= ORACLE_MAX_K:
-        wronskian_direct(report)
     cert = certify(report)
-    recurrence = check_origin_recurrence(report) if spec.k - spec.q >= 2 else None
-    if recurrence is False:
-        raise OracleMismatch(f"origin recurrence fails for {spec}")
+    check = check_report(report, cert)
+    if not check.passed:
+        raise OracleMismatch(f"exact check failed ({', '.join(check.failures)}) for {spec}")
+    return report, cert, check
+
+
+def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) -> dict:
+    """Exact stage -> potential -> polynomial family -> numeric checks,
+    collected into one report document."""
+    report, cert, check = exact_stage(spec)
     potential = family = numeric = None
     if spec.l >= 0:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            potential = build_potential(spec, report, cert.regular)
+        potential = build_potential(report, cert.regular)
     if cert.regular and potential is not None:
-        family = solve_eop(spec, report, nu_max, cert.regular)
+        family = solve_eop(report, nu_max)
         numeric = {}
         if with_numeric:
             numeric["orthogonality_max_offdiag"] = orthogonality_check(family)
@@ -141,9 +144,7 @@ def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) ->
             numeric["spectrum_max_rel_dev"] = max(
                 abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected)
             )
-    return build_document(
-        spec, report, cert, recurrence=recurrence, potential=potential, family=family, numeric=numeric
-    )
+    return build_document(report, cert, check, potential=potential, family=family, numeric=numeric)
 
 
 def cmd_extend(args) -> int:
@@ -157,12 +158,11 @@ def cmd_extend(args) -> int:
 def cmd_eop(args) -> int:
     spec = spec_from_args(args)
     _check_nonnegative("--nu-max", args.nu_max)
-    report = compute_g(spec)
-    cert = certify(report)
+    report, cert, _ = exact_stage(spec)
     if not cert.regular:
         print("spec is not regular; no orthogonal polynomial family exists", file=sys.stderr)
         return 2
-    family = solve_eop(spec, report, args.nu_max, cert.regular)
+    family = solve_eop(report, args.nu_max)
     doc = {"schema": SCHEMA_VERSION, "spec": spec_section(spec), "eop": eop_section(family)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -179,22 +179,17 @@ def cmd_sample(args) -> int:
         raise SpecInvalid(f"--wavefunctions must list integers, got {args.wavefunctions!r}") from exc
     for nu in nus:
         _check_nonnegative("--wavefunctions", nu)
-    report = compute_g(spec)
-    cert = certify(report)
+    report, cert, _ = exact_stage(spec)
     if not cert.regular and not args.force:
         print("spec is not regular; pass --force to sample anyway", file=sys.stderr)
         return 2
-    import warnings
-
     import numpy as np
 
+    potential = build_potential(report, cert.regular)
     psis = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        potential = build_potential(spec, report, cert.regular)
-        if nus:
-            family = solve_eop(spec, report, max(nus), cert.regular)
-            psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
+    if nus:
+        family = solve_eop(report, max(nus))
+        psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
     v2 = potential(xs)
     cols = [v2] + [psi(xs) for _, psi in psis]

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .exactmath import Poly
 from .regularity import RegularityCertificate
+from .verify import SpecCheck
 from .wronskian import ExtensionSpec, GReport
 
 SCHEMA_VERSION = 1
@@ -39,7 +40,7 @@ def spec_section(spec: ExtensionSpec) -> dict:
     }
 
 
-def g_section(report: GReport) -> dict:
+def g_section(report: GReport, check: SpecCheck) -> dict:
     return {
         "coefficients": poly_coeffs(report.g),
         "degree": report.mu_computed,
@@ -48,7 +49,7 @@ def g_section(report: GReport) -> dict:
         "mu": {"predicted": report.mu_predicted, "computed": report.mu_computed},
         "leading": {"predicted": rat(report.lead_predicted), "computed": rat(report.lead_computed)},
         "constant": {"predicted": rat(report.const_predicted), "computed": rat(report.const_computed)},
-        "predictions_hold": report.predictions_hold,
+        "predictions_hold": check.mu and check.lead and check.const,
     }
 
 
@@ -63,20 +64,21 @@ def eop_section(family) -> dict:
 
 
 def build_document(
-    spec: ExtensionSpec,
     report: GReport,
     cert: RegularityCertificate,
-    recurrence=None,
+    check: SpecCheck,
     potential=None,
     family=None,
     numeric=None,
 ) -> dict:
+    """The extend report; `check` is verify.check_report's verdict on
+    report and cert."""
     doc = {
         "schema": SCHEMA_VERSION,
-        "spec": spec_section(spec),
-        "g": g_section(report),
+        "spec": spec_section(report.spec),
+        "g": g_section(report, check),
         "certificate": asdict(cert),
-        "origin_recurrence": recurrence,
+        "origin_recurrence": check.recurrence,
     }
     if potential is not None:
         doc["potential"] = {

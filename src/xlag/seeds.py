@@ -1,5 +1,5 @@
-"""Generalized Laguerre polynomials, the radial-oscillator parameters,
-and the type-I/II seed functions with their gauge factors.
+"""Generalized Laguerre polynomials and the type-I/II seed functions
+with their gauge factors.
 
 Seeds are kept in factored gauge-times-polynomial form (`QuasiPoly`),
 which is closed under differentiation, so every Wronskian entry stays an
@@ -36,32 +36,6 @@ def laguerre(n: int, a: Rational) -> Poly:
         num[i] = (-1) ** i * math.comb(n, i) * q**i * prod
         prod *= p + i * q
     return _poly(num, q**n * math.factorial(n))
-
-
-@dataclass(frozen=True)
-class IsotonicParams:
-    """Radial oscillator parameters: angular momentum l >= 0 and omega > 0."""
-
-    l: Rational
-    omega: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", Fraction(self.l))
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        if self.l < 0:
-            raise SpecInvalid(f"angular momentum must be nonnegative, got {self.l}")
-        if self.omega <= 0:
-            raise SpecInvalid(f"omega must be positive, got {self.omega}")
-
-    @property
-    def alpha(self) -> Rational:
-        return self.l + HALF
-
-    def potential(self, x):
-        """V(x) = omega^2 x^2 / 4 + l(l+1)/x^2, numpy-friendly."""
-        w = float(self.omega)
-        cf = float(self.l * (self.l + 1))
-        return 0.25 * w * w * x * x + cf / (x * x)
 
 
 class SeedKind(Enum):

@@ -10,7 +10,6 @@ integration, and the eigensolver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,16 +24,17 @@ from .errors import (
     SpecInvalid,
 )
 from .exactmath import Poly, Rational, rational_nullspace
-from .seeds import IsotonicParams, _polyval, bound_gauge
+from .seeds import _polyval, bound_gauge
 from .wronskian import ExtensionSpec, GReport
 
 
 @dataclass(frozen=True)
 class ExtendedPotential:
-    """V(x) = V_l(x) + V_rat(z) + C with z = omega x^2/2, cached as the
-    exact rational pair (rat_num, g^2) for the rational part."""
+    """V(x) = omega^2 x^2/4 + l(l+1)/x^2 + V_rat(z) + C with z = omega x^2/2,
+    l and omega those of spec, cached as the exact rational pair
+    (rat_num, g^2) for the rational part."""
 
-    base: IsotonicParams
+    spec: ExtensionSpec
     shift: Rational
     rat_num: Poly
     rat_den: Poly
@@ -43,30 +43,30 @@ class ExtendedPotential:
     def __call__(self, x):
         """Float evaluation at x > 0 (scalar or array)."""
         x = np.asarray(x, dtype=float)
-        w = float(self.base.omega)
+        w = float(self.spec.omega)
+        cf = float(self.spec.l * (self.spec.l + 1))
         z = 0.5 * w * x * x
-        val = self.base.potential(x) + float(self.shift)
+        val = 0.25 * w * w * x * x + cf / (x * x) + float(self.shift)
         val = val + _polyval(self.rat_num, z) / _polyval(self.rat_den, z)
         return val if val.ndim else float(val)
 
 
-def build_potential(spec: ExtensionSpec, report: GReport, regular: bool) -> ExtendedPotential:
-    """Assemble the extended potential from a computed g.
+def build_potential(report: GReport, regular: bool) -> ExtendedPotential:
+    """Assemble the extended potential of report.spec from its computed g.
 
     The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  If certify
     found g irregular (`regular` false) the potential is still built (poles
-    and all, useful for demonstrations) but flagged and warned.
+    and all, useful for demonstrations) and flagged as not certified.
     """
+    spec = report.spec
     if spec.l < 0:
         raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
     g = report.g
     gd = g.diff()
     gdd = gd.diff()
     num = (gd * g + (gdd * g - gd * gd).shift_up(1) * 2) * (-2 * spec.omega)
-    if not regular:
-        warnings.warn("potential built from a g not certified nodeless; it may have poles")
     return ExtendedPotential(
-        base=IsotonicParams(spec.l, spec.omega),
+        spec=spec,
         shift=(spec.k - 2 * spec.q) * spec.omega,
         rat_num=num,
         rat_den=g * g,
@@ -127,10 +127,11 @@ def eop_nullspace(g: Poly, alpha, nu: int, degree: int):
     return rational_nullspace(rows)
 
 
-def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) -> EOPFamily:
-    """Exceptional polynomials for levels 0..nu_max by back-substitution on
-    the cleared-denominator differential equation; a false `regular`, the
-    verdict of certify(report), draws a warning.
+def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
+    """Exceptional polynomials of report.spec for levels 0..nu_max by
+    back-substitution on the cleared-denominator differential equation.
+    Whether they form an orthogonal family is certify(report)'s verdict,
+    which the caller checks.
 
     With c_{mu+nu} = 1, row mu+d of the banded operator fixes c_d for d =
     mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
@@ -141,11 +142,10 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) 
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
-    if not regular:
-        warnings.warn("solving the polynomial family for a g not certified nodeless")
+    alpha = report.spec.alpha
     g = report.g
     mu = report.mu_computed
-    entry = _ode_operator(g, spec.alpha)
+    entry = _ode_operator(g, alpha)
     polys = []
     for nu in range(nu_max + 1):
         n = mu + nu
@@ -163,7 +163,7 @@ def solve_eop(spec: ExtensionSpec, report: GReport, nu_max: int, regular: bool) 
         if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
             raise NullSpaceDimension(0)
         polys.append(Poly(C) * Fraction(1, D))
-    return EOPFamily(alpha=spec.alpha, g=g, mu=mu, polys=tuple(polys))
+    return EOPFamily(alpha=alpha, g=g, mu=mu, polys=tuple(polys))
 
 
 def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
@@ -273,8 +273,8 @@ class NumericGrid:
 def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 500) -> NumericGrid:
     """Grid from the wall at x = 0 to past the classical turning point of
     the highest level, where that level has decayed far below round-off."""
-    w = float(potential.base.omega)
-    alpha = float(potential.base.alpha)
+    w = float(potential.spec.omega)
+    alpha = float(potential.spec.alpha)
     e_top = w * (2 * (n_levels - 1) + alpha + 1) + abs(float(potential.shift))
     x_turn = 2.0 * np.sqrt(e_top) / w
     return NumericGrid(float(np.sqrt(x_turn**2 + 120.0 / w)), n_points)

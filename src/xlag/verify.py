@@ -1,18 +1,19 @@
 """Enumeration of the admissible verification lattice and the exact
 invariant checks run on every member: divisibility, degree/leading/
 constant closed forms, the endpoint-sign theorem, nodelessness, the
-origin recurrence, and the direct-Wronskian oracle.
+origin recurrence, and the direct-Wronskian oracle.  check_report is the
+one place these comparisons are made; every CLI subcommand runs it too.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotDivisible, OracleMismatch, SpecInvalid, XlagError
-from .regularity import certify
-from .wronskian import ORACLE_MAX_K, ExtensionSpec, check_origin_recurrence, compute_g, wronskian_direct
+from .regularity import RegularityCertificate, certify
+from .wronskian import ORACLE_MAX_K, ExtensionSpec, GReport, check_origin_recurrence, compute_g, wronskian_direct
 
 CHECK_NAMES = (
     "divisible",
@@ -45,8 +46,9 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, omeg
 @dataclass
 class SpecCheck:
     """Outcome of every exact invariant for one spec; a check is None until
-    it runs, and recurrence and the Wronskian oracle stay None where they
-    do not apply."""
+    it runs, and the checks that do not apply to the spec stay None.  It
+    holds the spec, booleans and failure names, never the GReport or
+    certificate, so run_lattice's workers send back a small pickle."""
 
     spec: ExtensionSpec
     divisible: bool = None
@@ -64,8 +66,42 @@ class SpecCheck:
         return not self.failures
 
 
+def check_report(report: GReport, cert: RegularityCertificate) -> SpecCheck:
+    """Every exact comparison for one computed g and its certificate: the
+    three closed forms, the endpoint-sign theorem and regularity (on
+    admissible specs only, the theorem's hypothesis), the origin recurrence
+    and the direct-Wronskian oracle (where they apply).  Checks that do
+    not apply stay None; each False one is listed in `failures`.
+    """
+    spec = report.spec
+    out = SpecCheck(
+        spec=spec,
+        divisible=True,
+        mu=report.mu_predicted == report.mu_computed,
+        lead=report.lead_predicted == report.lead_computed,
+        const=report.const_predicted == report.const_computed,
+    )
+    if spec.admissible:
+        expected_sign = -1 if report.sigma % 2 else 1
+        out.sign_theorem = cert.sign_at_zero == expected_sign == cert.sign_at_infinity
+        out.regular = cert.regular
+    if spec.k - spec.q >= 2:
+        out.recurrence = check_origin_recurrence(report)
+    if spec.k <= ORACLE_MAX_K:
+        try:
+            wronskian_direct(report)
+            out.wronskian_oracle = True
+        except OracleMismatch:
+            out.wronskian_oracle = False
+    out.failures = [name for name in CHECK_NAMES if getattr(out, name) is False]
+    return out
+
+
 def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> SpecCheck:
-    """Run all exact invariants on one spec, all of them on one computed g.
+    """check_report on one spec's computed g, with any error recorded as
+    the spec's failure instead of raised, so that one bad spec cannot
+    abort run_lattice; the checks it cut short stay None, so summarize
+    does not count them.
 
     `negate_const_sign` injects a deliberate fault into the constant-term
     prediction, used to prove the harness can fail.
@@ -74,34 +110,15 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     try:
         report = compute_g(spec)
         out.divisible = True
-        out.mu = report.mu_predicted == report.mu_computed
-        out.lead = report.lead_predicted == report.lead_computed
-        const_predicted = -report.const_predicted if negate_const_sign else report.const_predicted
-        out.const = const_predicted == report.const_computed
-        cert = certify(report)
-        expected_sign = -1 if report.sigma % 2 else 1
-        out.sign_theorem = (
-            cert.sign_at_zero == expected_sign and cert.sign_at_infinity == expected_sign
-        )
-        out.regular = cert.regular
-        if spec.k - spec.q >= 2:
-            out.recurrence = check_origin_recurrence(report)
-        if spec.k <= ORACLE_MAX_K:
-            try:
-                wronskian_direct(report)
-                out.wronskian_oracle = True
-            except OracleMismatch:
-                out.wronskian_oracle = False
+        if negate_const_sign:
+            report = replace(report, const_predicted=-report.const_predicted)
+        return check_report(report, certify(report))
     except XlagError as exc:
-        # recorded, not raised, so that one bad spec cannot abort run_lattice;
-        # the checks it cut short stay None, so summarize does not count them
         if out.divisible is None and isinstance(exc, NotDivisible):
             out.divisible = False
+            out.failures.append("divisible")
         else:
             out.failures.append(f"{type(exc).__name__}: {exc}")
-    for name in CHECK_NAMES:
-        if getattr(out, name) is False:
-            out.failures.append(name)
     return out
 
 

@@ -112,14 +112,6 @@ class GReport:
     # last type-II seeds, alpha' kept; None when k - q < 2
     sub_constants: tuple = None
 
-    @property
-    def predictions_hold(self) -> bool:
-        return (
-            self.mu_predicted == self.mu_computed
-            and self.lead_predicted == self.lead_computed
-            and self.const_predicted == self.const_computed
-        )
-
 
 def _laguerre_or_zero(n: int, a: Rational, negated: bool) -> Poly:
     # entries with m_j - i + 1 < 0 use the zero-polynomial convention
@@ -236,7 +228,7 @@ def wronskian_direct(report: GReport) -> Poly:
     spec = report.spec
     k, q = spec.k, spec.q
     if k > ORACLE_MAX_K:
-        raise SpecInvalid(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
+        raise Inapplicable(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
     cols = []
     for sd in spec.seed_specs():
         cur = make_seed(sd, spec.alpha_prime)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlag
-from xlag import cli, exactmath, spectral, verify, wronskian
+from xlag import cli, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
 
 
@@ -178,18 +179,49 @@ def test_argv_fuzz_exits_with_a_documented_code(argv):
     assert "Traceback" not in err.getvalue()
 
 
-def test_internal_inconsistency_exits_3(capsys, monkeypatch):
-    from xlag import wronskian
-
+@pytest.mark.parametrize("command", ["extend", "eop", "sample"])
+def test_internal_inconsistency_exits_3(command, capsys, monkeypatch):
+    # every subcommand that computes g runs verify's exact checks on it
     def corrupted(spec):
         report = compute_g_real(spec)
         return replace(report, const_predicted=report.const_predicted + 1)
 
     compute_g_real = wronskian.compute_g
     monkeypatch.setattr(cli, "compute_g", corrupted)
-    code, _, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys)
-    assert code == 3
-    assert "inconsistency" in err
+    code, out, err = run_cli([command, "--alpha", "5/2", "--seeds", "I:1"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal inconsistency: exact check failed (const) for ")
+
+
+@pytest.mark.parametrize(
+    "alpha, seeds, code", [("5/2", "I:1,II:1", 3), ("1/2", "II:2", 0)], ids=["admissible", "inadmissible"]
+)
+def test_a_flipped_endpoint_sign_fails_only_where_the_theorem_applies(alpha, seeds, code, capsys, monkeypatch):
+    # g(0) must have the sign (-1)^sigma of g's leading term only on
+    # admissible specs; at alpha = 1/2, II:2 is the inadmissible counterexample
+    def flipped(report):
+        cert = certify_real(report)
+        return replace(cert, sign_at_zero=-cert.sign_at_zero)
+
+    certify_real = cli.certify
+    monkeypatch.setattr(cli, "certify", flipped)
+    result, out, err = run_cli(["extend", "--alpha", alpha, "--seeds", seeds, "--skip-numeric"], capsys)
+    assert result == code
+    if code == 3:
+        assert out == ""
+        assert err.startswith("internal inconsistency: exact check failed (sign_theorem) for ")
+    else:
+        assert json.loads(out)["certificate"]["regular"] is False
+
+
+def test_check_report_skips_the_sign_theorem_on_an_inadmissible_spec():
+    report = wronskian.compute_g(wronskian.ExtensionSpec(Fraction(1, 2), 1, (), (2,)))
+    cert = regularity.certify(report)
+    assert not report.spec.admissible and not cert.regular
+    check = verify.check_report(report, cert)
+    assert check.passed
+    assert (check.sign_theorem, check.regular) == (None, None)
+    assert (check.mu, check.lead, check.const, check.wronskian_oracle) == (True, True, True, True)
 
 
 def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
@@ -202,11 +234,12 @@ def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_g", perturbed)
     code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "II:1,II:2", "--skip-numeric"], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("internal inconsistency: origin recurrence")
+    assert err.startswith("internal inconsistency: exact check failed (recurrence) for ")
 
 
 def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
-    # one coefficient of g off: the polynomial equation has no solution
+    # one coefficient of g off: the direct-Wronskian oracle catches it
+    # before the polynomial solve, which would find no solution
     def perturbed(spec):
         report = compute_g_real(spec)
         return replace(report, g=report.g + 1)
@@ -215,7 +248,7 @@ def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_g", perturbed)
     code, out, err = run_cli(["eop", "--alpha", "5/2", "--seeds", "I:1"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("internal inconsistency: ")
+    assert err.startswith("internal inconsistency: exact check failed (wronskian_oracle) for ")
 
 
 @pytest.mark.parametrize(
@@ -302,9 +335,10 @@ def test_one_bad_spec_does_not_abort_the_lattice(monkeypatch, capsys):
     assert [r.spec for r in failures] == [bad]
     assert failures[0].failures == ["ZeroPolynomial: planted"]
     # the checks the exception cut short did not run, so they are not counted
-    for name in ("sign_theorem", "regular"):
+    # certify runs before every comparison, so none of them ran on bad
+    for name in ("const", "sign_theorem", "regular"):
         assert summary["counts"][name] == {"checked": 3, "passed": 3}
-    assert summary["counts"]["const"] == {"checked": 4, "passed": 4}
+    assert summary["counts"]["divisible"] == {"checked": 4, "passed": 4}
     code, out, err = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
     assert code == 1
     assert "all invariants hold" not in out
@@ -367,6 +401,17 @@ def test_a_compute_g_error_is_the_specs_failure(module, name, fault, failure, di
     assert code == 1
     assert "all invariants hold" not in out
     assert f"first failing spec: {bad}" in err
+
+
+def test_a_spec_check_carries_no_report_or_certificate():
+    # run_lattice's workers pickle one SpecCheck per spec back to the parent;
+    # g and its Sturm chain riding along would nearly treble that payload
+    check = verify.check_extension(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2)))
+    assert check.passed
+    payload = pickle.dumps(check)
+    for cls in (wronskian.GReport, regularity.RegularityCertificate):
+        assert cls.__name__.encode() not in payload
+    assert pickle.loads(payload) == check
 
 
 def test_verify_does_not_import_scipy():
@@ -447,7 +492,7 @@ class TestSample:
         code, out, _ = run_cli(args + ["--force"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "x,V2"
-        # the family is solved for the uncertified g too, and its warning stays silent
+        # the family is solved for the uncertified g too, with nothing on stderr
         code, out, err = run_cli(args + ["--force", "--wavefunctions", "0"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "x,V2,psi_0"

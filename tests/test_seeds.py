@@ -11,7 +11,6 @@ from xlag.errors import SpecInvalid
 from xlag.exactmath import Poly
 from xlag.regularity import count_roots_open_interval
 from xlag.seeds import (
-    IsotonicParams,
     QuasiPoly,
     SeedKind,
     SeedSpec,
@@ -19,8 +18,8 @@ from xlag.seeds import (
     laguerre,
     make_seed,
 )
-from xlag.spectral import expected_spectrum
-from xlag.wronskian import ExtensionSpec
+from xlag.spectral import build_potential, expected_spectrum
+from xlag.wronskian import ExtensionSpec, compute_g
 
 params = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -100,10 +99,11 @@ def test_isotonic_spectrum():
 
 
 def test_isotonic_params_validation():
+    # l = -1 (alpha = -1/2, alpha' = 1/2) is a valid spec but has no potential
     with pytest.raises(SpecInvalid):
-        IsotonicParams(-1, 1)
+        build_potential(compute_g(ExtensionSpec(F(-1, 2), 1, (), (1,))), True)
     with pytest.raises(SpecInvalid):
-        IsotonicParams(1, 0)
+        ExtensionSpec(F(3, 2), 0, (), ())
 
 
 def test_make_seed_type_i():
@@ -192,7 +192,8 @@ def test_type_ii_seed_has_node_below_bound():
 
 
 def test_isotonic_potential_float():
-    p = IsotonicParams(1, 1)
-    assert p.potential(2.0) == pytest.approx(0.25 * 4 + 2 / 4)
+    # the empty extension at l = 1, omega = 1: omega^2 x^2 / 4 + l(l+1) / x^2
+    p = build_potential(compute_g(ExtensionSpec(F(3, 2), 1, (), ())), True)
+    assert p(2.0) == pytest.approx(0.25 * 4 + 2 / 4)
     xs = np.array([1.0, 2.0])
-    assert p.potential(xs).shape == (2,)
+    assert p(xs).shape == (2,)

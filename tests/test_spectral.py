@@ -46,16 +46,17 @@ def ode_residual(g, alpha, nu, y):
 class TestPotential:
     def test_identity_extension_is_classical(self):
         spec, report, regular = pipeline("3/2")
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         assert pot.shift == 0
         assert pot.rat_num.is_zero
         xs = np.linspace(0.3, 6.0, 50)
-        assert np.allclose(pot(xs), pot.base.potential(xs), rtol=0, atol=1e-14)
+        # omega^2 x^2 / 4 + l(l+1) / x^2 at l = 1, omega = 1
+        assert np.allclose(pot(xs), xs**2 / 4 + 2 / xs**2, rtol=0, atol=1e-14)
 
     def test_k1_rational_part_closed_form(self):
         # g = z + alpha gives V_rat = -2 omega (alpha - z) / (z + alpha)^2
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         a = F(5, 2)
         for z in (F(1, 3), F(2), F(17, 4)):
             expect = F(-2) * (a - z) / (z + a) ** 2
@@ -63,11 +64,10 @@ class TestPotential:
 
     def test_shift_values(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1, 2))  # k=3, q=1
-        assert build_potential(spec, report, regular).shift == spec.omega
+        assert build_potential(report, regular).shift == spec.omega
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        assert build_potential(spec, report, regular).shift == -spec.omega
+        assert build_potential(report, regular).shift == -spec.omega
 
-    @pytest.mark.filterwarnings("ignore:potential built from a g not certified")
     @pytest.mark.parametrize(
         "specs",
         [EOP_SPECS, [("5/2", (6, 8, 10, 12), (7, 9, 11, 13))]],  # the nodal rung: deg g = 80
@@ -77,7 +77,7 @@ class TestPotential:
         # -2 omega [g'g + 2z(g''g - g'^2)] / g^2 over plain Fraction lists
         for alpha, m_i, m_ii in specs:
             spec, report, regular = pipeline(alpha, m_i, m_ii)
-            pot = build_potential(spec, report, regular)
+            pot = build_potential(report, regular)
             g = list(report.g.coeffs)
             gd = ref_diff(g)
             inner = ref_shift_up(ref_sub(ref_mul(ref_diff(gd), g), ref_mul(gd, gd)), 1)
@@ -87,32 +87,31 @@ class TestPotential:
 
     def test_irregular_potential_flagged(self):
         spec, report, regular = pipeline("1/2", m_ii=(2,))
-        with pytest.warns(UserWarning):
-            pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         assert not pot.certified_regular
 
 
 class TestEOP:
     def test_classical_limit_is_laguerre(self):
         spec, report, regular = pipeline("3/2")
-        family = solve_eop(spec, report, 6, regular)
+        family = solve_eop(report, 6)
         for nu in range(7):
             assert family[nu] == laguerre(nu, F(3, 2)).monic()
 
     def test_k1_first_polynomial_hand_solved(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        family = solve_eop(spec, report, 0, regular)
+        family = solve_eop(report, 0)
         assert family[0] == Poly((F(7, 2), 1))  # z + alpha + 1
 
     def test_degrees(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 2, regular)
+        family = solve_eop(report, 2)
         assert family.mu == 3
         assert [family[nu].degree for nu in range(3)] == [3, 4, 5]
 
     def test_ode_residual_exactly_zero(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 3, regular)
+        family = solve_eop(report, 3)
         for nu in range(4):
             assert ode_residual(report.g, spec.alpha, nu, family[nu]).is_zero
 
@@ -130,7 +129,6 @@ class TestEOP:
             basis = eop_nullspace(report.g, spec.alpha, nu, report.mu_computed + nu)
             assert len(basis) == 1
 
-    @pytest.mark.filterwarnings("ignore:solving the polynomial family")
     @pytest.mark.parametrize(
         "specs, nu_max",
         [
@@ -143,7 +141,7 @@ class TestEOP:
     def test_backsubstitution_equals_the_nullspace_oracle(self, specs, nu_max):
         for alpha, m_i, m_ii in specs:
             spec, report, regular = pipeline(alpha, m_i, m_ii)
-            family = solve_eop(spec, report, nu_max, regular)
+            family = solve_eop(report, nu_max)
             for nu in range(nu_max + 1):
                 basis = eop_nullspace(report.g, spec.alpha, nu, report.mu_computed + nu)
                 assert len(basis) == 1, (spec, nu)
@@ -154,13 +152,13 @@ class TestEOP:
         bad = replace(report, g=report.g + 1)
         assert eop_nullspace(bad.g, spec.alpha, 0, bad.mu_computed) == []
         with pytest.raises(NullSpaceDimension):
-            solve_eop(spec, bad, 0, regular)
+            solve_eop(bad, 0)
 
 
 class TestWavefunction:
     def test_boundary_decay(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 0, regular)
+        family = solve_eop(report, 0)
         psi = wavefunction(spec, family, 0)
         assert abs(psi(1e-4)) < 1e-6
         assert abs(psi(14.0)) < 1e-12
@@ -168,7 +166,7 @@ class TestWavefunction:
 
     def test_nodal_counts(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(spec, report, 3, regular)
+        family = solve_eop(report, 3)
         xs = np.linspace(0.02, 12.0, 6000)
         for nu in range(4):
             vals = wavefunction(spec, family, nu)(xs)
@@ -232,27 +230,27 @@ def pairwise_offdiag(family, i, j):
 class TestOrthogonality:
     def test_single_level_has_no_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        assert orthogonality_check(solve_eop(spec, report, 0, regular)) is None
+        assert orthogonality_check(solve_eop(report, 0)) is None
 
     def test_classical_off_diagonal(self):
         spec, report, regular = pipeline("3/2")
-        assert orthogonality_check(solve_eop(spec, report, 5, regular)) < 1e-12
+        assert orthogonality_check(solve_eop(report, 5)) < 1e-12
 
     def test_extended_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        assert orthogonality_check(solve_eop(spec, report, 5, regular)) < 1e-8
+        assert orthogonality_check(solve_eop(report, 5)) < 1e-8
 
     def test_large_alpha_off_diagonal(self):
         # the weight z^alpha e^-z peaks near z = alpha; a cutoff set by the
         # degrees alone truncated it here and read 0.04
         spec, report, regular = pipeline("121/2", m_i=(1,))
-        assert orthogonality_check(solve_eop(spec, report, 3, regular)) < 1e-8
+        assert orthogonality_check(solve_eop(report, 3)) < 1e-8
 
     def test_large_alpha_detects_a_non_orthogonal_pair(self):
         # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
         # norm product to inf and read exactly 0.0 for this pair
         spec, report, regular = pipeline("201/2", m_i=(1,))
-        family = solve_eop(spec, report, 1, regular)
+        family = solve_eop(report, 1)
         mixed = replace(family, polys=(family[0], family[0] + family[1]))
         worst = orthogonality_check(mixed)
         assert worst > 1e-3
@@ -272,7 +270,7 @@ class TestOrthogonality:
         for alpha, m_i, m_ii in specs:
             spec, report, regular = pipeline(alpha, m_i, m_ii)
             assert regular, spec
-            family = solve_eop(spec, report, nu_max, regular)
+            family = solve_eop(report, nu_max)
             pairs = [(i, j) for i in range(nu_max + 1) for j in range(i + 1, nu_max + 1)]
             oracle = max(pairwise_offdiag(family, i, j) for i, j in pairs)
             assert abs(orthogonality_check(family) - oracle) < 1e-13, spec
@@ -283,7 +281,7 @@ class TestOrthogonality:
         monkeypatch.setattr(spectral, "_gauss_legendre", lambda n: gauss_legendre(6 if n == 200 else n))
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         with pytest.raises(QuadratureNonconvergence, match="moved from"):
-            orthogonality_check(solve_eop(spec, report, 5, regular))
+            orthogonality_check(solve_eop(report, 5))
 
 
 def ref_fd_levels(potential, n_levels, n_points=2000):
@@ -293,8 +291,8 @@ def ref_fd_levels(potential, n_levels, n_points=2000):
     the grid and move with the step; returns the refined grid's levels."""
     from scipy.linalg import eigvalsh_tridiagonal
 
-    w = float(potential.base.omega)
-    e_top = w * (2 * (n_levels - 1) + float(potential.base.alpha) + 1) + abs(float(potential.shift))
+    w = float(potential.spec.omega)
+    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.shift))
     x_max = np.sqrt((2.0 * np.sqrt(e_top) / w) ** 2 + 120.0 / w)
     x = np.linspace(0.01 / np.sqrt(w), x_max, 2 * n_points - 1)
     h = x[1] - x[0]
@@ -316,14 +314,14 @@ def spectrum_dev(spec, potential, n_levels=4):
 class TestSpectrum:
     def test_classical_control(self):
         spec, report, regular = pipeline("3/2")  # l = 1, omega = 1
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         levels = numeric_spectrum(pot, 3, auto_grid(pot, 3))
         for lv, e in zip(levels, [2.5, 4.5, 6.5]):  # omega*(2 nu + alpha + 1)
             assert abs(lv - e) / e < 1e-6
 
     def test_shifted_spectrum(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         expected = [float(e) for e in expected_spectrum(spec, 4)]
         for lv, e in zip(levels, expected):
@@ -333,30 +331,30 @@ class TestSpectrum:
 
     def test_non_unit_omega(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             assert abs(lv - float(e)) / abs(float(e)) < 1e-6
-        family = solve_eop(spec, report, 2, regular)
+        family = solve_eop(report, 2)
         assert orthogonality_check(family) < 1e-8
 
     def test_large_alpha(self):
         # l = 150: the centrifugal term reads ~1e7 at the first grid point
         spec, report, regular = pipeline("301/2", m_i=(1,))
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         assert pot(auto_grid(pot, 4).values[0]) > 1e6
         assert spectrum_dev(spec, pot) < 1e-6
 
     def test_ten_levels(self):
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
-        assert spectrum_dev(spec, build_potential(spec, report, regular), 10) < 1e-6
+        assert spectrum_dev(spec, build_potential(report, regular), 10) < 1e-6
 
     @pytest.mark.parametrize(
         "alpha, m_i, m_ii", [s for s in SPECTRUM_SPECS if F(s[0]) >= F(3, 2)] + RUNG_SPECS
     )
     def test_levels_match_the_moving_wall_oracle(self, alpha, m_i, m_ii):
         spec, report, regular = pipeline(alpha, m_i, m_ii)
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         levels = np.array(numeric_spectrum(pot, 4, auto_grid(pot, 4)))
         oracle = ref_fd_levels(pot, 4)
         expected = np.array([float(e) for e in expected_spectrum(spec, 4)])
@@ -366,13 +364,13 @@ class TestSpectrum:
     def test_a_scaled_rational_part_breaches_the_bound(self):
         # a 0.1% fault reads 8.8e-6; a bound of 1e-3 would let a ~1% fault through
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         assert spectrum_dev(spec, pot) < 1e-6
         assert spectrum_dev(spec, replace(pot, rat_num=pot.rat_num * F(1001, 1000))) > 1e-6
 
     def test_grid_too_coarse(self):
         spec, report, regular = pipeline("3/2")
-        pot = build_potential(spec, report, regular)
+        pot = build_potential(report, regular)
         with pytest.raises(GridTooCoarse):  # the ground level moves 1.9e-3
             numeric_spectrum(pot, 2, NumericGrid(3.0, 16))
 

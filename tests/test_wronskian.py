@@ -28,6 +28,13 @@ def spec(alpha, m_i=(), m_ii=(), omega=1):
     return ExtensionSpec(F(alpha), omega, tuple(m_i), tuple(m_ii))
 
 
+def predictions_hold(rep):
+    """Degree, leading coefficient and g(0) all equal their closed forms."""
+    return (rep.mu_predicted, rep.lead_predicted, rep.const_predicted) == (
+        rep.mu_computed, rep.lead_computed, rep.const_computed
+    )
+
+
 class TestSpecValidation:
     def test_duplicates_within_type_rejected(self):
         with pytest.raises(SpecInvalid):
@@ -106,7 +113,7 @@ class TestComputeG:
         rep = compute_g(spec("5/2", m_i=(1,)))
         assert rep.g == Poly((F(5, 2), 1))
         assert (rep.mu_computed, rep.lead_computed, rep.const_computed) == (1, 1, F(5, 2))
-        assert rep.predictions_hold
+        assert predictions_hold(rep)
 
     def test_k1_type_ii(self):
         a = F(5, 2)
@@ -115,7 +122,7 @@ class TestComputeG:
         assert (rep.mu_computed, rep.sigma) == (1, 1)
         assert rep.lead_computed == -1
         assert rep.const_computed == -a
-        assert rep.predictions_hold
+        assert predictions_hold(rep)
 
     def test_k2_mixed_frozen(self):
         # hand-expanded 2x2 determinant at alpha = 5/2:
@@ -126,13 +133,13 @@ class TestComputeG:
         assert rep.g == Poly((F(105, 8), F(63, 4), F(15, 2), 1))
         assert (rep.mu_computed, rep.sigma, rep.lead_computed) == (3, 2, 1)
         assert rep.const_computed == F(105, 8)
-        assert rep.predictions_hold
+        assert predictions_hold(rep)
 
     def test_counterexample_polynomial(self):
         rep = compute_g(spec("1/2", m_ii=(2,)))
         assert rep.g == Poly((F(-1, 8), F(-1, 2), F(1, 2)))
         assert not rep.admissible
-        assert rep.predictions_hold  # closed forms hold regardless of admissibility
+        assert predictions_hold(rep)  # closed forms hold regardless of admissibility
 
     def test_identity_extension(self):
         rep = compute_g(spec("3/2"))
@@ -197,7 +204,8 @@ class TestWronskianOracle:
             wronskian_direct(replace(report, g=report.g + Poly.one()))
 
     def test_cost_guard(self):
-        with pytest.raises(SpecInvalid):
+        # a valid spec the oracle does not run on, as the recurrence's guard
+        with pytest.raises(Inapplicable):
             wronskian_direct(compute_g(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6))))
 
 
@@ -372,7 +380,7 @@ def test_random_specs_outside_lattice():
         except SpecInvalid:
             continue
         rep = compute_g(s)
-        assert rep.predictions_hold, s
+        assert predictions_hold(rep), s
         oracle(rep)  # raises OracleMismatch on disagreement
         ok += 1
 
