@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -222,7 +223,12 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Bad argv raises SpecInvalid, so it leaves main through EXIT_CODES
-    as one error line instead of a usage block and SystemExit."""
+    as one error line instead of a usage block and SystemExit.  A negative
+    rational such as -1/2 reads as a value, as -0.5 does, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$")
 
     def error(self, message):
         raise SpecInvalid(f"{self.prog}: {message}")

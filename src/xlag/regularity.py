@@ -92,7 +92,7 @@ def certify(report: GReport) -> RegularityCertificate:
         sign_at_zero=sign_zero,
         sign_at_infinity=sign_inf,
         regular=regular,
-        admissible=report.admissible,
+        admissible=report.spec.admissible,
         sturm_sequence_length=len(chain),
         signs_match=sign_zero != 0 and sign_zero == sign_inf,
         repeated_root_defect=defect,

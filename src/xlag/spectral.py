@@ -5,7 +5,8 @@ the numeric verification layer (quadrature orthogonality and a
 finite-difference eigensolve).
 
 The polynomial layer stays exact; floats appear only in evaluation,
-integration, and the eigensolver.
+integration, and the eigensolver.  Only those float functions import numpy
+and scipy, on first use, so `import xlag` and the exact layer load neither.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import (
     GridTooCoarse,
@@ -42,6 +41,7 @@ class ExtendedPotential:
 
     def __call__(self, x):
         """Float evaluation at x > 0 (scalar or array)."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         w = float(self.spec.omega)
         cf = float(self.spec.l * (self.spec.l + 1))
@@ -174,6 +174,7 @@ def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
     w = float(spec.omega)
 
     def psi(x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         z = 0.5 * w * x * x
         val = gauge.eval_float(z) * _polyval(y, z) / _polyval(g, z)
@@ -182,28 +183,26 @@ def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
     return psi
 
 
-def _legendre(n: int, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1, |x| < 1)."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
 @lru_cache(maxsize=8)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1]: eigenvalues of the
-    tridiagonal Jacobi matrix, one Newton step on P_n, weights
-    2 / ((1 - x^2) P_n'(x)^2), then symmetrised about 0.  (numpy's leggauss
-    takes a dense eigensolve, whose multi-threaded BLAS start-up can cost
-    far more than the quadrature itself.)"""
-    # scipy is imported on first use, so that `import xlag` and verify skip it
+    tridiagonal Jacobi matrix, then one three-term recurrence pass for P_n
+    and P_n' there.  That gives the Newton step d = P_n / P_n' and, through
+    Legendre's equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n, P_n' - d P_n''
+    at the polished node x - d, for the weights 2 / ((1 - x^2) P_n'^2); both
+    are symmetrised about 0.  (numpy's leggauss takes a dense eigensolve,
+    whose multi-threaded BLAS start-up can cost far more than the quadrature.)"""
+    import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
     k = np.arange(1.0, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
-    p, dp = _legendre(n, x)
-    x = x - p / dp
-    _, dp = _legendre(n, x)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), lapack_driver="sterf")
+    p0, p = 1.0, x
+    for j in range(1, n):
+        p0, p = p, ((2 * j + 1) * x * p - j * p0) / (j + 1)
+    dp = n * (x * p - p0) / (x * x - 1.0)
+    d = p / dp
+    dp = dp - d * (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
+    x = x - d
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
@@ -224,6 +223,7 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     """
     if len(family) < 2:
         return None
+    import numpy as np
     d = sum(sorted(y.degree for y in family.polys)[-2:])
     a = float(family.alpha)
     p = max(a + d - 2 * family.mu, 0.0)
@@ -262,7 +262,8 @@ class NumericGrid:
             raise ValueError("grid too small")
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self):
+        import numpy as np
         return np.linspace(0.0, self.x_max, self.n_points + 2)[1:-1]
 
     def refined(self) -> "NumericGrid":
@@ -276,11 +277,12 @@ def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 500) 
     w = float(potential.spec.omega)
     alpha = float(potential.spec.alpha)
     e_top = w * (2 * (n_levels - 1) + alpha + 1) + abs(float(potential.shift))
-    x_turn = 2.0 * np.sqrt(e_top) / w
-    return NumericGrid(float(np.sqrt(x_turn**2 + 120.0 / w)), n_points)
+    x_turn = 2.0 * math.sqrt(e_top) / w
+    return NumericGrid(math.sqrt(x_turn * x_turn + 120.0 / w), n_points)
 
 
 def _fd_levels(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
+    import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
     x = grid.values
     h = x[0]  # the wall sits one step below, at x = 0

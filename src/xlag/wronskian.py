@@ -80,7 +80,7 @@ class ExtensionSpec:
     def all_m(self) -> tuple:
         return self.m_type_i + self.m_type_ii
 
-    @property
+    @cached_property
     def admissible(self) -> bool:
         """alpha' above every type-II index: all seeds (and, by the
         structure theory, the Wronskian) are then nodeless on (0, inf)."""
@@ -107,7 +107,6 @@ class GReport:
     lead_computed: Rational
     const_predicted: Rational
     const_computed: Rational
-    admissible: bool
     # g(0) of the sub-extensions dropping the last, the next-to-last and both
     # last type-II seeds, alpha' kept; None when k - q < 2
     sub_constants: tuple = None
@@ -211,7 +210,6 @@ def compute_g(spec: ExtensionSpec) -> GReport:
         lead_computed=g.leading,
         const_predicted=predict_const(spec),
         const_computed=g.constant,
-        admissible=spec.admissible,
         sub_constants=sub_constants,
     )
 

@@ -126,6 +126,22 @@ def test_bad_input_exits_2(args, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "flag, rest",
+    [
+        ("--alpha", ["eop", "--seeds", "II:1", "--nu-max", "1"]),
+        ("--l", ["eop", "--seeds", "II:1", "--nu-max", "1"]),
+        ("--omega", ["extend", "--alpha", "5/2", "--seeds", "I:1", "--skip-numeric"]),
+    ],
+)
+def test_a_negative_rational_reads_as_a_value(flag, rest, capsys):
+    # "--alpha -1/2" is the value -1/2, as "--alpha=-1/2" and "--alpha -0.5" are
+    spaced = run_cli(rest + [flag, "-1/2"], capsys)
+    joined = run_cli(rest + [f"{flag}=-1/2"], capsys)
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["extend", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xlag extend")
@@ -222,6 +238,17 @@ def test_check_report_skips_the_sign_theorem_on_an_inadmissible_spec():
     assert check.passed
     assert (check.sign_theorem, check.regular) == (None, None)
     assert (check.mu, check.lead, check.const, check.wronskian_oracle) == (True, True, True, True)
+
+
+def test_a_report_moved_onto_an_inadmissible_spec_takes_its_admissibility():
+    # the flag lives on the spec alone, so the certificate and check_report
+    # read the same one
+    report = wronskian.compute_g(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1,)))
+    moved = replace(report, spec=wronskian.ExtensionSpec(Fraction(1, 2), 1, (), (2,)))
+    cert = regularity.certify(moved)
+    check = verify.check_report(moved, cert)
+    assert cert.admissible is False
+    assert (check.sign_theorem, check.regular) == (None, None)
 
 
 def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
@@ -415,20 +442,28 @@ def test_a_spec_check_carries_no_report_or_certificate():
 
 
 def test_verify_does_not_import_scipy():
-    # scipy serves only the numeric layer: extend imports it on first use
+    # numpy and scipy serve only the numeric layer: import xlag, verify and
+    # eop load neither, and extend imports both on first use
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "import xlag\n"
         "from xlag import cli, verify\n"
+        "loaded = lambda: print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        "loaded()\n"
         "assert verify.check_extension(next(verify.enumerate_lattice())).passed\n"
-        "print('scipy' in sys.modules)\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--max-k', '2', '--max-m', '2', '--alpha-grid', '1']) == 0\n"
+        "assert cli.main(['eop', '--alpha', '5/2', '--seeds', 'I:1', '--nu-max', '1', '--out', sys.argv[1]]) == 0\n"
+        "loaded()\n"
         "cli.main(['extend', '--alpha', '5/2', '--seeds', 'I:1', '--nu-max', '1', '--out', sys.argv[1]])\n"
-        "print('scipy' in sys.modules)\n"
+        "loaded()\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False"] * 6 + ["True"] * 2
 
 
 def test_out_file(tmp_path, capsys):

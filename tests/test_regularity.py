@@ -136,11 +136,12 @@ def test_certify_identity_extension():
 
 
 def _report(g):
-    # a GReport around an arbitrary g, for certify only
+    # a GReport around an arbitrary g, for certify only; the spec only
+    # supplies the admissibility flag (inadmissible: alpha' = 3/2 < 2)
     return GReport(
-        spec=None, g=g, mu_predicted=g.degree, mu_computed=g.degree, sigma=0,
-        lead_predicted=g.leading, lead_computed=g.leading, const_predicted=g.constant,
-        const_computed=g.constant, admissible=False,
+        spec=ExtensionSpec(F(1, 2), 1, (), (2,)), g=g, mu_predicted=g.degree, mu_computed=g.degree,
+        sigma=0, lead_predicted=g.leading, lead_computed=g.leading, const_predicted=g.constant,
+        const_computed=g.constant,
     )
 
 

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -175,6 +177,36 @@ class TestWavefunction:
             assert changes == nu
 
 
+def ref_gauss_legendre(n):
+    """Nodes in [0, 1), largest first, and their weights, by Newton on P_n in
+    40-digit decimal from the asymptotic guesses cos(pi (i - 1/4) / (n + 1/2));
+    odd n adds the node 0.  By symmetry the rest are their negatives."""
+
+    def legendre(x):  # P_n(x), P_n'(x)
+        p0, p1 = Decimal(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i in range(1, n // 2 + 1):
+            x, step = Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5))), 1
+            while abs(step) > Decimal("1e-36"):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+            _, dp = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        assert all(1 > a > b for a, b in zip(nodes, nodes[1:] + [0])), "a root found twice"
+        if n % 2:
+            nodes.append(Decimal(0))
+            weights.append(2 / legendre(Decimal(0))[1] ** 2)
+    return nodes, weights
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [1, 5, 200, 301])
     def test_exact_on_even_powers(self, n):
@@ -189,6 +221,14 @@ class TestGaussLegendre:
         x_ref, w_ref = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(x - x_ref)) < 1e-14
         assert np.max(np.abs(w / w_ref - 1)) < 1e-9
+
+    @pytest.mark.parametrize("n", [5, 64, 200, 301])
+    def test_agrees_with_a_40_digit_reference(self, n):
+        x, w = _gauss_legendre(n)
+        nodes, weights = ref_gauss_legendre(n)
+        x, w = x[::-1][: (n + 1) // 2], w[::-1][: (n + 1) // 2]  # x >= 0, largest first
+        assert max(abs(a - float(b)) for a, b in zip(x, nodes)) <= 1e-15
+        assert max(abs(Decimal(a) / b - 1) for a, b in zip(w, weights)) <= Decimal("2.1e-12")
 
 
 def pairwise_inner_product(family, i, j, nodes):

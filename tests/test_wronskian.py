@@ -138,7 +138,7 @@ class TestComputeG:
     def test_counterexample_polynomial(self):
         rep = compute_g(spec("1/2", m_ii=(2,)))
         assert rep.g == Poly((F(-1, 8), F(-1, 2), F(1, 2)))
-        assert not rep.admissible
+        assert not rep.spec.admissible
         assert predictions_hold(rep)  # closed forms hold regardless of admissibility
 
     def test_identity_extension(self):
