@@ -106,12 +106,13 @@ def _add_spec_flags(p):
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecInvalid(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def exact_stage(spec: ExtensionSpec):

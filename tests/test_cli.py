@@ -279,6 +279,21 @@ def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "alpha, seeds, nu_max",
+    [("3/2", "", 16), ("29/2", "I:2,I:4,I:6,II:3,II:5,II:7", 20)],
+    ids=["classical", "mu30"],
+)
+def test_extend_passes_its_numeric_checks_at_a_high_nu_max(alpha, seeds, nu_max, capsys):
+    # high levels: from nu = 17 on, float Horner loses the classical y_nu to
+    # cancellation and the check exits 1
+    code, out, err = run_cli(
+        ["extend", "--alpha", alpha, "--seeds", seeds, "--nu-max", str(nu_max)], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["numeric"]["orthogonality_max_offdiag"] < 1e-10
+
+
+@pytest.mark.parametrize(
     "check, error",
     [("numeric_spectrum", GridTooCoarse), ("orthogonality_check", QuadratureNonconvergence)],
 )
@@ -475,6 +490,25 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["spec"]["alpha"] == "5/2"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "1"],
+        ["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "1"],
+        ["sample", "--alpha", "5/2", "--seeds", "I:1", "--points", "16"],
+    ],
+    ids=["extend", "eop", "sample"],
+)
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_an_unwritable_out_path_exits_2(args, where, tmp_path, capsys):
+    # an OSError from --out is bad input, not a verification failure (exit 1)
+    path = tmp_path / "missing" / "x.out" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(args + ["--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_eop_subcommand(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from xlag.regularity import certify
 from xlag.seeds import _polyval, laguerre
 from xlag.spectral import (
     NumericGrid,
-    _gauss_legendre,
+    _clenshaw_curtis,
     auto_grid,
     build_potential,
     eop_nullspace,
@@ -177,6 +178,29 @@ class TestWavefunction:
             assert changes == nu
 
 
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], the rule orthogonality_check
+    used before Clenshaw-Curtis, kept as the pairwise oracle's rule: eigenvalues
+    of the tridiagonal Jacobi matrix, then one three-term recurrence pass for
+    P_n and P_n' there.  That gives the Newton step d = P_n / P_n' and, through
+    Legendre's equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n, P_n' - d P_n''
+    at the polished node x - d, for the weights 2 / ((1 - x^2) P_n'^2); both
+    are symmetrised about 0."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), lapack_driver="sterf")
+    p0, p = 1.0, x
+    for j in range(1, n):
+        p0, p = p, ((2 * j + 1) * x * p - j * p0) / (j + 1)
+    dp = n * (x * p - p0) / (x * x - 1.0)
+    d = p / dp
+    dp = dp - d * (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
+    x = x - d
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 def ref_gauss_legendre(n):
     """Nodes in [0, 1), largest first, and their weights, by Newton on P_n in
     40-digit decimal from the asymptotic guesses cos(pi (i - 1/4) / (n + 1/2));
@@ -231,15 +255,36 @@ class TestGaussLegendre:
         assert max(abs(Decimal(a) / b - 1) for a, b in zip(w, weights)) <= Decimal("2.1e-12")
 
 
-def pairwise_inner_product(family, i, j, nodes):
-    # integral of y_i y_j z^alpha e^-z / g^2 over (0, inf) by mapped
-    # Gauss-Legendre with z = u^2, the cutoff set by this pair's degrees
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [2, 8, 200, 400])
+    def test_exact_on_every_power_up_to_n(self, n):
+        # n + 1 nodes and exactness on x^0 .. x^n fix the weights uniquely
+        x, w = _clenshaw_curtis(n)
+        for m in range(n + 1):
+            assert abs(np.dot(w, x**m) - (2 / (m + 1) if m % 2 == 0 else 0)) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 8, 200, 400])
+    def test_weights_positive_symmetric_and_summing_to_2(self, n):
+        x, w = _clenshaw_curtis(n)
+        assert len(x) == len(w) == n + 1
+        assert np.all(w > 0)
+        assert np.array_equal(w, w[::-1]) and np.array_equal(x, -x[::-1])
+        assert abs(w.sum() - 2) < 1e-14
+
+    def test_coarse_nodes_are_every_other_fine_node(self):
+        assert np.array_equal(_clenshaw_curtis(200)[0], _clenshaw_curtis(400)[0][::2])
+
+
+def pairwise_inner_product(family, i, j, rule):
+    # integral of y_i y_j z^alpha e^-z / g^2 over (0, inf) by the mapped
+    # Gauss-Legendre rule (x, wts) with z = u^2, the cutoff set by this
+    # pair's degrees
     deg_i, deg_j = family.polys[i].degree, family.polys[j].degree
     a = float(family.alpha)
     p = max(a + deg_i + deg_j - 2 * family.mu, 0.0)
     zmax = max(60.0 + 4.0 * (deg_i + deg_j + 2), p + 40.0 + 9.0 * np.sqrt(p))
     umax = np.sqrt(zmax)
-    x, wts = _gauss_legendre(nodes)
+    x, wts = rule
     u = 0.5 * umax * (x + 1.0)
     wts = 0.5 * umax * wts
     z = u * u
@@ -254,14 +299,21 @@ def pairwise_inner_product(family, i, j, nodes):
     return float(np.dot(wts, val))
 
 
-def pairwise_offdiag(family, i, j):
+@pytest.fixture(scope="module")
+def gauss_rules():
+    """The 200- and 301-node Gauss-Legendre rules of the pairwise oracle."""
+    return [_gauss_legendre(n) for n in (200, 301)]
+
+
+def pairwise_offdiag(family, i, j, rules):
     """The pairwise route orthogonality_check replaced, kept as its oracle:
-    |<i,j>| / sqrt(<i,i><j,j>), three integrals per node count."""
+    |<i,j>| / sqrt(<i,i><j,j>), three integrals per Gauss-Legendre rule, a
+    different rule from the check's Clenshaw-Curtis pair."""
     vals = []
-    for nodes in (200, 301):
-        nii = pairwise_inner_product(family, i, i, nodes)
-        njj = pairwise_inner_product(family, j, j, nodes)
-        nij = pairwise_inner_product(family, i, j, nodes)
+    for rule in rules:
+        nii = pairwise_inner_product(family, i, i, rule)
+        njj = pairwise_inner_product(family, j, j, rule)
+        nij = pairwise_inner_product(family, i, j, rule)
         vals.append(abs(nij) / (np.sqrt(nii) * np.sqrt(njj)))
     assert abs(vals[0] - vals[1]) <= 1e-10
     return vals[1]
@@ -280,13 +332,22 @@ class TestOrthogonality:
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         assert orthogonality_check(solve_eop(report, 5)) < 1e-8
 
+    @pytest.mark.parametrize("alpha, m_i, m_ii", [("1/2", (), ()), ("1/2", (), (1, 2)), ("2/3", (), ())])
+    def test_small_alpha_passes_without_a_warning(self, alpha, m_i, m_ii):
+        # l = 0 and the endpoint-singular z^(2/3): the u = 0 node gets weight 0
+        # and no log(0) is taken
+        spec, report, regular = pipeline(alpha, m_i, m_ii)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orthogonality_check(solve_eop(report, 5)) < 1e-13
+
     def test_large_alpha_off_diagonal(self):
         # the weight z^alpha e^-z peaks near z = alpha; a cutoff set by the
         # degrees alone truncated it here and read 0.04
         spec, report, regular = pipeline("121/2", m_i=(1,))
         assert orthogonality_check(solve_eop(report, 3)) < 1e-8
 
-    def test_large_alpha_detects_a_non_orthogonal_pair(self):
+    def test_large_alpha_detects_a_non_orthogonal_pair(self, gauss_rules):
         # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
         # norm product to inf and read exactly 0.0 for this pair
         spec, report, regular = pipeline("201/2", m_i=(1,))
@@ -294,7 +355,7 @@ class TestOrthogonality:
         mixed = replace(family, polys=(family[0], family[0] + family[1]))
         worst = orthogonality_check(mixed)
         assert worst > 1e-3
-        assert abs(worst - pairwise_offdiag(mixed, 0, 1)) < 1e-13
+        assert abs(worst - pairwise_offdiag(mixed, 0, 1, gauss_rules)) < 1e-13
 
     @pytest.mark.parametrize(
         "specs, nu_max",
@@ -306,19 +367,29 @@ class TestOrthogonality:
         ],
         ids=["eop_suite", "large_alpha", "mu30"],
     )
-    def test_gram_matrix_equals_the_pairwise_oracle(self, specs, nu_max):
+    def test_gram_matrix_equals_the_pairwise_oracle(self, specs, nu_max, gauss_rules):
         for alpha, m_i, m_ii in specs:
             spec, report, regular = pipeline(alpha, m_i, m_ii)
             assert regular, spec
             family = solve_eop(report, nu_max)
             pairs = [(i, j) for i in range(nu_max + 1) for j in range(i + 1, nu_max + 1)]
-            oracle = max(pairwise_offdiag(family, i, j) for i, j in pairs)
+            oracle = max(pairwise_offdiag(family, i, j, gauss_rules) for i, j in pairs)
             assert abs(orthogonality_check(family) - oracle) < 1e-13, spec
 
     def test_node_counts_that_disagree_raise(self, monkeypatch):
-        # the 200-node rule replaced by a 6-node one cannot integrate y_5^2
-        gauss_legendre = spectral._gauss_legendre
-        monkeypatch.setattr(spectral, "_gauss_legendre", lambda n: gauss_legendre(6 if n == 200 else n))
+        # the n = 200 weights replaced by the n = 8 rule on every 25th node, a
+        # low-order rule on the same nodes, cannot integrate y_5^2.  (Trapezoid
+        # weights on these nodes are the trapezoid rule in theta scaled by
+        # sin(pi/n)/(pi/n), which the normalization cancels: they pass.)
+        def low_order(n):
+            x, w = clenshaw_curtis(n)
+            if n == 200:
+                w = np.zeros_like(x)
+                w[::25] = clenshaw_curtis(8)[1]
+            return x, w
+
+        clenshaw_curtis = spectral._clenshaw_curtis
+        monkeypatch.setattr(spectral, "_clenshaw_curtis", low_order)
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         with pytest.raises(QuadratureNonconvergence, match="moved from"):
             orthogonality_check(solve_eop(report, 5))
