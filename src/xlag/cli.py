@@ -1,7 +1,9 @@
 """Command-line front end: extend | verify | sample | eop.
 
-extend, eop and sample first run the exact stage: compute_g, certify and
-verify.check_report, the checks xlag verify runs on every lattice spec.
+extend, eop and sample build what they report through one function,
+`extension`: compute_g, certify and verify.check_report (the checks xlag
+verify runs on every lattice spec), then the potential and the family
+wherever they exist.  Each subcommand only renders what it returns.
 
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 verification failure, 2 bad input, 3 internal
@@ -15,6 +17,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -29,7 +32,6 @@ from .errors import (
 from .regularity import certify
 from .report import SCHEMA_VERSION, build_document, eop_section, rat, spec_section
 from .spectral import (
-    auto_grid,
     build_potential,
     expected_spectrum,
     numeric_spectrum,
@@ -37,7 +39,7 @@ from .spectral import (
     solve_eop,
     wavefunction,
 )
-from .verify import CHECK_NAMES, check_report, run_lattice, summarize, worker_cap
+from .verify import CHECK_NAMES, check_report, run_lattice, summarize
 from .wronskian import ExtensionSpec, compute_g
 
 # exception -> (exit code, stderr prefix); the first matching row wins
@@ -81,9 +83,15 @@ def parse_seeds(text: str):
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
 
 
-def _check_nonnegative(flag: str, value: int):
+def _nonnegative_int(text: str) -> int:
+    """argparse type for an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise SpecInvalid(f"{flag} must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def spec_from_args(args) -> ExtensionSpec:
@@ -115,57 +123,49 @@ def _emit(text: str, out):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def exact_stage(spec: ExtensionSpec):
-    """compute_g -> certify -> verify.check_report; OracleMismatch if any
-    exact check fails.  Returns the report, its certificate and the check."""
+# what `extension` builds for one spec, in build_document's argument order;
+# potential and family are None where they do not exist
+Extension = namedtuple("Extension", "report cert check potential family")
+
+
+def extension(spec: ExtensionSpec, nu_max: int | None, force: bool = False) -> Extension:
+    """compute_g -> certify -> verify.check_report, OracleMismatch if any
+    exact check fails; then the potential where l >= 0 and, given nu_max,
+    the family of levels 0..nu_max where g is certified regular (anywhere
+    with `force`, as sample --force asks)."""
     report = compute_g(spec)
     cert = certify(report)
     check = check_report(report, cert)
     if not check.passed:
         raise OracleMismatch(f"exact check failed ({', '.join(check.failures)}) for {spec}")
-    return report, cert, check
-
-
-def run_pipeline(spec: ExtensionSpec, nu_max: int, with_numeric: bool = True) -> dict:
-    """Exact stage -> potential -> polynomial family -> numeric checks,
-    collected into one report document."""
-    report, cert, check = exact_stage(spec)
-    potential = family = numeric = None
-    if spec.l >= 0:
-        potential = build_potential(report, cert.regular)
-    if cert.regular and potential is not None:
-        family = solve_eop(report, nu_max)
-        numeric = {}
-        if with_numeric:
-            numeric["orthogonality_max_offdiag"] = orthogonality_check(family)
-            n_levels = min(nu_max, 3) + 1
-            levels = numeric_spectrum(potential, n_levels, auto_grid(potential, n_levels))
-            expected = expected_spectrum(spec, n_levels)
-            numeric["spectrum_computed"] = levels
-            numeric["spectrum_expected"] = [rat(e) for e in expected]
-            numeric["spectrum_max_rel_dev"] = max(
-                abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected)
-            )
-    return build_document(report, cert, check, potential=potential, family=family, numeric=numeric)
+    potential = build_potential(report, cert.regular) if spec.l >= 0 else None
+    family = solve_eop(report, nu_max) if nu_max is not None and (cert.regular or force) else None
+    return Extension(report, cert, check, potential, family)
 
 
 def cmd_extend(args) -> int:
-    spec = spec_from_args(args)
-    _check_nonnegative("--nu-max", args.nu_max)
-    doc = run_pipeline(spec, nu_max=args.nu_max, with_numeric=not args.skip_numeric)
-    _emit(json.dumps(doc, indent=2), args.out)
+    ext = extension(spec_from_args(args), args.nu_max)
+    numeric = None
+    if ext.potential is not None and ext.family is not None:
+        numeric = {}
+        if not args.skip_numeric:
+            numeric["orthogonality_max_offdiag"] = orthogonality_check(ext.family)
+            n_levels = min(args.nu_max, 3) + 1
+            levels = numeric_spectrum(ext.potential, n_levels)
+            expected = expected_spectrum(ext.report.spec, n_levels)
+            numeric["spectrum_computed"] = levels
+            numeric["spectrum_expected"] = [rat(e) for e in expected]
+            numeric["spectrum_max_rel_dev"] = max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected))
+    _emit(json.dumps(build_document(*ext, numeric=numeric), indent=2), args.out)
     return 0
 
 
 def cmd_eop(args) -> int:
-    spec = spec_from_args(args)
-    _check_nonnegative("--nu-max", args.nu_max)
-    report, cert, _ = exact_stage(spec)
-    if not cert.regular:
+    ext = extension(spec_from_args(args), args.nu_max)
+    if ext.family is None:
         print("spec is not regular; no orthogonal polynomial family exists", file=sys.stderr)
         return 2
-    family = solve_eop(report, args.nu_max)
-    doc = {"schema": SCHEMA_VERSION, "spec": spec_section(spec), "eop": eop_section(family)}
+    doc = {"schema": SCHEMA_VERSION, "spec": spec_section(ext.report.spec), "eop": eop_section(ext.family)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -174,27 +174,18 @@ def cmd_sample(args) -> int:
     spec = spec_from_args(args)
     if not 0 < args.x_min < args.x_max < math.inf:
         raise SpecInvalid(f"need 0 < --x-min < --x-max, got {args.x_min} and {args.x_max}")
-    _check_nonnegative("--points", args.points)
-    try:
-        nus = [int(t) for t in filter(None, (s.strip() for s in args.wavefunctions.split(",")))]
-    except ValueError as exc:
-        raise SpecInvalid(f"--wavefunctions must list integers, got {args.wavefunctions!r}") from exc
-    for nu in nus:
-        _check_nonnegative("--wavefunctions", nu)
-    report, cert, _ = exact_stage(spec)
-    if not cert.regular and not args.force:
+    if spec.l < 0:
+        raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
+    nus = args.wavefunctions
+    ext = extension(spec, max(nus, default=None), force=args.force)
+    if not ext.cert.regular and not args.force:
         print("spec is not regular; pass --force to sample anyway", file=sys.stderr)
         return 2
     import numpy as np
 
-    potential = build_potential(report, cert.regular)
-    psis = []
-    if nus:
-        family = solve_eop(report, max(nus))
-        psis = [(nu, wavefunction(spec, family, nu)) for nu in nus]
+    psis = [(nu, wavefunction(spec, ext.family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    v2 = potential(xs)
-    cols = [v2] + [psi(xs) for _, psi in psis]
+    cols = [ext.potential(xs)] + [psi(xs) for _, psi in psis]
     lines = [",".join(["x", "V2"] + [f"psi_{nu}" for nu, _ in psis])]
     for i, x in enumerate(xs):
         lines.append(",".join(f"{val:.17g}" for val in [x] + [c[i] for c in cols]))
@@ -203,7 +194,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = worker_cap(None) if args.parallel else 1
+    workers = None if args.parallel else 1  # run_lattice applies XLAG_THREADS
     results = run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid, workers=workers)
     summary = summarize(results)
     if not summary["total"]:
@@ -245,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="build one extension and report everything about it")
     _add_spec_flags(p)
-    p.add_argument("--nu-max", type=int, default=3, help="levels of the polynomial family (default 3)")
+    p.add_argument("--nu-max", type=_nonnegative_int, default=3, help="levels of the polynomial family (default 3)")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
     p.set_defaults(func=cmd_extend)
@@ -261,15 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--x-min", type=float, default=0.05)
     p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--wavefunctions", default="", help='comma list of nu values, e.g. "0,1,2"')
+    p.add_argument("--points", type=_nonnegative_int, default=1000)
+    p.add_argument("--wavefunctions", type=lambda text: [_nonnegative_int(t) for t in text.split(",") if t.strip()],
+                   default="", help='comma list of nu values, e.g. "0,1,2"')
     p.add_argument("--force", action="store_true", help="sample even when not regular")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eop", help="polynomial family coefficients only")
     _add_spec_flags(p)
-    p.add_argument("--nu-max", type=int, default=3)
+    p.add_argument("--nu-max", type=_nonnegative_int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eop)
 

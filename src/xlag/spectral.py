@@ -213,10 +213,12 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     every other node is the n = 200 rule, for the coarse G.  The integrand
     of a pair decays like z^p e^-z with p = alpha + nu_i + nu_j, which peaks
     at z = p, so the one cutoff, set by the two highest degrees, sits far
-    enough past every pair's p for any alpha; the weight is taken in log
-    space, where z^alpha cannot overflow, and is 0 at u = 0, where z^alpha u
-    vanishes for alpha > -1/2.  The two rules must agree to 1e-10 entrywise
-    or QuadratureNonconvergence is raised.
+    enough past every pair's p for any alpha.  The weight is taken in log
+    space and divided by its largest value over the nodes, which the
+    normalization cancels, so z^alpha cannot overflow it at large alpha; it
+    is 0 at u = 0, where z^alpha u vanishes for alpha > -1/2.  The two rules
+    must agree to 1e-10 entrywise and both Gram matrices must be finite, or
+    QuadratureNonconvergence is raised.
     """
     if len(family) < 2:
         return None
@@ -230,11 +232,14 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     z = u * u
     f = np.zeros_like(u)
     pos = u > 0
-    f[pos] = umax * u[pos] * np.exp(a * np.log(z[pos]) - z[pos]) / _polyval(family.g, z[pos]) ** 2
+    log_w = a * np.log(z[pos]) - z[pos]
+    f[pos] = umax * u[pos] * np.exp(log_w - log_w.max()) / _polyval(family.g, z[pos]) ** 2
     Y = np.array([_polyval(y, z) for y in family.polys])
     norm = []
     for step, wts in ((2, _clenshaw_curtis(200)[1]), (1, fine)):
         G = (Y[:, ::step] * (wts * f[::step])) @ Y[:, ::step].T
+        if not np.isfinite(G).all():
+            raise QuadratureNonconvergence(f"the Gram matrix on {len(wts)} nodes has a non-finite entry")
         s = np.sqrt(np.diag(G))
         norm.append(np.abs(G) / np.outer(s, s))
     moved = np.abs(norm[1] - norm[0])
@@ -246,59 +251,30 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     return float(norm[1][np.triu_indices(len(family), 1)].max())
 
 
-@dataclass(frozen=True)
-class NumericGrid:
-    """Interior abscissae x_i = i h, h = x_max / (n_points + 1), of the
-    finite-difference eigensolve; its Dirichlet walls sit at 0 and x_max."""
-
-    x_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not 0 < self.x_max < math.inf:
-            raise ValueError("need 0 < x_max < inf")
-        if self.n_points < 16:
-            raise ValueError("grid too small")
-
-    @property
-    def values(self):
-        import numpy as np
-        return np.linspace(0.0, self.x_max, self.n_points + 2)[1:-1]
-
-    def refined(self) -> "NumericGrid":
-        """The same walls at half the step: every point of self stays."""
-        return NumericGrid(self.x_max, 2 * self.n_points + 1)
-
-
-def auto_grid(potential: ExtendedPotential, n_levels: int, n_points: int = 500) -> NumericGrid:
-    """Grid from the wall at x = 0 to past the classical turning point of
-    the highest level, where that level has decayed far below round-off."""
-    w = float(potential.spec.omega)
-    alpha = float(potential.spec.alpha)
-    e_top = w * (2 * (n_levels - 1) + alpha + 1) + abs(float(potential.shift))
-    x_turn = 2.0 * math.sqrt(e_top) / w
-    return NumericGrid(math.sqrt(x_turn * x_turn + 120.0 / w), n_points)
-
-
-def _fd_levels(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
+def _fd_levels(potential: ExtendedPotential, n_levels: int, x):
     import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
-    x = grid.values
     h = x[0]  # the wall sits one step below, at x = 0
     diag = 2.0 / h**2 + potential(x)
     off = np.full(len(x) - 1, -1.0 / h**2)
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
 
 
-def numeric_spectrum(potential: ExtendedPotential, n_levels: int, grid: NumericGrid):
-    """Lowest n_levels eigenvalues of -d^2/dx^2 + V(x), Dirichlet walls at 0
-    and grid.x_max: second-order differences on the grid and on its
-    refinement (the step exactly halved), Richardson-extrapolated to
+def numeric_spectrum(potential: ExtendedPotential, n_levels: int):
+    """Lowest n_levels eigenvalues of -d^2/dx^2 + V(x) between Dirichlet
+    walls at 0 and x_max, past the classical turning point of the highest
+    level, where that level has decayed far below round-off: second-order
+    differences on 500 interior points and on 1,001 (the step exactly
+    halved, every coarse point kept), Richardson-extrapolated to
     (4 fine - coarse) / 3, which cancels the h^2 error.  GridTooCoarse if
     the ground level moves by more than 1e-3 relative under the halving.
     """
-    coarse = _fd_levels(potential, n_levels, grid)
-    fine = _fd_levels(potential, n_levels, grid.refined())
+    import numpy as np
+    w = float(potential.spec.omega)
+    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.shift))
+    x_turn = 2.0 * math.sqrt(e_top) / w
+    x_max = math.sqrt(x_turn * x_turn + 120.0 / w)
+    coarse, fine = (_fd_levels(potential, n_levels, np.linspace(0.0, x_max, n + 2)[1:-1]) for n in (500, 1001))
     if abs(fine[0] - coarse[0]) > 1e-3 * abs(fine[0]):
         raise GridTooCoarse(f"ground level moved {coarse[0]} -> {fine[0]} under step halving")
     return [float(e) for e in (4.0 * fine - coarse) / 3.0]

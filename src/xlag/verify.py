@@ -27,11 +27,10 @@ CHECK_NAMES = (
 )
 
 
-def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, omega=1):
+def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7):
     """All admissible specs with k <= max_k, index values <= max_m, and
     alpha' running over half-integer steps above the admissibility bound
-    (above 1 when there are no type-II seeds)."""
-    omega = Fraction(omega)
+    (above 1 when there are no type-II seeds), at omega = 1."""
     for k in range(1, max_k + 1):
         for q in range(k + 1):
             for m_i in combinations(range(1, max_m + 1), q):
@@ -40,7 +39,7 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, omeg
                     for j in range(1, alpha_steps + 1):
                         ap = base + Fraction(j, 2)
                         alpha = ap - k + 2 * q
-                        yield ExtensionSpec(alpha, omega, m_i, m_ii)
+                        yield ExtensionSpec(alpha, 1, m_i, m_ii)
 
 
 @dataclass

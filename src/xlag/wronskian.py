@@ -20,7 +20,7 @@ ORACLE_MAX_K = 5
 
 def _check_indices(ms, label):
     for m in ms:
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise SpecInvalid(f"{label} indices must be positive integers, got {ms}")
     if any(a >= b for a, b in zip(ms, ms[1:])):
         raise SpecInvalid(f"{label} indices must be strictly increasing, got {ms}")
@@ -28,8 +28,8 @@ def _check_indices(ms, label):
 
 @dataclass(frozen=True)
 class ExtensionSpec:
-    """One multi-step extension: final alpha, omega, and the ordered
-    type-I / type-II seed index lists.
+    """One multi-step extension: final alpha and omega (ints or Fractions,
+    never floats) and the ordered type-I / type-II seed index lists.
 
     Duplicate indices are allowed across the two types but not within one;
     a repeated index within a type makes two Wronskian columns equal.  The
@@ -42,8 +42,11 @@ class ExtensionSpec:
     m_type_ii: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "omega", Fraction(self.omega))
+        for name in ("alpha", "omega"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise SpecInvalid(f"{name} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         object.__setattr__(self, "m_type_i", tuple(self.m_type_i))
         object.__setattr__(self, "m_type_ii", tuple(self.m_type_ii))
         if self.omega <= 0:

@@ -11,7 +11,6 @@ from xlag.exactmath import Poly
 from xlag.regularity import certify, count_roots_open_interval
 from xlag.seeds import laguerre
 from xlag.spectral import (
-    auto_grid,
     build_potential,
     expected_spectrum,
     numeric_spectrum,
@@ -132,7 +131,7 @@ def test_criterion_7_numeric_spectrum():
         spec = _spec(alpha, m_i, m_ii)
         report = compute_g(spec)
         pot = build_potential(report, certify(report).regular)
-        levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))  # includes halving check
+        levels = numeric_spectrum(pot, 4)  # includes halving check
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             dev = abs(lv - float(e)) / abs(float(e))
             worst = max(worst, dev)

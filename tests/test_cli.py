@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,11 @@ from hypothesis import strategies as st
 import xlag
 from xlag import cli, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
+
+
+# child interpreters import xlag from where this process imported it
+SRC = str(Path(xlag.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(args, capsys):
@@ -293,6 +299,62 @@ def test_extend_passes_its_numeric_checks_at_a_high_nu_max(alpha, seeds, nu_max,
     assert json.loads(out)["numeric"]["orthogonality_max_offdiag"] < 1e-10
 
 
+@pytest.mark.xfail(strict=True, reason="float Horner loses y_nu to cancellation: ROADMAP item 4")
+@pytest.mark.parametrize(
+    "alpha, seeds, nu_max",
+    [("3/2", "", 20), ("7/2", "I:1,II:1,II:2", 20), ("121/2", "I:1", 9)],
+    ids=["classical", "mu5", "large_alpha"],
+)
+def test_a_correct_family_passes_its_orthogonality_check(alpha, seeds, nu_max, capsys):
+    # each exits 1 with "numeric check failed" on an exact, orthogonal family
+    code, out, err = run_cli(["extend", "--alpha", alpha, "--seeds", seeds, "--nu-max", str(nu_max)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["numeric"]["orthogonality_max_offdiag"] < 1e-8
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_weight_past_the_float_range_gives_a_finite_off_diagonal(capsys):
+    # unscaled, z^alpha e^-z overflowed at alpha = 341/2 and extend wrote
+    # "orthogonality_max_offdiag": NaN with exit code 0
+    code, out, err = run_cli(["extend", "--alpha", "341/2", "--seeds", "I:1", "--nu-max", "3"], capsys)
+    assert code == 0, err
+    assert _strict_json(out)["numeric"]["orthogonality_max_offdiag"] < 1e-8
+
+
+def test_a_non_finite_gram_matrix_exits_1(capsys, monkeypatch):
+    def poisoned(n):
+        x, w = clenshaw_curtis(n)
+        w[n // 2] = np.nan
+        return x, w
+
+    clenshaw_curtis = spectral._clenshaw_curtis
+    monkeypatch.setattr(spectral, "_clenshaw_curtis", poisoned)
+    code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("numeric check failed: the Gram matrix on ") and err.endswith("has a non-finite entry\n")
+
+
+def test_extend_writes_the_family_of_a_regular_spec_with_negative_l(capsys):
+    # l = -1/4: no potential and no numeric checks, but g is regular, so the
+    # family exists, and it is the one eop returns
+    args = ["--alpha", "1/4", "--seeds", "II:1", "--nu-max", "1"]
+    code, out, err = run_cli(["extend"] + args, capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["certificate"]["regular"] is True
+    assert "potential" not in doc and doc["numeric"] is None
+    code, out, err = run_cli(["eop"] + args, capsys)
+    assert code == 0, err
+    assert doc["eop"] == json.loads(out)["eop"]
+    assert doc["eop"]["levels"][1]["coefficients"] == ["-9/16", "0", "1"]
+
+
 @pytest.mark.parametrize(
     "check, error",
     [("numeric_spectrum", GridTooCoarse), ("orthogonality_check", QuadratureNonconvergence)],
@@ -475,7 +537,7 @@ def test_verify_does_not_import_scipy():
         "loaded()\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, timeout=120, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * 6 + ["True"] * 2
@@ -612,7 +674,7 @@ def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "xlag.cli", "extend", "--alpha", "5/2",
          "--seeds", "I:1", "--skip-numeric"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["regular"] is True

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_exactmath import ref, ref_diff, ref_divmod, ref_eval, ref_monic
 from xlag.errors import BoundaryRoot, ZeroPolynomial
 from xlag.exactmath import Poly
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
@@ -164,34 +165,35 @@ def test_certify_strips_vanishing_constant_term():
 #
 # The reference reduces g's core to its square-free part by a gcd, runs
 # Sturm on that with Horner evaluation and takes the defect from a second
-# gcd.  It uses Fraction Euclid through Poly.divmod, so it shares no code
-# with the integer pseudo-remainder kernel behind certify.
+# gcd.  It runs Fraction Euclid on plain coefficient lists through
+# test_exactmath's ref_* helpers, so it shares no code with Poly or the
+# integer pseudo-remainder kernel behind certify.
 
 
 def _euclid_gcd(a, b):
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
 
 
 def _reference_certificate(g):
     """(distinct roots on (0, inf), deg gcd(g, g')) by the square-free route."""
-    order = next(i for i, c in enumerate(g.coeffs) if c)
-    core = Poly(g.coeffs[order:])
-    sf = core.divmod(_euclid_gcd(core, core.diff()))[0]
+    coeffs = ref(g.coeffs)
+    core = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+    sf = ref_divmod(core, _euclid_gcd(core, ref_diff(core)))[0]
     chain = [sf]
-    if sf.degree:
-        chain.append(sf.diff())
-        while chain[-1].degree:
-            chain.append(-chain[-2].divmod(chain[-1])[1])
+    if len(sf) > 1:
+        chain.append(ref_diff(sf))
+        while len(chain[-1]) > 1:
+            chain.append([-c for c in ref_divmod(chain[-2], chain[-1])[1]])
     # every root lies below the Cauchy bound, so (0, bound) is (0, inf)
-    bound = 1 + max(abs(c / sf.leading) for c in sf.coeffs)
+    bound = 1 + max(abs(c / sf[-1]) for c in sf)
 
     def variations(point):
-        values = [v for v in (p.eval(point) for p in chain) if v]
+        values = [v for v in (ref_eval(p, point) for p in chain) if v]
         return sum(1 for x, y in zip(values, values[1:]) if (x > 0) != (y > 0))
 
-    return variations(0) - variations(bound), _euclid_gcd(g, g.diff()).degree
+    return variations(0) - variations(bound), len(_euclid_gcd(coeffs, ref_diff(coeffs))) - 1
 
 
 def _inadmissible_probes(max_k, max_m):

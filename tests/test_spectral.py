@@ -16,9 +16,7 @@ from xlag.exactmath import Poly
 from xlag.regularity import certify
 from xlag.seeds import _polyval, laguerre
 from xlag.spectral import (
-    NumericGrid,
     _clenshaw_curtis,
-    auto_grid,
     build_potential,
     eop_nullspace,
     expected_spectrum,
@@ -347,6 +345,25 @@ class TestOrthogonality:
         spec, report, regular = pipeline("121/2", m_i=(1,))
         assert orthogonality_check(solve_eop(report, 3)) < 1e-8
 
+    @pytest.mark.parametrize("alpha", ["341/2", "1001/2"])
+    def test_a_weight_past_the_float_range_is_scaled_into_it(self, alpha):
+        # unscaled, z^alpha e^-z overflowed here and the Gram matrices filled
+        # with NaN, which passed the 1e-10 agreement test
+        spec, report, regular = pipeline(alpha, m_i=(1,))
+        assert orthogonality_check(solve_eop(report, 3)) < 1e-8
+
+    def test_a_non_finite_gram_matrix_raises(self, monkeypatch):
+        def poisoned(n):
+            x, w = clenshaw_curtis(n)
+            w[n // 2] = np.inf
+            return x, w
+
+        clenshaw_curtis = spectral._clenshaw_curtis
+        monkeypatch.setattr(spectral, "_clenshaw_curtis", poisoned)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        with pytest.raises(QuadratureNonconvergence, match="non-finite"):
+            orthogonality_check(solve_eop(report, 3))
+
     def test_large_alpha_detects_a_non_orthogonal_pair(self, gauss_rules):
         # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
         # norm product to inf and read exactly 0.0 for this pair
@@ -418,22 +435,36 @@ RUNG_SPECS = [(a, (1,), (1, 2)) for a in ("9/2", "11/2", "13/2")] + [
 
 
 def spectrum_dev(spec, potential, n_levels=4):
-    levels = numeric_spectrum(potential, n_levels, auto_grid(potential, n_levels))
+    levels = numeric_spectrum(potential, n_levels)
     return max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected_spectrum(spec, n_levels)))
+
+
+@pytest.fixture
+def fd_grids(monkeypatch):
+    """The abscissae of each finite-difference solve, in call order."""
+    grids = []
+    fd_levels = spectral._fd_levels
+
+    def recorded(potential, n_levels, x):
+        grids.append(x)
+        return fd_levels(potential, n_levels, x)
+
+    monkeypatch.setattr(spectral, "_fd_levels", recorded)
+    return grids
 
 
 class TestSpectrum:
     def test_classical_control(self):
         spec, report, regular = pipeline("3/2")  # l = 1, omega = 1
         pot = build_potential(report, regular)
-        levels = numeric_spectrum(pot, 3, auto_grid(pot, 3))
+        levels = numeric_spectrum(pot, 3)
         for lv, e in zip(levels, [2.5, 4.5, 6.5]):  # omega*(2 nu + alpha + 1)
             assert abs(lv - e) / e < 1e-6
 
     def test_shifted_spectrum(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
         pot = build_potential(report, regular)
-        levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
+        levels = numeric_spectrum(pot, 4)
         expected = [float(e) for e in expected_spectrum(spec, 4)]
         for lv, e in zip(levels, expected):
             assert abs(lv - e) / e < 1e-6
@@ -443,18 +474,18 @@ class TestSpectrum:
     def test_non_unit_omega(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
         pot = build_potential(report, regular)
-        levels = numeric_spectrum(pot, 4, auto_grid(pot, 4))
+        levels = numeric_spectrum(pot, 4)
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             assert abs(lv - float(e)) / abs(float(e)) < 1e-6
         family = solve_eop(report, 2)
         assert orthogonality_check(family) < 1e-8
 
-    def test_large_alpha(self):
+    def test_large_alpha(self, fd_grids):
         # l = 150: the centrifugal term reads ~1e7 at the first grid point
         spec, report, regular = pipeline("301/2", m_i=(1,))
         pot = build_potential(report, regular)
-        assert pot(auto_grid(pot, 4).values[0]) > 1e6
         assert spectrum_dev(spec, pot) < 1e-6
+        assert pot(fd_grids[0][0]) > 1e6
 
     def test_ten_levels(self):
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
@@ -466,7 +497,7 @@ class TestSpectrum:
     def test_levels_match_the_moving_wall_oracle(self, alpha, m_i, m_ii):
         spec, report, regular = pipeline(alpha, m_i, m_ii)
         pot = build_potential(report, regular)
-        levels = np.array(numeric_spectrum(pot, 4, auto_grid(pot, 4)))
+        levels = np.array(numeric_spectrum(pot, 4))
         oracle = ref_fd_levels(pot, 4)
         expected = np.array([float(e) for e in expected_spectrum(spec, 4)])
         assert np.all(np.abs(levels - oracle) < 1e-5 * oracle)
@@ -480,23 +511,27 @@ class TestSpectrum:
         assert spectrum_dev(spec, replace(pot, rat_num=pot.rat_num * F(1001, 1000))) > 1e-6
 
     def test_grid_too_coarse(self):
+        # a well at z = 1 narrower than the step: -(1/100) / ((z - 1)^2 + 10^-4)
         spec, report, regular = pipeline("3/2")
-        pot = build_potential(report, regular)
-        with pytest.raises(GridTooCoarse):  # the ground level moves 1.9e-3
-            numeric_spectrum(pot, 2, NumericGrid(3.0, 16))
+        pot = replace(
+            build_potential(report, regular), rat_num=Poly((F(-1, 100),)), rat_den=Poly((F(10001, 10000), -2, 1))
+        )
+        with pytest.raises(GridTooCoarse):  # the ground level moves 1.20 -> 0.92
+            numeric_spectrum(pot, 2)
 
-    def test_grid_validation(self):
-        for x_max, n_points in ((-1.0, 100), (0.0, 100), (np.inf, 100), (5.0, 15)):
-            with pytest.raises(ValueError):
-                NumericGrid(x_max, n_points)
-
-    @pytest.mark.parametrize("x_max, n_points", [(3.0, 16), (np.pi, 17), (21.3, 500), (7.0, 1001)])
-    def test_refinement_halves_the_step_between_fixed_walls(self, x_max, n_points):
-        coarse = NumericGrid(x_max, n_points)
-        fine = coarse.refined()
-        assert fine.n_points == 2 * n_points + 1 and fine.x_max == x_max
-        h = coarse.values[0]
-        assert np.allclose(np.diff(coarse.values), h, rtol=1e-12, atol=0)
-        assert abs(x_max - coarse.values[-1] - h) < 1e-12 * x_max  # walls at 0 and x_max
-        assert fine.values[0] == h / 2
-        assert np.array_equal(fine.values[1::2], coarse.values)  # every coarse point stays
+    @pytest.mark.parametrize(
+        "alpha, m_i, m_ii, omega",
+        [("3/2", (), (), 1), ("1/2", (), (1,), 1), ("5/2", (1,), (1,), F(3, 2)), ("301/2", (1,), (), 1)],
+        ids=["classical", "l_0", "omega_3_2", "large_alpha"],
+    )
+    def test_refinement_halves_the_step_between_fixed_walls(self, alpha, m_i, m_ii, omega, fd_grids):
+        spec, report, regular = pipeline(alpha, m_i, m_ii, omega)
+        numeric_spectrum(build_potential(report, regular), 4)
+        coarse, fine = fd_grids
+        assert (len(coarse), len(fine)) == (500, 2 * 500 + 1)
+        h = coarse[0]
+        assert np.allclose(np.diff(coarse), h, rtol=1e-12, atol=0)
+        assert np.allclose(np.diff(fine), h / 2, rtol=1e-12, atol=0)
+        assert fine[0] == h / 2  # the wall at 0 stays
+        assert abs(coarse[-1] + h - (fine[-1] + h / 2)) < 1e-12 * coarse[-1]  # so does the one at x_max
+        assert np.array_equal(fine[1::2], coarse)  # every coarse point stays

@@ -57,6 +57,21 @@ class TestSpecValidation:
         with pytest.raises(SpecInvalid):
             spec("-5/2", m_ii=(1, 2))
 
+    @pytest.mark.parametrize(
+        "alpha, omega",
+        [(2.1, 1), (float("inf"), 1), (float("nan"), 1), (F(5, 2), 1.5), (True, 1), (F(5, 2), True)],
+        ids=["float", "inf", "nan", "float_omega", "bool", "bool_omega"],
+    )
+    def test_alpha_and_omega_must_be_exact(self, alpha, omega):
+        # Fraction(2.1) is 4728779608739021/2251799813685248, not 21/10
+        with pytest.raises(SpecInvalid, match="must be an int or a Fraction"):
+            ExtensionSpec(alpha, omega, (1,), ())
+
+    @pytest.mark.parametrize("m_i, m_ii", [((True,), ()), ((), (True,)), ((1.0,), ())])
+    def test_an_index_must_be_an_int(self, m_i, m_ii):
+        with pytest.raises(SpecInvalid, match="indices must be positive integers"):
+            ExtensionSpec(F(5, 2), 1, m_i, m_ii)
+
     def test_duplicates_across_types_allowed(self):
         s = spec("5/2", m_i=(1,), m_ii=(1,))
         assert s.k == 2 and s.q == 1
