@@ -2,8 +2,8 @@
 
 extend, eop and sample build what they report through one function,
 `extension`: compute_g, certify and verify.check_report (the checks xlag
-verify runs on every lattice spec), then the potential and the family
-wherever they exist.  Each subcommand only renders what it returns.
+verify runs on every lattice spec), then the family wherever it exists.
+extend and sample add the potential, which only they render.
 
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 verification failure, 2 bad input, 3 internal
@@ -124,39 +124,40 @@ def _emit(text: str, out):
 
 
 # what `extension` builds for one spec, in build_document's argument order;
-# potential and family are None where they do not exist
-Extension = namedtuple("Extension", "report cert check potential family")
+# family is None where it does not exist
+Extension = namedtuple("Extension", "report cert check family")
 
 
 def extension(spec: ExtensionSpec, nu_max: int | None, force: bool = False) -> Extension:
     """compute_g -> certify -> verify.check_report, OracleMismatch if any
-    exact check fails; then the potential where l >= 0 and, given nu_max,
-    the family of levels 0..nu_max where g is certified regular (anywhere
-    with `force`, as sample --force asks)."""
+    exact check fails; then, given nu_max, the family of levels 0..nu_max
+    where g is certified regular (anywhere with `force`, as sample --force
+    asks)."""
     report = compute_g(spec)
     cert = certify(report)
     check = check_report(report, cert)
     if not check.passed:
         raise OracleMismatch(f"exact check failed ({', '.join(check.failures)}) for {spec}")
-    potential = build_potential(report, cert.regular) if spec.l >= 0 else None
     family = solve_eop(report, nu_max) if nu_max is not None and (cert.regular or force) else None
-    return Extension(report, cert, check, potential, family)
+    return Extension(report, cert, check, family)
 
 
 def cmd_extend(args) -> int:
-    ext = extension(spec_from_args(args), args.nu_max)
+    spec = spec_from_args(args)
+    ext = extension(spec, args.nu_max)
+    potential = build_potential(ext.report) if spec.l >= 0 else None
     numeric = None
-    if ext.potential is not None and ext.family is not None:
+    if potential is not None and ext.family is not None:
         numeric = {}
         if not args.skip_numeric:
             numeric["orthogonality_max_offdiag"] = orthogonality_check(ext.family)
             n_levels = min(args.nu_max, 3) + 1
-            levels = numeric_spectrum(ext.potential, n_levels)
-            expected = expected_spectrum(ext.report.spec, n_levels)
+            levels = numeric_spectrum(potential, n_levels)
+            expected = expected_spectrum(spec, n_levels)
             numeric["spectrum_computed"] = levels
             numeric["spectrum_expected"] = [rat(e) for e in expected]
             numeric["spectrum_max_rel_dev"] = max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected))
-    _emit(json.dumps(build_document(*ext, numeric=numeric), indent=2), args.out)
+    _emit(json.dumps(build_document(*ext, potential=potential, numeric=numeric), indent=2), args.out)
     return 0
 
 
@@ -185,7 +186,7 @@ def cmd_sample(args) -> int:
 
     psis = [(nu, wavefunction(spec, ext.family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    cols = [ext.potential(xs)] + [psi(xs) for _, psi in psis]
+    cols = [build_potential(ext.report)(xs)] + [psi(xs) for _, psi in psis]
     lines = [",".join(["x", "V2"] + [f"psi_{nu}" for nu, _ in psis])]
     for i, x in enumerate(xs):
         lines.append(",".join(f"{val:.17g}" for val in [x] + [c[i] for c in cols]))

@@ -204,16 +204,6 @@ class Poly:
             raise NotDivisible(f"polynomial not divisible by z^{e}")
         return _poly(list(self.num[e:]), self.den)
 
-    def divmod(self, other: "Poly"):
-        """Euclidean division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise ZeroPolynomial("division by zero polynomial")
-        # pseudo-division: lead^steps num = quot other.num + rem, over the ints
-        scale = other.num[-1] ** max(len(self.num) - len(other.num) + 1, 0)
-        quot, rem = _int_divmod([c * scale for c in self.num], other.num)
-        den = scale * self.den
-        return _poly([c * other.den for c in quot], den), _poly(rem, den)
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no monic form")

@@ -63,7 +63,6 @@ class RegularityCertificate:
     sign_at_zero: int
     sign_at_infinity: int
     regular: bool
-    admissible: bool
     sturm_sequence_length: int
     signs_match: bool
     repeated_root_defect: int
@@ -92,7 +91,6 @@ def certify(report: GReport) -> RegularityCertificate:
         sign_at_zero=sign_zero,
         sign_at_infinity=sign_inf,
         regular=regular,
-        admissible=report.spec.admissible,
         sturm_sequence_length=len(chain),
         signs_match=sign_zero != 0 and sign_zero == sign_inf,
         repeated_root_defect=defect,

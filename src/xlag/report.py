@@ -41,21 +41,22 @@ def spec_section(spec: ExtensionSpec) -> dict:
 
 
 def g_section(report: GReport, check: SpecCheck) -> dict:
+    g = report.g
     return {
-        "coefficients": poly_coeffs(report.g),
-        "degree": report.mu_computed,
+        "coefficients": poly_coeffs(g),
+        "degree": g.degree,
         "sigma": report.sigma,
         "divisible": True,
-        "mu": {"predicted": report.mu_predicted, "computed": report.mu_computed},
-        "leading": {"predicted": rat(report.lead_predicted), "computed": rat(report.lead_computed)},
-        "constant": {"predicted": rat(report.const_predicted), "computed": rat(report.const_computed)},
+        "mu": {"predicted": report.mu_predicted, "computed": g.degree},
+        "leading": {"predicted": rat(report.lead_predicted), "computed": rat(g.leading)},
+        "constant": {"predicted": rat(report.const_predicted), "computed": rat(g.constant)},
         "predictions_hold": check.mu and check.lead and check.const,
     }
 
 
 def eop_section(family) -> dict:
     return {
-        "mu": family.mu,
+        "mu": family.g.degree,
         "levels": [
             {"nu": nu, "degree": family[nu].degree, "coefficients": poly_coeffs(family[nu])}
             for nu in range(len(family))
@@ -67,17 +68,17 @@ def build_document(
     report: GReport,
     cert: RegularityCertificate,
     check: SpecCheck,
-    potential=None,
     family=None,
+    potential=None,
     numeric=None,
 ) -> dict:
     """The extend report; `check` is verify.check_report's verdict on
-    report and cert."""
+    report and cert.  Each value is read from the object that owns it."""
     doc = {
         "schema": SCHEMA_VERSION,
         "spec": spec_section(report.spec),
         "g": g_section(report, check),
-        "certificate": asdict(cert),
+        "certificate": {**asdict(cert), "admissible": report.spec.admissible},
         "origin_recurrence": check.recurrence,
     }
     if potential is not None:
@@ -85,7 +86,7 @@ def build_document(
             "shift": rat(potential.shift),
             "rational_numerator": poly_coeffs(potential.rat_num),
             "rational_denominator": poly_coeffs(potential.rat_den),
-            "certified_regular": potential.certified_regular,
+            "certified_regular": cert.regular,
         }
     if family is not None:
         doc["eop"] = eop_section(family)

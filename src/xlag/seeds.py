@@ -44,16 +44,6 @@ class SeedKind(Enum):
 
 
 @dataclass(frozen=True)
-class SeedSpec:
-    kind: SeedKind
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise SpecInvalid(f"seed index must be a positive integer, got {self.m}")
-
-
-@dataclass(frozen=True)
 class QuasiPoly:
     """A value z^zpower * e^(expsign*z/2) * poly(z), exact and closed
     under d/dz."""
@@ -96,7 +86,7 @@ def _polyval(p: Poly, z):
     return acc
 
 
-def make_seed(spec: SeedSpec, alpha_prime: Rational) -> QuasiPoly:
+def make_seed(kind: SeedKind, m: int, alpha_prime: Rational) -> QuasiPoly:
     """Seed function for the starting potential with parameter alpha_prime.
 
     Type I comes from the omega -> -omega symmetry and lies below the
@@ -106,8 +96,7 @@ def make_seed(spec: SeedSpec, alpha_prime: Rational) -> QuasiPoly:
     alpha_prime = Fraction(alpha_prime)
     if alpha_prime < HALF:
         raise SpecInvalid(f"alpha' must be >= 1/2, got {alpha_prime}")
-    m = spec.m
-    if spec.kind is SeedKind.TYPE_I:
+    if kind is SeedKind.TYPE_I:
         return QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre(m, alpha_prime).compose_neg())
     return QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
 

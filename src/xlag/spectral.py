@@ -37,7 +37,6 @@ class ExtendedPotential:
     shift: Rational
     rat_num: Poly
     rat_den: Poly
-    certified_regular: bool
 
     def __call__(self, x):
         """Float evaluation at x > 0 (scalar or array)."""
@@ -51,12 +50,12 @@ class ExtendedPotential:
         return val if val.ndim else float(val)
 
 
-def build_potential(report: GReport, regular: bool) -> ExtendedPotential:
+def build_potential(report: GReport) -> ExtendedPotential:
     """Assemble the extended potential of report.spec from its computed g.
 
-    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  If certify
-    found g irregular (`regular` false) the potential is still built (poles
-    and all, useful for demonstrations) and flagged as not certified.
+    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  It is
+    built whether or not g is regular (poles and all, useful for
+    demonstrations); whether it is certified is certify(report)'s verdict.
     """
     spec = report.spec
     if spec.l < 0:
@@ -70,18 +69,16 @@ def build_potential(report: GReport, regular: bool) -> ExtendedPotential:
         shift=(spec.k - 2 * spec.q) * spec.omega,
         rat_num=num,
         rat_den=g * g,
-        certified_regular=regular,
     )
 
 
 @dataclass(frozen=True)
 class EOPFamily:
     """Monic exceptional polynomials indexed by the level nu; the one of
-    level nu has degree mu + nu."""
+    level nu has degree deg g + nu."""
 
     alpha: Rational
     g: Poly
-    mu: int
     polys: tuple
 
     def __getitem__(self, nu: int) -> Poly:
@@ -144,7 +141,7 @@ def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
         raise ValueError("nu_max must be nonnegative")
     alpha = report.spec.alpha
     g = report.g
-    mu = report.mu_computed
+    mu = g.degree
     entry = _ode_operator(g, alpha)
     polys = []
     for nu in range(nu_max + 1):
@@ -163,7 +160,7 @@ def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
         if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
             raise NullSpaceDimension(0)
         polys.append(Poly(C) * Fraction(1, D))
-    return EOPFamily(alpha=alpha, g=g, mu=mu, polys=tuple(polys))
+    return EOPFamily(alpha=alpha, g=g, polys=tuple(polys))
 
 
 def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
@@ -213,7 +210,9 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     every other node is the n = 200 rule, for the coarse G.  The integrand
     of a pair decays like z^p e^-z with p = alpha + nu_i + nu_j, which peaks
     at z = p, so the one cutoff, set by the two highest degrees, sits far
-    enough past every pair's p for any alpha.  The weight is taken in log
+    enough past every pair's p for any alpha; the interval starts as far
+    below the lowest peak, z = alpha (at 0 below alpha ~ 150); a peak about
+    1 wide in u would otherwise get few of the nodes.  The weight is taken in log
     space and divided by its largest value over the nodes, which the
     normalization cancels, so z^alpha cannot overflow it at large alpha; it
     is 0 at u = 0, where z^alpha u vanishes for alpha > -1/2.  The two rules
@@ -225,15 +224,16 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     import numpy as np
     d = sum(sorted(y.degree for y in family.polys)[-2:])
     a = float(family.alpha)
-    p = max(a + d - 2 * family.mu, 0.0)
+    p = max(a + d - 2 * family.g.degree, 0.0)
     umax = np.sqrt(max(60.0 + 4.0 * (d + 2), p + 40.0 + 9.0 * np.sqrt(p)))
+    umin = np.sqrt(max(a - 40.0 - 9.0 * np.sqrt(max(a, 0.0)), 0.0))
     x, fine = _clenshaw_curtis(400)
-    u = 0.5 * umax * (x + 1.0)
+    u = umin + 0.5 * (umax - umin) * (x + 1.0)
     z = u * u
     f = np.zeros_like(u)
     pos = u > 0
     log_w = a * np.log(z[pos]) - z[pos]
-    f[pos] = umax * u[pos] * np.exp(log_w - log_w.max()) / _polyval(family.g, z[pos]) ** 2
+    f[pos] = (umax - umin) * u[pos] * np.exp(log_w - log_w.max()) / _polyval(family.g, z[pos]) ** 2
     Y = np.array([_polyval(y, z) for y in family.polys])
     norm = []
     for step, wts in ((2, _clenshaw_curtis(200)[1]), (1, fine)):

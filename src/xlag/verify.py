@@ -72,20 +72,19 @@ def check_report(report: GReport, cert: RegularityCertificate) -> SpecCheck:
     and the direct-Wronskian oracle (where they apply).  Checks that do
     not apply stay None; each False one is listed in `failures`.
     """
-    spec = report.spec
+    spec, g = report.spec, report.g
     out = SpecCheck(
         spec=spec,
         divisible=True,
-        mu=report.mu_predicted == report.mu_computed,
-        lead=report.lead_predicted == report.lead_computed,
-        const=report.const_predicted == report.const_computed,
+        mu=report.mu_predicted == g.degree,
+        lead=report.lead_predicted == g.leading,
+        const=report.const_predicted == g.constant,
+        recurrence=check_origin_recurrence(report),
     )
     if spec.admissible:
         expected_sign = -1 if report.sigma % 2 else 1
         out.sign_theorem = cert.sign_at_zero == expected_sign == cert.sign_at_infinity
         out.regular = cert.regular
-    if spec.k - spec.q >= 2:
-        out.recurrence = check_origin_recurrence(report)
     if spec.k <= ORACLE_MAX_K:
         try:
             wronskian_direct(report)

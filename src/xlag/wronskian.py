@@ -11,7 +11,7 @@ from functools import cached_property
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
 from .exactmath import Poly, Rational, pochhammer, poly_mat_det, vandermonde
-from .seeds import HALF, SeedKind, SeedSpec, laguerre, make_seed
+from .seeds import HALF, SeedKind, laguerre, make_seed
 
 # largest k the direct seed-Wronskian oracle runs at; its cost grows
 # steeply with k
@@ -91,25 +91,17 @@ class ExtensionSpec:
             return True
         return self.alpha_prime > max(self.m_type_ii)
 
-    def seed_specs(self):
-        return tuple(SeedSpec(SeedKind.TYPE_I, m) for m in self.m_type_i) + tuple(
-            SeedSpec(SeedKind.TYPE_II, m) for m in self.m_type_ii
-        )
-
 
 @dataclass(frozen=True)
 class GReport:
-    """Computed g plus every closed-form prediction it is checked against."""
+    """Computed g plus every closed-form prediction check_report compares with g itself."""
 
     spec: ExtensionSpec
     g: Poly
     mu_predicted: int
-    mu_computed: int
     sigma: int
     lead_predicted: Rational
-    lead_computed: Rational
     const_predicted: Rational
-    const_computed: Rational
     # g(0) of the sub-extensions dropping the last, the next-to-last and both
     # last type-II seeds, alpha' kept; None when k - q < 2
     sub_constants: tuple = None
@@ -207,12 +199,9 @@ def compute_g(spec: ExtensionSpec) -> GReport:
         spec=spec,
         g=g,
         mu_predicted=mu,
-        mu_computed=g.degree,
         sigma=sigma,
         lead_predicted=lead,
-        lead_computed=g.leading,
         const_predicted=predict_const(spec),
-        const_computed=g.constant,
         sub_constants=sub_constants,
     )
 
@@ -230,9 +219,10 @@ def wronskian_direct(report: GReport) -> Poly:
     k, q = spec.k, spec.q
     if k > ORACLE_MAX_K:
         raise Inapplicable(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
+    kinds = [SeedKind.TYPE_I] * q + [SeedKind.TYPE_II] * (k - q)
     cols = []
-    for sd in spec.seed_specs():
-        cur = make_seed(sd, spec.alpha_prime)
+    for kind, m in zip(kinds, spec.all_m):
+        cur = make_seed(kind, m, spec.alpha_prime)
         col = [cur.poly]
         for _ in range(k - 1):
             cur = cur.diff()
@@ -246,18 +236,18 @@ def wronskian_direct(report: GReport) -> Poly:
     return w
 
 
-def check_origin_recurrence(report: GReport) -> bool:
+def check_origin_recurrence(report: GReport) -> bool | None:
     """Exact identity tying report.g(0) to the constants g(0) of the three
     sub-extensions of report.spec in report.sub_constants, which drop the
     last seed (g_last), the next-to-last (g_prev) or both (g_both):
 
         g(0) * g_both(0) * (alpha+1) == (m_k - m_{k-1}) * g_last(0) * g_prev(0)
 
-    Applies only when the two last seeds are type II, i.e. k - q >= 2.
+    Applies where compute_g fills sub_constants, k - q >= 2; None elsewhere.
     """
+    if report.sub_constants is None:
+        return None
     spec = report.spec
-    if spec.k - spec.q < 2:
-        raise Inapplicable("origin recurrence needs at least two type-II seeds")
     m_last, m_prev = spec.m_type_ii[-1], spec.m_type_ii[-2]
     g0_last, g0_prev, g0_both = report.sub_constants
     lhs = report.g.constant * g0_both * (spec.alpha + 1)

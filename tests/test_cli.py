@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import xlag
 from xlag import cli, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
+from xlag.report import build_document
 
 
 # child interpreters import xlag from where this process imported it
@@ -64,6 +65,7 @@ def test_extend_inadmissible_reports_irregular(capsys):
     assert doc["certificate"]["regular"] is False
     assert doc["certificate"]["root_count_positive_axis"] == 1
     assert doc["spec"]["admissible"] is False
+    assert doc["potential"]["certified_regular"] is False
     assert "eop" not in doc
 
 
@@ -247,14 +249,37 @@ def test_check_report_skips_the_sign_theorem_on_an_inadmissible_spec():
 
 
 def test_a_report_moved_onto_an_inadmissible_spec_takes_its_admissibility():
-    # the flag lives on the spec alone, so the certificate and check_report
-    # read the same one
+    # the flag lives on the spec alone, so the document's certificate and
+    # check_report read the same one
     report = wronskian.compute_g(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1,)))
     moved = replace(report, spec=wronskian.ExtensionSpec(Fraction(1, 2), 1, (), (2,)))
     cert = regularity.certify(moved)
     check = verify.check_report(moved, cert)
-    assert cert.admissible is False
+    assert build_document(moved, cert, check)["certificate"]["admissible"] is False
     assert (check.sign_theorem, check.regular) == (None, None)
+
+
+# k = 6 > ORACLE_MAX_K and no type-II pair: neither the Wronskian oracle nor
+# the origin recurrence runs, so only the closed forms guard g
+BARE_SPEC = wronskian.ExtensionSpec(Fraction(25, 2), 1, (1, 2, 3, 4, 5, 6), ())
+
+
+@pytest.mark.parametrize(
+    "fault, failures",
+    [
+        (lambda g: g * 3, ["lead", "const"]),
+        (lambda g: g + g.shift_up(2), ["mu"]),
+        (lambda g: g + 1, ["const"]),
+    ],
+    ids=["scaled", "raised_degree", "shifted_constant"],
+)
+def test_the_closed_form_checks_read_g_itself(fault, failures):
+    report = wronskian.compute_g(BARE_SPEC)
+    bad = replace(report, g=fault(report.g))
+    check = verify.check_report(bad, regularity.certify(bad))
+    assert (check.recurrence, check.wronskian_oracle) == (None, None)
+    assert check.failures == failures
+    assert verify.check_report(report, regularity.certify(report)).passed
 
 
 def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
@@ -271,8 +296,9 @@ def test_failed_origin_recurrence_exits_3(capsys, monkeypatch):
 
 
 def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
-    # one coefficient of g off: the direct-Wronskian oracle catches it
-    # before the polynomial solve, which would find no solution
+    # g(0) off by one: the constant-term check and the direct-Wronskian
+    # oracle catch it before the polynomial solve, which would find no
+    # solution
     def perturbed(spec):
         report = compute_g_real(spec)
         return replace(report, g=report.g + 1)
@@ -281,7 +307,7 @@ def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_g", perturbed)
     code, out, err = run_cli(["eop", "--alpha", "5/2", "--seeds", "I:1"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("internal inconsistency: exact check failed (wronskian_oracle) for ")
+    assert err.startswith("internal inconsistency: exact check failed (const, wronskian_oracle) for ")
 
 
 @pytest.mark.parametrize(
@@ -302,8 +328,8 @@ def test_extend_passes_its_numeric_checks_at_a_high_nu_max(alpha, seeds, nu_max,
 @pytest.mark.xfail(strict=True, reason="float Horner loses y_nu to cancellation: ROADMAP item 4")
 @pytest.mark.parametrize(
     "alpha, seeds, nu_max",
-    [("3/2", "", 20), ("7/2", "I:1,II:1,II:2", 20), ("121/2", "I:1", 9)],
-    ids=["classical", "mu5", "large_alpha"],
+    [("3/2", "", 20), ("7/2", "I:1,II:1,II:2", 20), ("121/2", "I:1", 9), ("1001/2", "I:1", 6)],
+    ids=["classical", "mu5", "large_alpha", "very_large_alpha"],
 )
 def test_a_correct_family_passes_its_orthogonality_check(alpha, seeds, nu_max, capsys):
     # each exits 1 with "numeric check failed" on an exact, orthogonal family
@@ -325,6 +351,17 @@ def test_a_weight_past_the_float_range_gives_a_finite_off_diagonal(capsys):
     code, out, err = run_cli(["extend", "--alpha", "341/2", "--seeds", "I:1", "--nu-max", "3"], capsys)
     assert code == 0, err
     assert _strict_json(out)["numeric"]["orthogonality_max_offdiag"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "alpha, seeds, nu_max", [("20001/2", "I:1", 2), ("5001/2", "", 4)], ids=["k1", "classical"]
+)
+def test_the_quadrature_resolves_a_weight_peaked_far_from_the_origin(alpha, seeds, nu_max, capsys):
+    # z^alpha e^-z peaks at z ~ alpha with width ~ sqrt(alpha); on an interval
+    # from u = 0 both rules straddled it with a few nodes and disagreed
+    code, out, err = run_cli(["extend", "--alpha", alpha, "--seeds", seeds, "--nu-max", str(nu_max)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["numeric"]["orthogonality_max_offdiag"] < 1e-8
 
 
 def test_a_non_finite_gram_matrix_exits_1(capsys, monkeypatch):
@@ -399,6 +436,28 @@ def test_g_is_computed_once_per_spec(run, compute_g_calls, capsys):
     assert spec.k <= wronskian.ORACLE_MAX_K
     run(spec)
     assert compute_g_calls == [spec]
+
+
+@pytest.mark.parametrize(
+    "args, calls",
+    [
+        (["eop", "--alpha", "5/2", "--seeds", "I:1"], 0),
+        (["extend", "--alpha", "5/2", "--seeds", "I:1", "--skip-numeric"], 1),
+        (["extend", "--alpha", "1/4", "--seeds", "II:1", "--skip-numeric"], 0),
+    ],
+    ids=["eop", "extend", "extend_negative_l"],
+)
+def test_the_potential_is_built_only_where_it_is_rendered(args, calls, monkeypatch, capsys):
+    built = []
+    original = spectral.build_potential
+
+    def counted(report):
+        built.append(report.spec)
+        return original(report)
+
+    monkeypatch.setattr(cli, "build_potential", counted)
+    assert cli.main(args) == 0
+    assert len(built) == calls
 
 
 def test_extend_makes_no_nullspace_call(monkeypatch, capsys):

@@ -125,7 +125,7 @@ def test_certify_counterexample():
     cert = certify(report)
     assert cert.root_count_positive_axis == 1
     assert not cert.regular
-    assert not cert.admissible
+    assert not report.spec.admissible
     assert cert.sign_at_zero == -1 and cert.sign_at_infinity == 1
 
 
@@ -140,9 +140,8 @@ def _report(g):
     # a GReport around an arbitrary g, for certify only; the spec only
     # supplies the admissibility flag (inadmissible: alpha' = 3/2 < 2)
     return GReport(
-        spec=ExtensionSpec(F(1, 2), 1, (), (2,)), g=g, mu_predicted=g.degree, mu_computed=g.degree,
-        sigma=0, lead_predicted=g.leading, lead_computed=g.leading, const_predicted=g.constant,
-        const_computed=g.constant,
+        spec=ExtensionSpec(F(1, 2), 1, (), (2,)), g=g, mu_predicted=g.degree, sigma=0,
+        lead_predicted=g.leading, const_predicted=g.constant,
     )
 
 

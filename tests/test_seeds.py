@@ -13,7 +13,6 @@ from xlag.regularity import count_roots_open_interval
 from xlag.seeds import (
     QuasiPoly,
     SeedKind,
-    SeedSpec,
     _polyval,
     laguerre,
     make_seed,
@@ -101,13 +100,13 @@ def test_isotonic_spectrum():
 def test_isotonic_params_validation():
     # l = -1 (alpha = -1/2, alpha' = 1/2) is a valid spec but has no potential
     with pytest.raises(SpecInvalid):
-        build_potential(compute_g(ExtensionSpec(F(-1, 2), 1, (), (1,))), True)
+        build_potential(compute_g(ExtensionSpec(F(-1, 2), 1, (), (1,))))
     with pytest.raises(SpecInvalid):
         ExtensionSpec(F(3, 2), 0, (), ())
 
 
 def test_make_seed_type_i():
-    qp = make_seed(SeedSpec(SeedKind.TYPE_I, 1), F(3, 2))
+    qp = make_seed(SeedKind.TYPE_I, 1, F(3, 2))
     assert qp.poly == Poly((F(5, 2), 1))
     assert qp.zpower == 1
     assert qp.expsign == +1
@@ -115,15 +114,10 @@ def test_make_seed_type_i():
 
 def test_make_seed_type_ii():
     # L_1^{(-5/2)}(z) = -3/2 - z; gauge power -(alpha'-1/2)/2 = -1
-    qp = make_seed(SeedSpec(SeedKind.TYPE_II, 1), F(5, 2))
+    qp = make_seed(SeedKind.TYPE_II, 1, F(5, 2))
     assert qp.poly == Poly((F(-3, 2), -1))
     assert qp.zpower == -1
     assert qp.expsign == -1
-
-
-def test_seed_spec_rejects_m_zero():
-    with pytest.raises(SpecInvalid):
-        SeedSpec(SeedKind.TYPE_I, 0)
 
 
 def test_quasipoly_diff_examples():
@@ -181,19 +175,19 @@ def test_type_ii_seed_nodeless_when_admissible(m):
     # L_m^{(-a')}(z) has no roots on (0, inf) whenever a' > m
     for j in range(1, 10):
         ap = m + F(j, 2)
-        qp = make_seed(SeedSpec(SeedKind.TYPE_II, m), ap)
+        qp = make_seed(SeedKind.TYPE_II, m, ap)
         assert count_roots_open_interval(qp.poly, 0) == 0
 
 
 def test_type_ii_seed_has_node_below_bound():
     # the counterexample configuration: alpha' = 3/2 < m = 2
-    qp = make_seed(SeedSpec(SeedKind.TYPE_II, 2), F(3, 2))
+    qp = make_seed(SeedKind.TYPE_II, 2, F(3, 2))
     assert count_roots_open_interval(qp.poly, 0) == 1
 
 
 def test_isotonic_potential_float():
     # the empty extension at l = 1, omega = 1: omega^2 x^2 / 4 + l(l+1) / x^2
-    p = build_potential(compute_g(ExtensionSpec(F(3, 2), 1, (), ())), True)
+    p = build_potential(compute_g(ExtensionSpec(F(3, 2), 1, (), ())))
     assert p(2.0) == pytest.approx(0.25 * 4 + 2 / 4)
     xs = np.array([1.0, 2.0])
     assert p(xs).shape == (2,)
