@@ -5,6 +5,8 @@ extend, eop and sample build what they report through one function,
 verify runs on every lattice spec), then the family wherever it exists.
 extend and sample add the potential, which only they render.
 
+main builds argv[0]'s subparser alone; --help and unknown commands get all four.
+
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 verification failure, 2 bad input, 3 internal
 inconsistency (an exact check of the exact stage failed or an exact
@@ -186,10 +188,13 @@ def cmd_sample(args) -> int:
 
     psis = [(nu, wavefunction(spec, ext.family, nu)) for nu in nus]
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    cols = [build_potential(ext.report)(xs)] + [psi(xs) for _, psi in psis]
-    lines = [",".join(["x", "V2"] + [f"psi_{nu}" for nu, _ in psis])]
-    for i, x in enumerate(xs):
-        lines.append(",".join(f"{val:.17g}" for val in [x] + [c[i] for c in cols]))
+    header = ["x", "V2"] + [f"psi_{nu}" for nu, _ in psis]
+    with np.errstate(all="ignore"):  # a value past the float range is reported below, not warned of
+        rows = np.array([xs, build_potential(ext.report)(xs)] + [psi(xs) for _, psi in psis]).T
+    bad = np.argwhere(~np.isfinite(rows))  # (row, column) pairs, first row first
+    if len(bad):
+        raise SpecInvalid(f"{header[bad[0][1]]} is not finite at x = {xs[bad[0][0]]:.17g}; narrow --x-min/--x-max")
+    lines = [",".join(header)] + [",".join(f"{val:.17g}" for val in row) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -227,52 +232,59 @@ class _Parser(argparse.ArgumentParser):
         raise SpecInvalid(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> handler, in the order --help lists them
+COMMANDS = {"extend": cmd_extend, "verify": cmd_verify, "sample": cmd_sample, "eop": cmd_eop}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command alone, or of every command if it is not one."""
     parser = _Parser(
         prog="xlag",
         description="Exact construction and certification of rationally-extended "
         "radial oscillators and their exceptional Laguerre polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = {command} if command in COMMANDS else set(COMMANDS)
 
-    p = sub.add_parser("extend", help="build one extension and report everything about it")
-    _add_spec_flags(p)
-    p.add_argument("--nu-max", type=_nonnegative_int, default=3, help="levels of the polynomial family (default 3)")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
-    p.set_defaults(func=cmd_extend)
+    if "extend" in names:
+        p = sub.add_parser("extend", help="build one extension and report everything about it")
+        _add_spec_flags(p)
+        p.add_argument("--nu-max", type=_nonnegative_int, default=3, help="levels of the polynomial family (default 3)")
+        p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
 
-    p = sub.add_parser("verify", help="run the exact invariant lattice")
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=6)
-    p.add_argument("--alpha-grid", type=int, default=7, help="half-integer alpha' steps per index set")
-    p.add_argument("--parallel", action="store_true", help="fan out across processes (XLAG_THREADS caps)")
-    p.set_defaults(func=cmd_verify)
+    if "verify" in names:
+        p = sub.add_parser("verify", help="run the exact invariant lattice")
+        p.add_argument("--max-k", type=int, default=4)
+        p.add_argument("--max-m", type=int, default=6)
+        p.add_argument("--alpha-grid", type=int, default=7, help="half-integer alpha' steps per index set")
+        p.add_argument("--parallel", action="store_true", help="fan out across processes (XLAG_THREADS caps)")
 
-    p = sub.add_parser("sample", help="emit CSV of the potential and wavefunctions")
-    _add_spec_flags(p)
-    p.add_argument("--x-min", type=float, default=0.05)
-    p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--points", type=_nonnegative_int, default=1000)
-    p.add_argument("--wavefunctions", type=lambda text: [_nonnegative_int(t) for t in text.split(",") if t.strip()],
-                   default="", help='comma list of nu values, e.g. "0,1,2"')
-    p.add_argument("--force", action="store_true", help="sample even when not regular")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
+    if "sample" in names:
+        p = sub.add_parser("sample", help="emit CSV of the potential and wavefunctions")
+        _add_spec_flags(p)
+        p.add_argument("--x-min", type=float, default=0.05)
+        p.add_argument("--x-max", type=float, default=8.0)
+        p.add_argument("--points", type=_nonnegative_int, default=1000)
+        p.add_argument("--wavefunctions", type=lambda text: [_nonnegative_int(t) for t in text.split(",") if t.strip()],
+                       default="", help='comma list of nu values, e.g. "0,1,2"')
+        p.add_argument("--force", action="store_true", help="sample even when not regular")
+        p.add_argument("--out")
 
-    p = sub.add_parser("eop", help="polynomial family coefficients only")
-    _add_spec_flags(p)
-    p.add_argument("--nu-max", type=_nonnegative_int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eop)
+    if "eop" in names:
+        p = sub.add_parser("eop", help="polynomial family coefficients only")
+        _add_spec_flags(p)
+        p.add_argument("--nu-max", type=_nonnegative_int, default=3)
+        p.add_argument("--out")
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:  # only --help leaves argparse this way, after printing
         return exc.code
     except XlagError as exc:

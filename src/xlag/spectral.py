@@ -1,8 +1,8 @@
 """Extended potential assembly, exceptional-polynomial construction by
-exact back-substitution on their banded differential operator (dense
-null-space reduction kept as its oracle), bound-state wavefunctions, and
-the numeric verification layer (orthogonality by a nested pair of
-Clenshaw-Curtis rules and a finite-difference eigensolve).
+exact back-substitution on their banded differential operator, bound-state
+wavefunctions, and the numeric verification layer (orthogonality by a
+nested pair of Clenshaw-Curtis rules, their weights one inverse real FFT,
+and a finite-difference eigensolve).
 
 The polynomial layer stays exact; floats appear only in evaluation,
 integration, and the eigensolver.  Only those float functions import numpy,
@@ -22,7 +22,7 @@ from .errors import (
     QuadratureNonconvergence,
     SpecInvalid,
 )
-from .exactmath import Poly, Rational, rational_nullspace
+from .exactmath import Poly, Rational
 from .seeds import _polyval, bound_gauge
 from .wronskian import ExtensionSpec, GReport
 
@@ -115,15 +115,6 @@ def _ode_operator(g: Poly, alpha):
     return entry
 
 
-def eop_nullspace(g: Poly, alpha, nu: int, degree: int):
-    """Basis of polynomial solutions of degree <= degree with eigenvalue
-    -nu, as coefficient vectors, by dense null-space reduction (the oracle
-    for solve_eop's back-substitution)."""
-    entry = _ode_operator(g, alpha)
-    rows = [[entry(r, d, nu) for d in range(degree + 1)] for r in range(degree + g.degree + 1)]
-    return rational_nullspace(rows)
-
-
 def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
     """Exceptional polynomials of report.spec for levels 0..nu_max by
     back-substitution on the cleared-denominator differential equation.
@@ -182,21 +173,17 @@ def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
 
 def _clenshaw_curtis(n: int):
     """Clenshaw-Curtis nodes x_j = cos(j pi / n), j = 0..n, and weights on
-    [-1, 1] for even n: w_j = (c_j / n) (1 - sum_{k=1..n/2} b_k T_2k(x_j) /
-    (4k^2 - 1)), c_0 = c_n = b_{n/2} = 1 and c_j = b_k = 2 otherwise, summed
-    in O(n) memory by Clenshaw's recurrence in T_k(2x^2 - 1) = T_2k(x).  Exact
-    to degree n, as accurate as Gauss on smooth integrands (Trefethen, SIAM
-    Rev. 50, 2008); the nodes of n are those of 2n at even j, bit for bit."""
+    [-1, 1] for even n: one inverse real FFT of the moments 2 / (1 - 4k^2) of
+    T_2k, k = 0..n/2, periodic in j with period n (Waldvogel, BIT 46, 2006),
+    endpoints halved and mirrored to exact symmetry.  Exact to degree n, as
+    accurate as Gauss on smooth integrands (Trefethen, SIAM Rev. 50, 2008);
+    the nodes of n are those of 2n at even j, bit for bit."""
     import numpy as np
     x = np.cos(np.arange(n + 1) * np.pi / n)
     x = 0.5 * (x - x[::-1])
-    t2 = 4.0 * x * x - 2.0
-    b1 = b2 = 0.0
-    for k in range(n // 2, 0, -1):
-        b1, b2 = (1.0 if 2 * k == n else 2.0) / (4.0 * k * k - 1.0) + t2 * b1 - b2, b1
-    w = (2.0 / n) * (1.0 - (0.5 * t2 * b1 - b2))
+    w = np.fft.irfft(2.0 / (1.0 - 4.0 * np.arange(n // 2 + 1) ** 2), n)[np.arange(n + 1) % n]
     w[[0, n]] *= 0.5
-    return x, w
+    return x, 0.5 * (w + w[::-1])
 
 
 def orthogonality_check(family: EOPFamily) -> float | None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import xlag
 from xlag import cli, exactmath, regularity, spectral, verify, wronskian
-from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, ZeroPolynomial
+from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
 from xlag.report import build_document
 
 
@@ -153,6 +153,52 @@ def test_a_negative_rational_reads_as_a_value(flag, rest, capsys):
 def test_help_exits_0(capsys):
     assert cli.main(["extend", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xlag extend")
+
+
+def _parse(parser, argv):
+    """What parsing argv gives: the namespace, the help text printed, or
+    the error raised."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    except SpecInvalid as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--alpha", "5/2", "--seeds", "I:1,II:1", "--nu-max", "2", "--skip-numeric"],
+        ["extend", "--l=-1/2", "--omega", "3/2", "--out", "x.json"],
+        ["verify", "--max-k", "2", "--parallel"],
+        ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-min", "0.5", "--wavefunctions", "0,2", "--force"],
+        ["eop", "--alpha", "-1/2", "--seeds", "II:1"],
+        ["extend", "--bogus"],
+        ["extend", "--nu-max", "abc"],
+        ["sample", "--points", "-1"],
+        ["eop", "--alpha"],
+        ["verify", "extend"],
+        ["extend", "--alpha", "5/2", "-h"],
+    ]
+    + [[name, "--help"] for name in cli.COMMANDS],
+)
+def test_the_narrowed_parser_parses_as_the_full_one(argv):
+    # main builds only the subparser of argv[0]; the full parser is its oracle
+    assert _parse(cli.build_parser(argv[0]), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_main_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    assert cli.main(["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "1"]) == 0
+    assert cli.main(["bogus"]) == 2
+    assert built == ["eop", "bogus"]
+    assert build_parser("eop").format_usage() == "usage: xlag [-h] {eop} ...\n"
+    assert build_parser("bogus").format_usage() == build_parser().format_usage()
 
 
 # argv for the fuzz below: each flag draws from its own values, well-formed
@@ -461,6 +507,8 @@ def test_the_potential_is_built_only_where_it_is_rendered(args, calls, monkeypat
 
 
 def test_extend_makes_no_nullspace_call(monkeypatch, capsys):
+    from test_spectral import eop_nullspace
+
     calls = []
     original = exactmath.rational_nullspace
 
@@ -468,13 +516,16 @@ def test_extend_makes_no_nullspace_call(monkeypatch, capsys):
         calls.append(len(rows))
         return original(rows)
 
-    for module in (exactmath, spectral):
-        monkeypatch.setattr(module, "rational_nullspace", counted)
+    # every xlag module that holds the function, under whatever name it imported it
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "xlag"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
     assert cli.main(["extend", "--alpha", "5/2", "--seeds", "I:1,II:1,II:2", "--skip-numeric"]) == 0
     assert calls == []
     # the counter does see the oracle route
     report = wronskian.compute_g(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), ()))
-    spectral.eop_nullspace(report.g, report.spec.alpha, 0, 1)
+    eop_nullspace(report.g, report.spec.alpha, 0, 1)
     assert len(calls) == 1
 
 
@@ -674,6 +725,24 @@ class TestSample:
         tail = max(abs(v) for v in psi0) * 1e-12
         signs = [v > 0 for v in psi0 if abs(v) > tail]
         assert all(s == signs[0] for s in signs)
+
+    @pytest.mark.parametrize(
+        "args, column, x",
+        [
+            (["--x-max", "1e308", "--points", "3"], "V2", "5.0000000000000001e+307"),
+            (["--x-min", "1e-200", "--x-max", "1e-199", "--wavefunctions", "0"], "V2", "9.9999999999999998e-201"),
+        ],
+        ids=["overflow", "pole"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_a_non_finite_value_exits_2_and_writes_nothing(self, args, column, x, to_file, tmp_path, capsys):
+        # both once wrote nan or inf rows with exit 0 and only a RuntimeWarning
+        path = tmp_path / "out.csv"
+        argv = ["sample", "--alpha", "3/2", "--seeds", "I:1"] + args + (["--out", str(path)] if to_file else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {column} is not finite at x = {x}; narrow --x-min/--x-max\n"
+        assert not path.exists()
 
     def test_irregular_requires_force(self, capsys):
         args = ["sample", "--alpha", "1/2", "--seeds", "II:2", "--points", "50"]
