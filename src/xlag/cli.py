@@ -2,15 +2,16 @@
 
 extend, eop and sample build what they report through one function,
 `extension`: compute_g, certify and verify.check_report (the checks xlag
-verify runs on every lattice spec), then the family wherever it exists.
-extend and sample add the potential, which only they render.
+verify runs on every lattice spec), then the family where g is certified
+regular.  sample alone goes on with an irregular g (--force), solving its
+levels itself.  extend and sample add the potential, which only they render.
 
 main builds argv[0]'s subparser alone; --help and unknown commands get all four.
 
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 verification failure, 2 bad input, 3 internal
-inconsistency (an exact check of the exact stage failed or an exact
-oracle disagreed).
+inconsistency (an exact check of the exact stage failed, an exact oracle
+disagreed or an internal polynomial vanished).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .errors import (
     QuadratureNonconvergence,
     SpecInvalid,
     XlagError,
+    ZeroPolynomial,
 )
 from .regularity import certify
 from .report import SCHEMA_VERSION, build_document, eop_section, rat, spec_section
@@ -44,9 +46,10 @@ from .spectral import (
 from .verify import CHECK_NAMES, check_report, run_lattice, summarize
 from .wronskian import ExtensionSpec, compute_g
 
-# exception -> (exit code, stderr prefix); the first matching row wins
+# exception -> (exit code, stderr prefix); the first matching row wins.  Only
+# internal objects (certify's g, a Sturm chain, a monic form) raise ZeroPolynomial
 EXIT_CODES = (
-    ((NotDivisible, OracleMismatch, NullSpaceDimension), 3, "internal inconsistency"),
+    ((NotDivisible, OracleMismatch, NullSpaceDimension, ZeroPolynomial), 3, "internal inconsistency"),
     ((GridTooCoarse, QuadratureNonconvergence), 1, "numeric check failed"),
     (XlagError, 2, "error"),
 )
@@ -130,17 +133,16 @@ def _emit(text: str, out):
 Extension = namedtuple("Extension", "report cert check family")
 
 
-def extension(spec: ExtensionSpec, nu_max: int | None, force: bool = False) -> Extension:
+def extension(spec: ExtensionSpec, nu_max: int | None) -> Extension:
     """compute_g -> certify -> verify.check_report, OracleMismatch if any
     exact check fails; then, given nu_max, the family of levels 0..nu_max
-    where g is certified regular (anywhere with `force`, as sample --force
-    asks)."""
+    where g is certified regular."""
     report = compute_g(spec)
     cert = certify(report)
     check = check_report(report, cert)
     if not check.passed:
         raise OracleMismatch(f"exact check failed ({', '.join(check.failures)}) for {spec}")
-    family = solve_eop(report, nu_max) if nu_max is not None and (cert.regular or force) else None
+    family = solve_eop(report, nu_max) if nu_max is not None and cert.regular else None
     return Extension(report, cert, check, family)
 
 
@@ -152,7 +154,7 @@ def cmd_extend(args) -> int:
     if potential is not None and ext.family is not None:
         numeric = {}
         if not args.skip_numeric:
-            numeric["orthogonality_max_offdiag"] = orthogonality_check(ext.family)
+            numeric["orthogonality_max_offdiag"] = orthogonality_check(ext.report, ext.family)
             n_levels = min(args.nu_max, 3) + 1
             levels = numeric_spectrum(potential, n_levels)
             expected = expected_spectrum(spec, n_levels)
@@ -168,7 +170,7 @@ def cmd_eop(args) -> int:
     if ext.family is None:
         print("spec is not regular; no orthogonal polynomial family exists", file=sys.stderr)
         return 2
-    doc = {"schema": SCHEMA_VERSION, "spec": spec_section(ext.report.spec), "eop": eop_section(ext.family)}
+    doc = {"schema": SCHEMA_VERSION, "spec": spec_section(ext.report.spec), "eop": eop_section(ext.report, ext.family)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -179,18 +181,19 @@ def cmd_sample(args) -> int:
         raise SpecInvalid(f"need 0 < --x-min < --x-max, got {args.x_min} and {args.x_max}")
     if spec.l < 0:
         raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
-    nus = args.wavefunctions
-    ext = extension(spec, max(nus, default=None), force=args.force)
+    ext = extension(spec, None)
     if not ext.cert.regular and not args.force:
         print("spec is not regular; pass --force to sample anyway", file=sys.stderr)
         return 2
     import numpy as np
 
-    psis = [(nu, wavefunction(spec, ext.family, nu)) for nu in nus]
+    nus = args.wavefunctions
+    family = solve_eop(ext.report, max(nus)) if nus else ()
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    header = ["x", "V2"] + [f"psi_{nu}" for nu, _ in psis]
+    header = ["x", "V2"] + [f"psi_{nu}" for nu in nus]
     with np.errstate(all="ignore"):  # a value past the float range is reported below, not warned of
-        rows = np.array([xs, build_potential(ext.report)(xs)] + [psi(xs) for _, psi in psis]).T
+        psis = [wavefunction(ext.report, family[nu], xs) for nu in nus]
+        rows = np.array([xs, build_potential(ext.report)(xs)] + psis).T
     bad = np.argwhere(~np.isfinite(rows))  # (row, column) pairs, first row first
     if len(bad):
         raise SpecInvalid(f"{header[bad[0][1]]} is not finite at x = {xs[bad[0][0]]:.17g}; narrow --x-min/--x-max")

@@ -54,13 +54,10 @@ def g_section(report: GReport, check: SpecCheck) -> dict:
     }
 
 
-def eop_section(family) -> dict:
+def eop_section(report: GReport, family) -> dict:
     return {
-        "mu": family.g.degree,
-        "levels": [
-            {"nu": nu, "degree": family[nu].degree, "coefficients": poly_coeffs(family[nu])}
-            for nu in range(len(family))
-        ],
+        "mu": report.g.degree,
+        "levels": [{"nu": nu, "degree": y.degree, "coefficients": poly_coeffs(y)} for nu, y in enumerate(family)],
     }
 
 
@@ -89,6 +86,6 @@ def build_document(
             "certified_regular": cert.regular,
         }
     if family is not None:
-        doc["eop"] = eop_section(family)
+        doc["eop"] = eop_section(report, family)
     doc["numeric"] = numeric
     return doc

@@ -3,7 +3,8 @@ with their gauge factors.
 
 Seeds are kept in factored gauge-times-polynomial form (`QuasiPoly`),
 which is closed under differentiation, so every Wronskian entry stays an
-exact rational object.
+exact rational object.  The module is exact only: float evaluation, of
+polynomials and of the bound-state gauge alike, belongs to `spectral`.
 """
 from __future__ import annotations
 
@@ -66,25 +67,6 @@ class QuasiPoly:
         num = [2 * (an + i * ad) * c + s * ad * b for i, (c, b) in pairs]
         return QuasiPoly(a - 1, s, _poly(num, 2 * ad * p.den))
 
-    def eval_float(self, z):
-        """Floating-point value at z > 0 (scalar or numpy array)."""
-        import numpy as np
-
-        z = np.asarray(z, dtype=float)
-        val = np.power(z, float(self.zpower)) * np.exp(self.expsign * z / 2.0)
-        val = val * _polyval(self.poly, z)
-        return val if val.ndim else float(val)
-
-
-def _polyval(p: Poly, z):
-    import numpy as np
-
-    # int / int rounds correctly, as float(Fraction) does
-    acc = np.zeros_like(z, dtype=float)
-    for c in reversed(p.num):
-        acc = acc * z + c / p.den
-    return acc
-
 
 def make_seed(kind: SeedKind, m: int, alpha_prime: Rational) -> QuasiPoly:
     """Seed function for the starting potential with parameter alpha_prime.
@@ -99,9 +81,3 @@ def make_seed(kind: SeedKind, m: int, alpha_prime: Rational) -> QuasiPoly:
     if kind is SeedKind.TYPE_I:
         return QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre(m, alpha_prime).compose_neg())
     return QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
-
-
-def bound_gauge(alpha: Rational) -> QuasiPoly:
-    """Ground-state gauge factor z^{(alpha+1/2)/2} e^{-z/2}."""
-    return QuasiPoly((Fraction(alpha) + HALF) / 2, -1, Poly.one())
-

@@ -5,9 +5,11 @@ nested pair of Clenshaw-Curtis rules, their weights one inverse real FFT,
 and a finite-difference eigensolve).
 
 The polynomial layer stays exact; floats appear only in evaluation,
-integration, and the eigensolver.  Only those float functions import numpy,
-and the eigensolver scipy, on first use, so `import xlag` and the exact
-layer load neither.
+integration, and the eigensolver, all of them here: alpha, omega and g are
+read from the GReport (a family is a bare tuple of polynomials), and every
+float polynomial value comes from `_polyval`.  Only those float functions
+import numpy, and the eigensolver scipy, on first use, so `import xlag` and
+the exact layer load neither.
 """
 from __future__ import annotations
 
@@ -23,8 +25,16 @@ from .errors import (
     SpecInvalid,
 )
 from .exactmath import Poly, Rational
-from .seeds import _polyval, bound_gauge
 from .wronskian import ExtensionSpec, GReport
+
+
+def _polyval(p: Poly, z):
+    import numpy as np
+    # Horner on the float array z; int / int rounds correctly, as float(Fraction) does
+    acc = np.zeros_like(z, dtype=float)
+    for c in reversed(p.num):
+        acc = acc * z + c / p.den
+    return acc
 
 
 @dataclass(frozen=True)
@@ -39,15 +49,14 @@ class ExtendedPotential:
     rat_den: Poly
 
     def __call__(self, x):
-        """Float evaluation at x > 0 (scalar or array)."""
+        """Float evaluation at x > 0."""
         import numpy as np
         x = np.asarray(x, dtype=float)
         w = float(self.spec.omega)
         cf = float(self.spec.l * (self.spec.l + 1))
         z = 0.5 * w * x * x
         val = 0.25 * w * w * x * x + cf / (x * x) + float(self.shift)
-        val = val + _polyval(self.rat_num, z) / _polyval(self.rat_den, z)
-        return val if val.ndim else float(val)
+        return val + _polyval(self.rat_num, z) / _polyval(self.rat_den, z)
 
 
 def build_potential(report: GReport) -> ExtendedPotential:
@@ -70,22 +79,6 @@ def build_potential(report: GReport) -> ExtendedPotential:
         rat_num=num,
         rat_den=g * g,
     )
-
-
-@dataclass(frozen=True)
-class EOPFamily:
-    """Monic exceptional polynomials indexed by the level nu; the one of
-    level nu has degree deg g + nu."""
-
-    alpha: Rational
-    g: Poly
-    polys: tuple
-
-    def __getitem__(self, nu: int) -> Poly:
-        return self.polys[nu]
-
-    def __len__(self) -> int:
-        return len(self.polys)
 
 
 def _ode_operator(g: Poly, alpha):
@@ -115,11 +108,11 @@ def _ode_operator(g: Poly, alpha):
     return entry
 
 
-def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
-    """Exceptional polynomials of report.spec for levels 0..nu_max by
-    back-substitution on the cleared-denominator differential equation.
-    Whether they form an orthogonal family is certify(report)'s verdict,
-    which the caller checks.
+def solve_eop(report: GReport, nu_max: int) -> tuple:
+    """Monic exceptional polynomials y_nu, nu = 0..nu_max, of report.spec as
+    a bare tuple (alpha and g stay report's), by back-substitution on the
+    cleared-denominator differential equation.  Whether they form an
+    orthogonal family is certify(report)'s verdict, which the caller checks.
 
     With c_{mu+nu} = 1, row mu+d of the banded operator fixes c_d for d =
     mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
@@ -130,10 +123,8 @@ def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
-    alpha = report.spec.alpha
-    g = report.g
-    mu = g.degree
-    entry = _ode_operator(g, alpha)
+    mu = report.g.degree
+    entry = _ode_operator(report.g, report.spec.alpha)
     polys = []
     for nu in range(nu_max + 1):
         n = mu + nu
@@ -151,24 +142,19 @@ def solve_eop(report: GReport, nu_max: int) -> EOPFamily:
         if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
             raise NullSpaceDimension(0)
         polys.append(Poly(C) * Fraction(1, D))
-    return EOPFamily(alpha=alpha, g=g, polys=tuple(polys))
+    return tuple(polys)
 
 
-def wavefunction(spec: ExtensionSpec, family: EOPFamily, nu: int):
-    """Bound-state wavefunction x -> eta(z) y(z) / g(z), unnormalized."""
-    y = family[nu]
-    g = family.g
-    gauge = bound_gauge(family.alpha)
-    w = float(spec.omega)
-
-    def psi(x):
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        z = 0.5 * w * x * x
-        val = gauge.eval_float(z) * _polyval(y, z) / _polyval(g, z)
-        return val if val.ndim else float(val)
-
-    return psi
+def wavefunction(report: GReport, y: Poly, x):
+    """Unnormalized bound state eta(z) y(z) / g(z) at x > 0, z = omega x^2 / 2,
+    for y in solve_eop(report, ...); the gauge eta = z^((l + 1)/2) e^(-z/2)
+    makes psi ~ x^(l+1) at the origin (the Friedrichs choice where x = 0 is
+    limit-circle, -1/2 < l < 1/2)."""
+    import numpy as np
+    x = np.asarray(x, dtype=float)
+    z = 0.5 * float(report.spec.omega) * x * x
+    gauge = np.power(z, float((report.spec.l + 1) / 2)) * np.exp(-z / 2.0)
+    return gauge * _polyval(y, z) / _polyval(report.g, z)
 
 
 def _clenshaw_curtis(n: int):
@@ -186,10 +172,11 @@ def _clenshaw_curtis(n: int):
     return x, 0.5 * (w + w[::-1])
 
 
-def orthogonality_check(family: EOPFamily) -> float | None:
+def orthogonality_check(report: GReport, family) -> float | None:
     """Largest normalized off-diagonal |G_ij| / sqrt(G_ii G_jj) of the Gram
     matrix G_ij = integral of y_i y_j z^alpha e^-z / g^2 over (0, inf), or
-    None for a single level.
+    None for a single level; family is solve_eop(report, ...), or any
+    polynomials in its place, and alpha and g are report's.
 
     Mapped Clenshaw-Curtis with the z = u^2 substitution (removes the sqrt
     endpoint behaviour of half-integer alpha); g, the weight and each y_nu
@@ -209,9 +196,9 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     if len(family) < 2:
         return None
     import numpy as np
-    d = sum(sorted(y.degree for y in family.polys)[-2:])
-    a = float(family.alpha)
-    p = max(a + d - 2 * family.g.degree, 0.0)
+    d = sum(sorted(y.degree for y in family)[-2:])
+    a = float(report.spec.alpha)
+    p = max(a + d - 2 * report.g.degree, 0.0)
     umax = np.sqrt(max(60.0 + 4.0 * (d + 2), p + 40.0 + 9.0 * np.sqrt(p)))
     umin = np.sqrt(max(a - 40.0 - 9.0 * np.sqrt(max(a, 0.0)), 0.0))
     x, fine = _clenshaw_curtis(400)
@@ -220,8 +207,8 @@ def orthogonality_check(family: EOPFamily) -> float | None:
     f = np.zeros_like(u)
     pos = u > 0
     log_w = a * np.log(z[pos]) - z[pos]
-    f[pos] = (umax - umin) * u[pos] * np.exp(log_w - log_w.max()) / _polyval(family.g, z[pos]) ** 2
-    Y = np.array([_polyval(y, z) for y in family.polys])
+    f[pos] = (umax - umin) * u[pos] * np.exp(log_w - log_w.max()) / _polyval(report.g, z[pos]) ** 2
+    Y = np.array([_polyval(y, z) for y in family])
     norm = []
     for step, wts in ((2, _clenshaw_curtis(200)[1]), (1, fine)):
         G = (Y[:, ::step] * (wts * f[::step])) @ Y[:, ::step].T

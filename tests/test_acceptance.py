@@ -109,7 +109,7 @@ def test_criterion_6_eop_suite():
         family = solve_eop(report, 5)  # enforces 1-d null spaces
         for nu in range(6):
             assert family[nu].degree == report.g.degree + nu
-        worst = max(worst, orthogonality_check(family))
+        worst = max(worst, orthogonality_check(report, family))
     assert worst < 1e-8
     print(f"\nPASS criterion 6: {len(EOP_SPECS)} specs, nu <= 5: null spaces "
           f"one-dimensional, degrees mu+nu, max off-diagonal {worst:.2e} < 1e-8")

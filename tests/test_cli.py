@@ -452,6 +452,22 @@ def test_failed_numeric_check_exits_1(check, error, capsys, monkeypatch):
     assert err == "numeric check failed: did not converge\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["extend", "--alpha", "5/2", "--seeds", "I:1", "--skip-numeric"], ["eop", "--alpha", "5/2", "--seeds", "I:1,II:1"]],
+    ids=["extend", "eop"],
+)
+def test_a_vanishing_g_is_an_internal_inconsistency(argv, capsys, monkeypatch):
+    # a zero g comes from the exact stage, never from the input: it exited 2
+    # with "error: cannot certify the zero polynomial", as bad input
+    def zero_det(matrix, minors=False):
+        return (exactmath.Poly.zero(), None) if minors else exactmath.Poly.zero()
+
+    monkeypatch.setattr(wronskian, "poly_mat_det", zero_det)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (3, "", "internal inconsistency: cannot certify the zero polynomial\n")
+
+
 @pytest.fixture
 def compute_g_calls(monkeypatch):
     """Specs passed to compute_g, through every module that calls it."""

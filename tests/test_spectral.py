@@ -14,10 +14,11 @@ from xlag import exactmath, spectral
 from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence
 from xlag.exactmath import Poly
 from xlag.regularity import certify
-from xlag.seeds import _polyval, laguerre
+from xlag.seeds import laguerre
 from xlag.spectral import (
     _clenshaw_curtis,
     _ode_operator,
+    _polyval,
     build_potential,
     expected_spectrum,
     numeric_spectrum,
@@ -111,7 +112,7 @@ class TestEOP:
     def test_degrees(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         family = solve_eop(report, 2)
-        assert family.g.degree == 3
+        assert report.g.degree == 3
         assert [family[nu].degree for nu in range(3)] == [3, 4, 5]
 
     def test_ode_residual_exactly_zero(self):
@@ -163,21 +164,37 @@ class TestEOP:
 class TestWavefunction:
     def test_boundary_decay(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        family = solve_eop(report, 0)
-        psi = wavefunction(spec, family, 0)
-        assert abs(psi(1e-4)) < 1e-6
-        assert abs(psi(14.0)) < 1e-12
-        assert abs(psi(1.0)) > 1e-4
+        y = solve_eop(report, 0)[0]
+        assert abs(wavefunction(report, y, 1e-4)) < 1e-6
+        assert abs(wavefunction(report, y, 14.0)) < 1e-12
+        assert abs(wavefunction(report, y, 1.0)) > 1e-4
 
     def test_nodal_counts(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         family = solve_eop(report, 3)
         xs = np.linspace(0.02, 12.0, 6000)
         for nu in range(4):
-            vals = wavefunction(spec, family, nu)(xs)
+            vals = wavefunction(report, family[nu], xs)
             sig = vals[np.abs(vals) > np.max(np.abs(vals)) * 1e-12]
             changes = int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
             assert changes == nu
+
+    @pytest.mark.parametrize(
+        "alpha, m_i, m_ii, omega",
+        [("3/2", (1,), (), 1), ("7/2", (1,), (1, 2), F(3, 2)), ("29/2", (2, 4, 6), (3, 5, 7), 1)],
+        ids=["k1", "mu5_omega_3_2", "mu30"],
+    )
+    def test_values_equal_the_exact_oracle(self, alpha, m_i, m_ii, omega):
+        # on the same float z = omega x^2 / 2: z^((alpha + 1/2)/2) e^(-z/2) in
+        # math, times y(z) / g(z) exact and rounded once
+        spec, report, regular = pipeline(alpha, m_i, m_ii, omega)
+        xs = np.linspace(0.05, 8.0, 400)
+        zs = 0.5 * float(spec.omega) * xs * xs
+        a = float((spec.alpha + F(1, 2)) / 2)
+        for nu, y in enumerate(solve_eop(report, 3)):
+            oracle = np.array([math.pow(z, a) * math.exp(-z / 2) * float(y.eval(F(z)) / report.g.eval(F(z))) for z in zs])
+            worst = np.max(np.abs(wavefunction(report, y, xs) - oracle))
+            assert worst <= 1e-13 * np.max(np.abs(oracle)), (spec, nu)
 
 
 def _gauss_legendre(n):
@@ -330,7 +347,7 @@ class TestClenshawCurtis:
         assert max(abs(Decimal(a) / b - 1) for a, b in zip(w_oracle, weights)) <= Decimal("2e-12")
 
 
-def pairwise_gram(family, i, j, rule):
+def pairwise_gram(report, family, i, j, rule):
     """<i,i>, <j,j> and <i,j>, each the integral of y y' z^alpha e^-z / g^2
     over (0, inf) by the mapped Gauss-Legendre rule (x, wts) with z = u^2,
     over this pair's own window: as far either side of the pair's peak z = p
@@ -338,17 +355,17 @@ def pairwise_gram(family, i, j, rule):
     past the degrees' cutoff above.  All three share the nodes and the
     weight, taken in log space relative to its largest value over them, so
     z^alpha cannot overflow and the scale cancels from the ratio."""
-    deg_i, deg_j = family.polys[i].degree, family.polys[j].degree
-    a = float(family.alpha)
-    p = max(a + deg_i + deg_j - 2 * family.g.degree, 0.0)
+    deg_i, deg_j = family[i].degree, family[j].degree
+    a = float(report.spec.alpha)
+    p = max(a + deg_i + deg_j - 2 * report.g.degree, 0.0)
     zmax = max(60.0 + 4.0 * (deg_i + deg_j + 2), p + 40.0 + 9.0 * np.sqrt(p))
     umin, umax = np.sqrt(max(p - 40.0 - 9.0 * np.sqrt(p), 0.0)), np.sqrt(zmax)
     x, wts = rule
     u = umin + 0.5 * (umax - umin) * (x + 1.0)
     z = u * u
     log_w = a * np.log(z) - z
-    f = (umax - umin) * u * np.exp(log_w - log_w.max()) * wts / _polyval(family.g, z) ** 2
-    y_i, y_j = _polyval(family.polys[i], z), _polyval(family.polys[j], z)
+    f = (umax - umin) * u * np.exp(log_w - log_w.max()) * wts / _polyval(report.g, z) ** 2
+    y_i, y_j = _polyval(family[i], z), _polyval(family[j], z)
     return float(np.dot(f, y_i * y_i)), float(np.dot(f, y_j * y_j)), float(np.dot(f, y_i * y_j))
 
 
@@ -358,13 +375,13 @@ def gauss_rules():
     return [_gauss_legendre(n) for n in (200, 301)]
 
 
-def pairwise_offdiag(family, i, j, rules):
+def pairwise_offdiag(report, family, i, j, rules):
     """The pairwise route orthogonality_check replaced, kept as its oracle:
     |<i,j>| / sqrt(<i,i><j,j>) per Gauss-Legendre rule, a different rule
     from the check's Clenshaw-Curtis pair."""
     vals = []
     for rule in rules:
-        nii, njj, nij = pairwise_gram(family, i, j, rule)
+        nii, njj, nij = pairwise_gram(report, family, i, j, rule)
         vals.append(abs(nij) / (np.sqrt(nii) * np.sqrt(njj)))
     assert abs(vals[0] - vals[1]) <= 1e-10
     return vals[1]
@@ -373,15 +390,15 @@ def pairwise_offdiag(family, i, j, rules):
 class TestOrthogonality:
     def test_single_level_has_no_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        assert orthogonality_check(solve_eop(report, 0)) is None
+        assert orthogonality_check(report, solve_eop(report, 0)) is None
 
     def test_classical_off_diagonal(self):
         spec, report, regular = pipeline("3/2")
-        assert orthogonality_check(solve_eop(report, 5)) < 1e-12
+        assert orthogonality_check(report, solve_eop(report, 5)) < 1e-12
 
     def test_extended_off_diagonal(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        assert orthogonality_check(solve_eop(report, 5)) < 1e-8
+        assert orthogonality_check(report, solve_eop(report, 5)) < 1e-8
 
     @pytest.mark.parametrize("alpha, m_i, m_ii", [("1/2", (), ()), ("1/2", (), (1, 2)), ("2/3", (), ())])
     def test_small_alpha_passes_without_a_warning(self, alpha, m_i, m_ii):
@@ -390,20 +407,20 @@ class TestOrthogonality:
         spec, report, regular = pipeline(alpha, m_i, m_ii)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert orthogonality_check(solve_eop(report, 5)) < 1e-13
+            assert orthogonality_check(report, solve_eop(report, 5)) < 1e-13
 
     def test_large_alpha_off_diagonal(self):
         # the weight z^alpha e^-z peaks near z = alpha; a cutoff set by the
         # degrees alone truncated it here and read 0.04
         spec, report, regular = pipeline("121/2", m_i=(1,))
-        assert orthogonality_check(solve_eop(report, 3)) < 1e-8
+        assert orthogonality_check(report, solve_eop(report, 3)) < 1e-8
 
     @pytest.mark.parametrize("alpha", ["341/2", "1001/2"])
     def test_a_weight_past_the_float_range_is_scaled_into_it(self, alpha):
         # unscaled, z^alpha e^-z overflowed here and the Gram matrices filled
         # with NaN, which passed the 1e-10 agreement test
         spec, report, regular = pipeline(alpha, m_i=(1,))
-        assert orthogonality_check(solve_eop(report, 3)) < 1e-8
+        assert orthogonality_check(report, solve_eop(report, 3)) < 1e-8
 
     def test_a_non_finite_gram_matrix_raises(self, monkeypatch):
         def poisoned(n):
@@ -415,17 +432,17 @@ class TestOrthogonality:
         monkeypatch.setattr(spectral, "_clenshaw_curtis", poisoned)
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         with pytest.raises(QuadratureNonconvergence, match="non-finite"):
-            orthogonality_check(solve_eop(report, 3))
+            orthogonality_check(report, solve_eop(report, 3))
 
     def test_large_alpha_detects_a_non_orthogonal_pair(self, gauss_rules):
         # y0 + y1 is far from orthogonal to y0; a float z^alpha overflowed the
         # norm product to inf and read exactly 0.0 for this pair
         spec, report, regular = pipeline("201/2", m_i=(1,))
         family = solve_eop(report, 1)
-        mixed = replace(family, polys=(family[0], family[0] + family[1]))
-        worst = orthogonality_check(mixed)
+        mixed = (family[0], family[0] + family[1])
+        worst = orthogonality_check(report, mixed)
         assert worst > 1e-3
-        assert abs(worst - pairwise_offdiag(mixed, 0, 1, gauss_rules)) < 1e-13
+        assert abs(worst - pairwise_offdiag(report, mixed, 0, 1, gauss_rules)) < 1e-13
 
     @pytest.mark.parametrize(
         "specs, nu_max",
@@ -443,8 +460,8 @@ class TestOrthogonality:
             assert regular, spec
             family = solve_eop(report, nu_max)
             pairs = [(i, j) for i in range(nu_max + 1) for j in range(i + 1, nu_max + 1)]
-            oracle = max(pairwise_offdiag(family, i, j, gauss_rules) for i, j in pairs)
-            assert abs(orthogonality_check(family) - oracle) < 1e-13, spec
+            oracle = max(pairwise_offdiag(report, family, i, j, gauss_rules) for i, j in pairs)
+            assert abs(orthogonality_check(report, family) - oracle) < 1e-13, spec
 
     def test_node_counts_that_disagree_raise(self, monkeypatch):
         # the n = 200 weights replaced by the n = 8 rule on every 25th node, a
@@ -462,7 +479,7 @@ class TestOrthogonality:
         monkeypatch.setattr(spectral, "_clenshaw_curtis", low_order)
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         with pytest.raises(QuadratureNonconvergence, match="moved from"):
-            orthogonality_check(solve_eop(report, 5))
+            orthogonality_check(report, solve_eop(report, 5))
 
 
 def ref_fd_levels(potential, n_levels, n_points=2000):
@@ -531,7 +548,7 @@ class TestSpectrum:
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             assert abs(lv - float(e)) / abs(float(e)) < 1e-6
         family = solve_eop(report, 2)
-        assert orthogonality_check(family) < 1e-8
+        assert orthogonality_check(report, family) < 1e-8
 
     def test_large_alpha(self, fd_grids):
         # l = 150: the centrifugal term reads ~1e7 at the first grid point
