@@ -214,6 +214,7 @@ def cmd_verify(args) -> int:
     for name in CHECK_NAMES:
         c = summary["counts"][name]
         print(f"{name:<18} {c['checked']:>8} {c['passed']:>8} {c['checked'] - c['passed']:>8}")
+    print("certified by: " + ", ".join(f"{m} {summary['methods'][m]}" for m in ("sturm", "descartes", "vca")))
     if summary["failures"]:
         first = summary["failures"][0]
         print(f"FAIL: first failing spec: {first.spec} -> {first.failures}", file=sys.stderr)

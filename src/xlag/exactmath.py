@@ -351,6 +351,31 @@ def _int_primitive(a):
     return [c // g for c in a] if g > 1 else list(a)
 
 
+def _int_taylor1(a):
+    """a(z + 1), by the O(n^2) repeated synthetic division."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _int_coprime_mod(a, b, p):
+    """True if Euclid over GF(p) ends a, b in a nonzero constant, by the
+    inverse-free step a <- lead(b) a - lead(a) z^k b (twice in one pass at k = 1)."""
+    a, b = _int_trim([c % p for c in a]), _int_trim([c % p for c in b])
+    while len(b) > 1:
+        lb = b[-1]
+        if len(a) == len(b) + 1:
+            la, top = a[-1], (lb * a[-2] - a[-1] * b[-2]) % p
+            a = [(lb * (lb * x - la * y) - top * w) % p for x, y, w in zip(a, [0] + b, b[:-1])]
+        while len(a) >= len(b):
+            k, la = len(a) - len(b), a[-1]
+            a = [lb * x % p for x in a[:k]] + [(lb * x - la * y) % p for x, y in zip(a[k:-1], b)]
+        a, b = b, _int_trim(a)
+    return len(b) == 1
+
+
 def poly_mat_det(matrix, minors: bool = False):
     """Determinant of a square matrix of Poly, by fraction-free elimination.
 

@@ -7,6 +7,7 @@ one place these comparisons are made; every CLI subcommand runs it too.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -58,6 +59,7 @@ class SpecCheck:
     regular: bool = None
     recurrence: bool = None
     wronskian_oracle: bool = None
+    method: str = None  # the certificate's root-count method
     failures: list = field(default_factory=list)
 
     @property
@@ -80,6 +82,7 @@ def check_report(report: GReport, cert: RegularityCertificate) -> SpecCheck:
         lead=report.lead_predicted == g.leading,
         const=report.const_predicted == g.constant,
         recurrence=check_origin_recurrence(report),
+        method=cert.method,
     )
     if spec.admissible:
         expected_sign = -1 if report.sigma % 2 else 1
@@ -147,7 +150,7 @@ def run_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, workers: i
 
 
 def summarize(results):
-    """Pass/fail counts per invariant plus the list of failing specs."""
+    """Pass/fail counts per invariant, specs per certificate method, failing specs."""
     counts = {}
     for name in CHECK_NAMES:
         ran = [r for r in results if getattr(r, name) is not None]
@@ -156,4 +159,5 @@ def summarize(results):
             "passed": sum(1 for r in ran if getattr(r, name)),
         }
     failures = [r for r in results if not r.passed]
-    return {"total": len(results), "counts": counts, "failures": failures}
+    methods = Counter(r.method for r in results if r.method)
+    return {"total": len(results), "counts": counts, "methods": methods, "failures": failures}

@@ -644,6 +644,35 @@ def test_a_spec_check_carries_no_report_or_certificate():
     assert pickle.loads(payload) == check
 
 
+def test_a_spec_check_carries_the_certificate_method():
+    specs = [
+        wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2)),  # admissible: one sign
+        wronskian.ExtensionSpec(Fraction(1, 2), 1, (), (2,)),  # one sign change
+        wronskian.ExtensionSpec(Fraction(-3, 2), 1, (), (1, 3)),  # two
+    ]
+    results = [verify.check_extension(spec) for spec in specs]
+    assert [r.method for r in results] == ["sturm", "descartes", "vca"]
+    assert verify.summarize(results)["methods"] == {"sturm": 1, "descartes": 1, "vca": 1}
+
+
+def test_verify_prints_how_many_specs_each_method_decided(capsys):
+    code, out, _ = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
+    assert code == 0
+    # every admissible g seen has coefficients of one sign
+    assert "certified by: sturm 4, descartes 0, vca 0" in out.splitlines()
+
+
+def test_extend_records_the_certificate_method(capsys):
+    code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:6,I:8,I:10,I:12,II:7,II:9,II:11,II:13"], capsys)
+    assert code == 0, err
+    cert = json.loads(out)["certificate"]
+    assert (cert["method"], cert["sign_variations"], cert["sturm_sequence_length"]) == ("vca", 32, None)
+    assert (cert["root_count_positive_axis"], cert["regular"]) == (4, False)
+    code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1,II:1", "--skip-numeric"], capsys)
+    cert = json.loads(out)["certificate"]
+    assert (cert["method"], cert["sign_variations"], cert["sturm_sequence_length"]) == ("sturm", 0, 4)
+
+
 def test_verify_does_not_import_scipy():
     # numpy and scipy serve only the numeric layer: import xlag, verify and
     # eop load neither, and extend imports both on first use

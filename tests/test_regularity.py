@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_exactmath import ref, ref_diff, ref_divmod, ref_eval, ref_monic
 from xlag.errors import BoundaryRoot, ZeroPolynomial
-from xlag.exactmath import Poly
+from xlag.exactmath import Poly, poly_gcd
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
 from xlag.wronskian import ExtensionSpec, GReport, compute_g
 
@@ -58,6 +58,13 @@ def test_boundary_root_raises():
         count_roots_open_interval(p, 1, None)
     with pytest.raises(BoundaryRoot):
         count_roots_open_interval(p, 0, 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 1), (1, 1), (None, 1), (None, None)])
+def test_an_empty_or_unbounded_below_interval_is_refused(lo, hi):
+    # (2, 1) read -1 roots of z - 3/2, and lo=None was read as +infinity
+    with pytest.raises(ValueError):
+        count_roots_open_interval(Poly((F(-3, 2), 1)), lo, hi)
 
 
 def test_counts_with_negative_leading_coefficient():
@@ -242,3 +249,106 @@ def test_certify_agrees_with_the_squarefree_route_on_planted_roots(roots, quadra
     cert = certify(_report(g))
     assert (cert.root_count_positive_axis, cert.repeated_root_defect) == (positive, defect)
     assert _reference_certificate(g) == (positive, defect)
+
+
+# -- the Descartes and VCA routes against the Sturm oracle ----------------
+#
+# certify sends a g whose core has sign changes to Descartes' rule or to
+# bisection once a gcd mod 2^61 - 1 proves the core square-free, and to the
+# Sturm chain when the proof fails.  The oracle is the Sturm chain itself:
+# count_roots_open_interval on the core and deg gcd(g, g').
+
+
+def _sturm_oracle(g):
+    order = next(i for i, c in enumerate(g.num) if c)
+    return count_roots_open_interval(g.divexact_zpow(order), 0), poly_gcd(g, g.diff()).degree
+
+
+def _from_roots(*roots, extra=Poly.one()):
+    g = extra
+    for r in roots:
+        g = g * Poly((-r, 1))
+    return g
+
+
+def _certify_as_oracle(g, method):
+    cert = certify(_report(g))
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect) == _sturm_oracle(g)
+    assert cert.method == method
+    assert (cert.sturm_sequence_length is None) == (method != "sturm")
+    return cert
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (F(1, 2), F(1, 4), F(3, 4), 1, 2),  # every root on a bisection cut
+        (F(1, 2), 1, 2, 4, 8),
+        (F(1, 4), F(3, 4)),
+        (1, 2, -3),
+        (F(1, 2), F(5, 8), F(-1, 2)),
+    ],
+)
+def test_vca_counts_roots_on_the_bisection_points(roots):
+    g = _from_roots(*roots, extra=Poly((3, 1, 1)))  # times z^2 + z + 3, no real root
+    cert = _certify_as_oracle(g, "vca")
+    assert cert.root_count_positive_axis == sum(1 for r in roots if r > 0)
+    assert cert.repeated_root_defect == 0
+
+
+@pytest.mark.parametrize("r", [F(1, 3), F(1, 2), 1, F(5, 2), 7, 1000])
+def test_vca_separates_a_root_pair_two_to_the_minus_twenty_apart(r):
+    g = _from_roots(r, r + F(1, 2**20), extra=Poly((1, 0, 1)))
+    assert _certify_as_oracle(g, "vca").root_count_positive_axis == 2
+
+
+def test_one_sign_change_is_one_root_by_descartes():
+    g = _from_roots(F(7, 3), -1, -2, extra=Poly((1, 0, 1)))
+    cert = _certify_as_oracle(g, "descartes")
+    assert (cert.root_count_positive_axis, cert.sign_variations) == (1, 1)
+
+
+def test_vca_strips_a_vanishing_constant_term():
+    g = _from_roots(1, 2, -5).shift_up(3)  # z^3 (z^3 + 2z^2 - 13z + 10)
+    cert = _certify_as_oracle(g, "vca")
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect, cert.sign_at_zero) == (2, 2, 0)
+
+
+def test_a_lead_divisible_by_the_prime_falls_back_to_sturm():
+    # mod 2^61 - 1 the double factor (pz + 1)^2 is 1, so without the lead
+    # test the gcd mod p would call g square-free and drop its defect
+    p = 2**61 - 1
+    g = Poly((1, p)) * Poly((1, p)) * _from_roots(1, 3, -2)
+    cert = _certify_as_oracle(g, "sturm")
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect, cert.sign_variations) == (2, 1, 2)
+
+
+def test_a_repeated_positive_root_falls_back_to_sturm():
+    g = _from_roots(2, 2, 5, -1, extra=Poly((1, 0, 1)))
+    cert = _certify_as_oracle(g, "sturm")
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect) == (2, 1)
+    assert cert.sign_variations >= 2
+
+
+def test_the_nodal_rung_takes_the_vca_route():
+    report = compute_g(ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13)))
+    cert = certify(report)
+    assert (report.g.degree, cert.method, cert.root_count_positive_axis) == (80, "vca", 4)
+    assert (cert.root_count_positive_axis, cert.repeated_root_defect) == _sturm_oracle(report.g)
+    assert not cert.regular and cert.sturm_sequence_length is None
+
+
+def test_vca_agrees_with_sturm_on_seeded_inadmissible_specs_at_k_5_and_6():
+    rng = random.Random(5)
+    methods = []
+    while len(methods) < 40:
+        k = rng.choice((5, 6))
+        q = rng.randrange(k)
+        m_i, m_ii = sorted(rng.sample(range(1, 9), q)), sorted(rng.sample(range(1, 9), k - q))
+        spec = ExtensionSpec(F(rng.randrange(1, 2 * m_ii[-1] + 1), 2) - k + 2 * q, 1, tuple(m_i), tuple(m_ii))
+        report = compute_g(spec)
+        cert = certify(report)
+        if cert.sign_variations:
+            assert (cert.root_count_positive_axis, cert.repeated_root_defect) == _sturm_oracle(report.g), spec
+            methods.append(cert.method)
+    assert methods.count("vca") > 30
