@@ -30,12 +30,8 @@ class BoundaryRoot(XlagError):
 
 
 class NullSpaceDimension(XlagError):
-    """ODE null space has unexpected dimension."""
-
-    def __init__(self, dim, expected=1):
-        self.dim = dim
-        self.expected = expected
-        super().__init__(f"null space dimension {dim}, expected {expected}")
+    """The ODE for y_nu has no polynomial solution, where exactly one is
+    expected; raised by solve_eop only."""
 
 
 class QuadratureNonconvergence(XlagError):

@@ -12,10 +12,8 @@ from fractions import Fraction
 
 from .errors import NotDivisible, ZeroPolynomial
 
-Rational = Fraction
 
-
-def pochhammer(a: Rational, n: int) -> Rational:
+def pochhammer(a: Fraction, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1: for a = p/q
     the int p (p+q) ... (p+(n-1)q) over q^n, as one Fraction.  A float `a` is
     rejected with TypeError, neither rounded nor converted."""
@@ -53,10 +51,14 @@ class Poly:
     that gcd(den, *num) = 1.
 
     The form is canonical, so equality and hashing are tuple compares, and
-    arithmetic runs on the ints with a single gcd per result.  `coeffs` is
-    a read-only Fraction view.  The zero polynomial has num = (), den = 1
-    and degree `None` (a sentinel, so degree arithmetic never silently
-    mixes in -1).  Instances are immutable and hashable.
+    arithmetic runs on the ints with a single gcd per result.  A Poly
+    equals only a Poly, never a scalar, so equal objects hash alike; a
+    constant is spelled `Poly((c,))`.  An int or Fraction may stand on the
+    right of + and -, and on either side of *.  `coeffs` is a read-only
+    Fraction view.  The zero polynomial `Poly()` is the only falsy one; it
+    has num = (), den = 1 and degree `None` (a sentinel, so degree
+    arithmetic never silently mixes in -1).  Instances are immutable and
+    hashable.
     """
 
     __slots__ = ("num", "den")
@@ -75,20 +77,6 @@ class Poly:
         # pickle would restore the slots through __setattr__; rebuild instead
         return (_poly, (list(self.num), self.den))
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly((1,))
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly((c,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -97,23 +85,19 @@ class Poly:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @property
     def degree(self):
         """Degree as int, or None for the zero polynomial."""
         return len(self.num) - 1 if self.num else None
 
     @property
-    def leading(self) -> Rational:
+    def leading(self) -> Fraction:
         return self[len(self.num) - 1]
 
     @property
-    def constant(self) -> Rational:
+    def constant(self) -> Fraction:
         return self[0]
 
-    def __getitem__(self, power: int) -> Rational:
+    def __getitem__(self, power: int) -> Fraction:
         if 0 <= power < len(self.num):
             return Fraction(self.num[power], self.den)
         return Fraction(0)
@@ -121,8 +105,6 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
@@ -162,17 +144,13 @@ class Poly:
         other = _coerce(other)
         return _poly(_int_mul(self.num, other.num), self.den * other.den)
 
-    __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) - self
 
     def diff(self) -> "Poly":
         """Exact formal derivative with respect to z."""
         return _poly([i * c for i, c in enumerate(self.num) if i], self.den)
 
-    def eval(self, z0) -> Rational:
+    def eval(self, z0) -> Fraction:
         """Exact Horner evaluation at a rational point p/q, on the ints:
         sum num_i p^i q^(n-i), over den q^n."""
         z0 = Fraction(z0)
@@ -198,14 +176,14 @@ class Poly:
         """
         if e < 0:
             raise ValueError("power must be nonnegative")
-        if self.is_zero:
+        if not self:
             return self
         if len(self.num) < e or any(self.num[:e]):
             raise NotDivisible(f"polynomial not divisible by z^{e}")
         return _poly(list(self.num[e:]), self.den)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self:
             raise ZeroPolynomial("zero polynomial has no monic form")
         return _poly(list(self.num), self.num[-1])
 
@@ -215,25 +193,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                zp = "z" if i == 1 else f"z^{i}"
-                term = zp if mag == 1 else f"{mag}*{zp}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 def _init(p: Poly, num: list, den: int) -> Poly:
@@ -260,7 +219,7 @@ def _coerce(v) -> Poly:
     if isinstance(v, Poly):
         return v
     if isinstance(v, (int, Fraction)):
-        return Poly.const(v)
+        return Poly((v,))
     raise TypeError(f"cannot coerce {type(v)!r} to Poly")
 
 
@@ -274,7 +233,7 @@ def remainder_chain(a: Poly, b: Poly):
     sign variations, which is all it is read for, are unaffected, while
     coefficient growth stays tame.  The chain runs on the numerators.
     """
-    chain = [a] if b.is_zero else [a, b]
+    chain = [a, b] if b else [a]
     A, B = _int_primitive(a.num), _int_primitive(b.num)
     while B:
         R = _int_prem(A, B)
@@ -391,7 +350,7 @@ def poly_mat_det(matrix, minors: bool = False):
     """
     n = len(matrix)
     if n == 0:
-        return (Poly.one(), None) if minors else Poly.one()
+        return (Poly((1,)), None) if minors else Poly((1,))
     cols = [math.lcm(*(row[j].den for row in matrix)) for j in range(n)]
     M = [[[c * (cols[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix]
     sgn = 1

@@ -24,7 +24,7 @@ def sturm_sequence(p: Poly):
     distinct roots of p, repeated ones once, so no square-free reduction
     is needed (Sturm's theorem in its general form).
     """
-    if p.is_zero:
+    if not p:
         raise ZeroPolynomial("Sturm sequence of the zero polynomial")
     return remainder_chain(p, p.diff())
 
@@ -102,7 +102,7 @@ class RegularityCertificate:
 def certify(report: GReport) -> RegularityCertificate:
     """Root-count and endpoint-sign certificate for report.g."""
     g = report.g
-    if g.is_zero:
+    if not g:
         raise ZeroPolynomial("cannot certify the zero polynomial")
     # den > 0, so the numerators carry the signs
     sign_zero = sign(g.num[0])

@@ -15,19 +15,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SpecInvalid
-from .exactmath import Poly, Rational, _poly
+from .exactmath import Poly, _poly
 
 HALF = Fraction(1, 2)
 
 
-@lru_cache(maxsize=None)
-def laguerre(n: int, a: Rational) -> Poly:
-    """Exact L_n^{(a)}(z) from the series; degree exactly n.
+@lru_cache(maxsize=None, typed=True)  # typed: a float a must miss the cache and be refused
+def laguerre(n: int, a: Fraction) -> Poly:
+    """Exact L_n^{(a)}(z) from the series; degree exactly n.  A float `a`
+    is rejected with TypeError.
 
     Coefficient of z^i is (-1)^i (a+i+1)_{n-i} / ((n-i)! i!), which gives
     L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q, n! q^n times it is the int
     (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q), reduced once at the end.
     """
+    if not isinstance(a, (int, Fraction)):
+        raise TypeError(f"laguerre argument must be int or Fraction, got {a!r}")
     if n < 0:
         raise ValueError("degree must be nonnegative")
     a = Fraction(a)
@@ -49,7 +52,7 @@ class QuasiPoly:
     """A value z^zpower * e^(expsign*z/2) * poly(z), exact and closed
     under d/dz."""
 
-    zpower: Rational
+    zpower: Fraction
     expsign: int
     poly: Poly
 
@@ -68,14 +71,16 @@ class QuasiPoly:
         return QuasiPoly(a - 1, s, _poly(num, 2 * ad * p.den))
 
 
-def make_seed(kind: SeedKind, m: int, alpha_prime: Rational) -> QuasiPoly:
+def make_seed(kind: SeedKind, m: int, alpha_prime: Fraction) -> QuasiPoly:
     """Seed function for the starting potential with parameter alpha_prime.
 
     Type I comes from the omega -> -omega symmetry and lies below the
     ground state for every m; type II (alpha -> -alpha) requires
-    alpha_prime > m to be nodeless.
+    alpha_prime > m to be nodeless.  A float alpha_prime is rejected with
+    TypeError.
     """
-    alpha_prime = Fraction(alpha_prime)
+    if not isinstance(alpha_prime, (int, Fraction)):
+        raise TypeError(f"make_seed argument must be int or Fraction, got {alpha_prime!r}")
     if alpha_prime < HALF:
         raise SpecInvalid(f"alpha' must be >= 1/2, got {alpha_prime}")
     if kind is SeedKind.TYPE_I:

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureNonconvergence,
     SpecInvalid,
 )
-from .exactmath import Poly, Rational
+from .exactmath import Poly
 from .wronskian import ExtensionSpec, GReport
 
 
@@ -44,7 +44,7 @@ class ExtendedPotential:
     (rat_num, g^2) for the rational part."""
 
     spec: ExtensionSpec
-    shift: Rational
+    shift: Fraction
     rat_num: Poly
     rat_den: Poly
 
@@ -118,7 +118,7 @@ def solve_eop(report: GReport, nu_max: int) -> tuple:
     mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
     (OracleMismatch if it were zero), so the solution is monic, of degree
     mu+nu and unique.  Rows 0..mu-1, which fix no coefficient, must then
-    vanish, or no polynomial solution exists (NullSpaceDimension(0)).  The
+    vanish, or no polynomial solution exists (NullSpaceDimension).  The
     band is built once and holds ints; c_j = C_j / D over one common D.
     """
     if nu_max < 0:
@@ -140,7 +140,7 @@ def solve_eop(report: GReport, nu_max: int) -> tuple:
                 C, D = [x * f for x in C], D * f
             C[d] = c.numerator * (D // c.denominator)
         if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
-            raise NullSpaceDimension(0)
+            raise NullSpaceDimension("null space dimension 0, expected 1")
         polys.append(Poly(C) * Fraction(1, D))
     return tuple(polys)
 

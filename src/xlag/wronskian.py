@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
-from .exactmath import Poly, Rational, pochhammer, poly_mat_det, vandermonde
+from .exactmath import Poly, pochhammer, poly_mat_det, vandermonde
 from .seeds import HALF, SeedKind, laguerre, make_seed
 
 # largest k the direct seed-Wronskian oracle runs at; its cost grows
@@ -36,8 +36,8 @@ class ExtensionSpec:
     empty spec (no seeds) is the identity extension.
     """
 
-    alpha: Rational
-    omega: Rational
+    alpha: Fraction
+    omega: Fraction
     m_type_i: tuple
     m_type_ii: tuple
 
@@ -68,15 +68,15 @@ class ExtensionSpec:
         return len(self.m_type_i)
 
     @cached_property
-    def alpha_prime(self) -> Rational:
+    def alpha_prime(self) -> Fraction:
         return self.alpha + self.k - 2 * self.q
 
     @property
-    def l(self) -> Rational:
+    def l(self) -> Fraction:
         return self.alpha - HALF
 
     @property
-    def l_prime(self) -> Rational:
+    def l_prime(self) -> Fraction:
         return self.alpha_prime - HALF
 
     @property
@@ -100,21 +100,21 @@ class GReport:
     g: Poly
     mu_predicted: int
     sigma: int
-    lead_predicted: Rational
-    const_predicted: Rational
+    lead_predicted: Fraction
+    const_predicted: Fraction
     # g(0) of the sub-extensions dropping the last, the next-to-last and both
     # last type-II seeds, alpha' kept; None when k - q < 2
     sub_constants: tuple = None
 
 
-def _laguerre_or_zero(n: int, a: Rational, negated: bool) -> Poly:
+def _laguerre_or_zero(n: int, a: Fraction, negated: bool) -> Poly:
     # entries with m_j - i + 1 < 0 use the zero-polynomial convention
     if n < 0:
-        return Poly.zero()
+        return Poly()
     return laguerre(n, a).compose_neg() if negated else laguerre(n, a)
 
 
-def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Rational) -> Poly:
+def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Fraction) -> Poly:
     if j <= q:
         if i <= q + 1:
             return _laguerre_or_zero(m - i + 1, ap + (i - 1), negated=True)
@@ -129,7 +129,7 @@ def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Rational) -> Poly:
     return (body * pref).shift_up(k - i)
 
 
-def _gamma_matrix(k: int, q: int, ms, ap: Rational):
+def _gamma_matrix(k: int, q: int, ms, ap: Fraction):
     return [[_gamma_entry(i, j, k, q, ms[j - 1], ap) for j in range(1, k + 1)] for i in range(1, k + 1)]
 
 
@@ -151,7 +151,7 @@ def predict_mu_sigma_lead(spec: ExtensionSpec):
     return mu, sigma, lead
 
 
-def predict_const(spec: ExtensionSpec) -> Rational:
+def predict_const(spec: ExtensionSpec) -> Fraction:
     """Closed-form constant term g(0), in the alpha' form: the type-I block
     contributes (a'+1)_{m_1} ... (a'+q)_{m_q-q+1} and the type-II block
     (a'-m_{q+1})_{m_{q+1}+q} ... (a'-m_k)_{m_k+2q-k+1}."""

@@ -461,7 +461,7 @@ def test_a_vanishing_g_is_an_internal_inconsistency(argv, capsys, monkeypatch):
     # a zero g comes from the exact stage, never from the input: it exited 2
     # with "error: cannot certify the zero polynomial", as bad input
     def zero_det(matrix, minors=False):
-        return (exactmath.Poly.zero(), None) if minors else exactmath.Poly.zero()
+        return (exactmath.Poly(), None) if minors else exactmath.Poly()
 
     monkeypatch.setattr(wronskian, "poly_mat_det", zero_det)
     code, out, err = run_cli(argv, capsys)
@@ -787,6 +787,15 @@ class TestSample:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {column} is not finite at x = {x}; narrow --x-min/--x-max\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_a_negative_final_l_exits_2_and_writes_nothing(self, to_file, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        argv = ["sample", "--alpha", "-1/4", "--seeds", "II:1"] + (["--out", str(path)] if to_file else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: final angular momentum l = -3/4 is negative\n"
         assert not path.exists()
 
     def test_irregular_requires_force(self, capsys):

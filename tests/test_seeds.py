@@ -24,8 +24,22 @@ params = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
 def test_laguerre_low_orders():
     a = F(7, 4)
-    assert laguerre(0, a) == Poly.one()
+    assert laguerre(0, a) == Poly((1,))
     assert laguerre(1, a) == Poly((a + 1, -1))
+
+
+@pytest.mark.parametrize("a", [0.1, 2.0, 0.5])
+def test_laguerre_rejects_a_float_parameter(a):
+    # a float is neither converted to its binary fraction nor, as 0.5 equals
+    # and hashes like F(1, 2), served from the cache
+    laguerre(1, F(1, 2))
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        laguerre(1, a)
+
+
+def test_laguerre_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        laguerre(-1, F(1, 2))
 
 
 def test_laguerre_value_at_origin_paper_case():
@@ -73,13 +87,13 @@ def test_laguerre_ode_identity(n, a):
     # z y'' + (a+1-z) y' + n y = 0 as an exact polynomial identity
     y = laguerre(n, a)
     residual = y.diff().diff().shift_up(1) + Poly((a + 1, -1)) * y.diff() + y * n
-    assert residual.is_zero
+    assert not residual
 
 
 def test_negated_arg():
     a = F(5, 3)
     assert laguerre(1, a).compose_neg() == Poly((a + 1, 1))
-    assert laguerre(0, a).compose_neg() == Poly.one()
+    assert laguerre(0, a).compose_neg() == Poly((1,))
     assert laguerre(2, F(3, 2)).compose_neg() == Poly((F(35, 8), F(7, 2), F(1, 2)))
 
 
@@ -117,14 +131,28 @@ def test_make_seed_type_ii():
     assert qp.poly == Poly((F(-3, 2), -1))
     assert qp.zpower == -1
     assert qp.expsign == -1
+    with pytest.raises(SpecInvalid):
+        make_seed(SeedKind.TYPE_II, 1, F(1, 4))
+
+
+@pytest.mark.parametrize("kind", list(SeedKind))
+def test_make_seed_rejects_a_float_alpha_prime(kind):
+    # a float is not converted to its binary fraction (2.1 is over 2^51)
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        make_seed(kind, 1, 2.1)
+
+
+def test_quasipoly_rejects_an_exponent_sign_other_than_one():
+    with pytest.raises(ValueError):
+        QuasiPoly(0, 0, Poly((1,)))
 
 
 def test_quasipoly_diff_examples():
-    d = QuasiPoly(0, -1, Poly.one()).diff()
+    d = QuasiPoly(0, -1, Poly((1,))).diff()
     assert (d.zpower, d.expsign, d.poly) == (-1, -1, Poly((0, F(-1, 2))))
-    d = QuasiPoly(1, +1, Poly.one()).diff()
+    d = QuasiPoly(1, +1, Poly((1,))).diff()
     assert (d.zpower, d.expsign, d.poly) == (0, +1, Poly((1, F(1, 2))))
-    d2 = QuasiPoly(0, -1, Poly.one()).diff().diff()
+    d2 = QuasiPoly(0, -1, Poly((1,))).diff().diff()
     assert (d2.zpower, d2.expsign, d2.poly) == (-2, -1, Poly((0, 0, F(1, 4))))
 
 
@@ -152,7 +180,7 @@ def test_quasipoly_diff_matches_the_fraction_route(a, s, poly):
 @given(
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
     st.sampled_from([-1, 1]),
-    st.lists(params, min_size=1, max_size=4).map(Poly).filter(lambda p: not p.is_zero),
+    st.lists(params, min_size=1, max_size=4).map(Poly).filter(bool),
     st.floats(min_value=0.5, max_value=10.0),
 )
 @settings(deadline=None, max_examples=40)

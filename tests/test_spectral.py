@@ -59,7 +59,7 @@ class TestPotential:
         spec, report, regular = pipeline("3/2")
         pot = build_potential(report)
         assert pot.shift == 0
-        assert pot.rat_num.is_zero
+        assert not pot.rat_num
         xs = np.linspace(0.3, 6.0, 50)
         # omega^2 x^2 / 4 + l(l+1) / x^2 at l = 1, omega = 1
         assert np.allclose(pot(xs), xs**2 / 4 + 2 / xs**2, rtol=0, atol=1e-14)
@@ -119,7 +119,7 @@ class TestEOP:
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         family = solve_eop(report, 3)
         for nu in range(4):
-            assert ode_residual(report.g, spec.alpha, nu, family[nu]).is_zero
+            assert not ode_residual(report.g, spec.alpha, nu, family[nu])
 
     def test_degree_gaps(self):
         # no polynomial of degree < mu solves the system, for any level
@@ -157,8 +157,13 @@ class TestEOP:
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         bad = replace(report, g=report.g + 1)
         assert eop_nullspace(bad.g, spec.alpha, 0, bad.g.degree) == []
-        with pytest.raises(NullSpaceDimension):
+        with pytest.raises(NullSpaceDimension, match="^null space dimension 0, expected 1$"):
             solve_eop(bad, 0)
+
+    def test_a_negative_nu_max_is_refused(self):
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        with pytest.raises(ValueError):
+            solve_eop(report, -1)
 
 
 class TestWavefunction:

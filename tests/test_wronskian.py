@@ -109,7 +109,7 @@ class TestGammaMatrix:
         m = build_gamma_matrix(s)
         assert m[0][0] == Poly((a + 1, 1))  # L_1^{(a)}(-z)
         assert m[0][1] == Poly((0, 1)) * laguerre(1, -a)  # z L_1^{(-a)}(z)
-        assert m[1][0] == Poly.one()  # L_0^{(a+1)}(-z)
+        assert m[1][0] == Poly((1,))  # L_0^{(a+1)}(-z)
         assert m[1][1] == laguerre(2, -a - 1) * 2  # (m+1)_1 L_2^{(-a-1)}(z)
 
     def test_negative_degree_entries_are_zero(self):
@@ -120,7 +120,7 @@ class TestGammaMatrix:
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
         m3 = build_gamma_matrix(s3)
-        assert m3[2][0].is_zero  # L_{-1} convention
+        assert not m3[2][0]  # L_{-1} convention
 
 
 class TestComputeG:
@@ -158,7 +158,7 @@ class TestComputeG:
 
     def test_identity_extension(self):
         rep = compute_g(spec("3/2"))
-        assert rep.g == Poly.one()
+        assert rep.g == Poly((1,))
         assert (rep.g.degree, rep.sigma, rep.g.leading, rep.g.constant) == (0, 0, 1, 1)
 
 
@@ -216,7 +216,7 @@ class TestWronskianOracle:
         # not come from them is caught
         report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
         with pytest.raises(OracleMismatch):
-            wronskian_direct(replace(report, g=report.g + Poly.one()))
+            wronskian_direct(replace(report, g=report.g + Poly((1,))))
 
     def test_cost_guard(self):
         # a valid spec the oracle does not run on
@@ -329,7 +329,7 @@ def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
     # in the (1,1) entry, so the elimination must swap rows
     s = spec("5/2", m_i=(1, 2), m_ii=(1, 2))
     matrix = build_gamma_matrix(s)
-    assert matrix[2][0].is_zero and not matrix[0][0].is_zero
+    assert not matrix[2][0] and matrix[0][0]
     shifted = [matrix[2], matrix[0], matrix[1]] + matrix[3:]
     assert poly_mat_det(shifted) == poly_mat_det(matrix)
     monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: shifted)
@@ -346,7 +346,7 @@ def _det_cofactor(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    out = Poly.zero()
+    out = Poly()
     for j in range(n):
         minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
         term = m[0][j] * _det_cofactor(minor)
