@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
     Poly,
+    _bareiss,
     pochhammer,
     poly_gcd,
     poly_mat_det,
@@ -150,6 +151,12 @@ def test_equal_polynomials_from_different_routes_compare_and_hash_equal(a, b, s)
 def test_non_rational_coefficient_is_rejected():
     with pytest.raises(TypeError):
         Poly((0.1,))
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        Poly((True, False))
+    with pytest.raises(TypeError):
+        Poly((1,)) * True
+    with pytest.raises(TypeError):
+        Poly((1,)) + False
     with pytest.raises(TypeError):
         Poly((1, "2"))
     with pytest.raises(TypeError):
@@ -231,10 +238,10 @@ def test_pochhammer_matches_the_fraction_product(a, n):
     assert out == ref_pochhammer(F(a), n)
 
 
-@pytest.mark.parametrize("a", [0.1, 2.0])
+@pytest.mark.parametrize("a", [0.1, 2.0, True])
 def test_pochhammer_rejects_a_non_rational_argument(a):
     # a float is neither rounded (0.11000000000000001) nor silently
-    # converted to its binary fraction
+    # converted to its binary fraction, and a bool is not read as 1
     with pytest.raises(TypeError):
         pochhammer(a, 2)
 
@@ -342,19 +349,26 @@ def _det_cofactor(m):
     return out
 
 
+# poly_mat_det's two routes, called directly: the packing limit forces the
+# packed ints (inf) or the coefficient lists (-inf) at any size
+ROUTES = pytest.mark.parametrize("pack_bits", [math.inf, -math.inf], ids=["integer", "polynomial"])
+
+
+@ROUTES
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2).map(Poly), min_size=9, max_size=9))
 @settings(deadline=None, max_examples=25)
-def test_bareiss_matches_cofactor_expansion(entries):
+def test_bareiss_matches_cofactor_expansion(pack_bits, entries):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
-    assert poly_mat_det(m) == _det_cofactor(m)
+    assert _bareiss(m, False, pack_bits) == _det_cofactor(m)
 
 
+@ROUTES
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2).map(Poly), min_size=16, max_size=16))
 @settings(deadline=None, max_examples=25)
 @example([Poly((c,)) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 7)])
-def test_bareiss_minors_match_cofactor_expansion(entries):
+def test_bareiss_minors_match_cofactor_expansion(pack_bits, entries):
     m = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    det, minors = poly_mat_det(m, minors=True)
+    det, minors = _bareiss(m, True, pack_bits)
     assert det == _det_cofactor(m)
     if not m[0][0]:
         assert minors is None  # a row swap was needed
@@ -364,6 +378,29 @@ def test_bareiss_minors_match_cofactor_expansion(entries):
             _det_cofactor([row[:2] + row[3:] for row in m[:3]]),
             _det_cofactor([row[:2] for row in m[:2]]),
         )
+
+
+@ROUTES
+def test_both_routes_on_the_small_cases(pack_bits):
+    a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
+    assert _bareiss([], True, pack_bits) == (Poly((1,)), None)
+    assert _bareiss([[c]], True, pack_bits) == (c, None)
+    assert _bareiss([[Poly()]], False, pack_bits) == Poly()
+    assert not _bareiss([[a, b], [a, b]], False, pack_bits)
+    assert _bareiss([[Poly(), b], [c, d]], True, pack_bits) == (-(b * c), None)  # a swap
+    assert _bareiss([[Poly((-1,)), b], [Poly(), d]], True, pack_bits) == (-d, (Poly((-1,)), b, Poly((1,))))
+    assert _bareiss([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]], False, pack_bits) == Poly()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_packing_bound_holds_at_equality(sign):
+    # det = sign * H exactly, with H a power of two: one bit less of B would
+    # read +H back as -H
+    diag = [Poly((0, sign * 2**3)), Poly((0, 0, -(2**5))), Poly((-(2**7),))]
+    m = [[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)]
+    assert _bareiss(m, False, math.inf) == Poly((0, 0, 0, sign * 2**15))
+    assert _bareiss([[Poly((sign * 2**200,))]], False, math.inf) == Poly((sign * 2**200,))
+    assert poly_mat_det([[Poly((sign * 2**200,))]]) == Poly((sign * 2**200,))
 
 
 def test_minors_of_a_2x2_and_a_swap():

@@ -28,11 +28,13 @@ def test_laguerre_low_orders():
     assert laguerre(1, a) == Poly((a + 1, -1))
 
 
-@pytest.mark.parametrize("a", [0.1, 2.0, 0.5])
+@pytest.mark.parametrize("a", [0.1, 2.0, 0.5, True])
 def test_laguerre_rejects_a_float_parameter(a):
     # a float is neither converted to its binary fraction nor, as 0.5 equals
-    # and hashes like F(1, 2), served from the cache
+    # and hashes like F(1, 2), served from the cache; a bool, which equals
+    # and hashes like an int, is refused the same way
     laguerre(1, F(1, 2))
+    laguerre(1, 1)
     with pytest.raises(TypeError, match="must be int or Fraction"):
         laguerre(1, a)
 
@@ -140,6 +142,8 @@ def test_make_seed_rejects_a_float_alpha_prime(kind):
     # a float is not converted to its binary fraction (2.1 is over 2^51)
     with pytest.raises(TypeError, match="must be int or Fraction"):
         make_seed(kind, 1, 2.1)
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        make_seed(kind, 1, True)
 
 
 def test_quasipoly_rejects_an_exponent_sign_other_than_one():

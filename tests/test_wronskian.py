@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from test_exactmath import ref_pochhammer
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
 from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
-from xlag.exactmath import Poly, poly_mat_det
+from xlag.exactmath import _PACK_BITS, Poly, _bareiss, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
@@ -335,6 +336,42 @@ def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
     monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: shifted)
     with pytest.raises(OracleMismatch, match="swapped rows"):
         compute_g(s)
+
+
+def _packed_size(matrix):
+    # B (D + 1), as poly_mat_det's docstring defines it
+    cols = [math.lcm(*(e.den for e in col)) for col in zip(*matrix)]
+    rows = [[[c * (cols[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix]
+    h = math.prod(max(1, sum(abs(c) for e in row for c in e)) for row in rows)
+    return (h.bit_length() + 1) * (sum(max(map(len, row)) for row in rows) - len(rows) + 1)
+
+
+def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypatch):
+    # every gamma and Wronskian matrix of a sub-lattice, which take the packed
+    # ints, and the gamma matrices of the nodal spec (deg g = 80) and of a
+    # k = 6 and a k = 8 spec, which take the coefficient lists; the lists
+    # are the packed ints' reference
+    seen = []
+
+    def recording(matrix, minors=False):
+        seen.append((matrix, minors))
+        return poly_mat_det(matrix, minors)
+
+    monkeypatch.setattr(wronskian, "poly_mat_det", recording)
+    for s in enumerate_lattice(4, 4, 2):
+        wronskian_direct(compute_g(s))
+    lattice = len(seen)
+    for s in (
+        spec("5/2", m_i=(6, 8, 10, 12), m_ii=(7, 9, 11, 13)),
+        spec("23/2", m_i=(15,), m_ii=(1, 3, 5, 6, 15)),
+        spec("37/2", m_i=(3, 10, 12, 15), m_ii=(1, 2, 3, 18)),
+    ):
+        compute_g(s)
+    sizes = [_packed_size(matrix) for matrix, _ in seen]
+    assert lattice == 2 * 324 and max(sizes[:lattice]) <= _PACK_BITS < min(sizes[lattice:])
+    for matrix, minors in seen:
+        packed = _bareiss(matrix, minors, math.inf)
+        assert packed == _bareiss(matrix, minors, -math.inf) == poly_mat_det(matrix, minors)
 
 
 def test_report_pickles():
