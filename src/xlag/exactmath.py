@@ -4,9 +4,11 @@ Everything here is exact, so no operation ever rounds: a polynomial is a
 tuple of Python-int numerators over one int denominator, and scalars are
 built on ints and handed out as `fractions.Fraction`.  Floats enter the
 codebase only in the numeric verification layer (`spectral`), never here.
-A small polynomial determinant runs on ints, its entries packed at z = 2^B
-with B from a bound on every minor, so each Z[z] product and exact
-division is one big-int operation (Kronecker substitution).
+A polynomial determinant takes its matrix as int coefficient lists with one
+denominator per column, which its builders emit with no `Poly` per entry
+and one content gcd per column.  A small one runs on ints, its entries
+packed at z = 2^B with B from a bound on every minor, so each Z[z] product
+and exact division is one big-int operation (Kronecker substitution).
 """
 from __future__ import annotations
 
@@ -15,18 +17,6 @@ import math
 from fractions import Fraction
 
 from .errors import NotDivisible, ZeroPolynomial
-
-
-def pochhammer(a: Fraction, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1: for a = p/q
-    the int p (p+q) ... (p+(n-1)q) over q^n, as one Fraction.  A float or bool
-    `a` is rejected with TypeError, neither rounded nor converted."""
-    if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
-        raise TypeError(f"pochhammer argument must be int or Fraction, got {a!r}")
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    p, q = a.numerator, a.denominator
-    return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
 def vandermonde(ns) -> int:
@@ -357,31 +347,53 @@ def _int_coprime_mod(a, b, p):
     return len(b) == 1
 
 
-def poly_mat_det(matrix, minors: bool = False):
-    """Determinant of a square matrix of Poly, by fraction-free elimination.
+def _int_columns(cols):
+    """The matrix whose column j holds the polynomials num/den of the (num,
+    den) pairs in cols[j], in `poly_mat_det`'s int form: int coefficient
+    rows over one denominator per column, the lcm of the column's.
+
+    One content gcd per column, taken with that denominator, brings the
+    column to lowest terms, so it is the column of reduced `Poly`s scaled
+    by the lcm of their denominators: the entries need no reduction of
+    their own, and the packed size, and with it the route, is theirs.
+    """
+    scaled, dens = [], []
+    for col in cols:
+        den = math.lcm(*(d for _, d in col))
+        col = [(a, den // d) for a, d in col]
+        g = math.gcd(den, *(f * math.gcd(*a) for a, f in col))
+        scaled.append([[c * f // g for c in a] for a, f in col])
+        dens.append(den // g)
+    return [list(row) for row in zip(*scaled)], dens
+
+
+def poly_mat_det(rows, dens, minors: bool = False):
+    """Determinant of the square polynomial matrix whose entry (i, j) is
+    rows[i][j] / dens[j]: int coefficient lists, lowest power first with no
+    trailing zeros, over one positive int denominator per column, so the
+    determinant is det(rows) / prod(dens).  `_int_columns` builds the form.
 
     Bareiss one-step elimination: every intermediate entry is divisible by
-    the previous pivot, so all divisions are exact.  Each column is scaled
-    up front to ints by the lcm of its denominators; their product is the
-    determinant's denominator.
+    the previous pivot, so all divisions are exact.
 
     Two routes run the one elimination loop.  Every intermediate, pivot and
-    minor read back is a minor of the row-permuted int matrix M, so its
-    coefficients are at most H = prod_i max(1, sum_j |M_ij|_1) in size.
+    minor read back is a minor of the row-permuted int matrix M = rows, so
+    its coefficients are at most H = prod_i max(1, sum_j |M_ij|_1) in size.
     Where the packed size B (D + 1), with B = H.bit_length() + 1 and
     D = sum_i max_j deg M_ij, is at most `_PACK_BITS`, each entry is
     evaluated at X = 2^B and the loop runs on plain ints: evaluation is a
     ring homomorphism, so the exact divisions in Z[z] stay exact in Z, and
     it is one-to-one on coefficients below X/2, so a pivot is 0 exactly
     when its polynomial is and balanced base-X digits give the result
-    back.  Above the limit it runs on the coefficient lists.
+    back.  Above the limit it runs on the coefficient lists.  Columns in
+    lowest terms keep H, and so B, as small as the form allows.
 
     Entries left in place are minors (Bareiss 1968).  With `minors`, the
     result is (det, minors) with the three that the last step reads, for
     n >= 2 (0-based): the leading (n-1)-minor, the one on rows 0..n-2 and
     columns 0..n-3, n-1, and the leading (n-2)-minor; None after a row swap.
     """
-    return _bareiss(matrix, minors, _PACK_BITS)
+    return _bareiss(rows, dens, minors, _PACK_BITS)
 
 
 # The int route's speed over the lists by packed size, measured with Python
@@ -390,20 +402,18 @@ def poly_mat_det(matrix, minors: bool = False):
 _PACK_BITS = 1 << 15
 
 
-def _bareiss(matrix, minors, pack_bits):
+def _bareiss(rows, dens, minors, pack_bits):
     """`poly_mat_det`, on packed ints where the packed size is at most pack_bits."""
-    n = len(matrix)
+    n = len(rows)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
-    cols = [math.lcm(*(row[j].den for row in matrix)) for j in range(n)]
-    M = [[(cols[j] // e.den, e.num) for j, e in enumerate(row)] for row in matrix]
-    bits = math.prod(max(1, sum(s * sum(map(abs, a)) for s, a in row)) for row in M).bit_length() + 1
-    if bits * (sum(max(len(a) for _, a in row) for row in M) - n + 1) <= pack_bits:
-        M = [[s * _int_pack(a, bits) for s, a in row] for row in M]
+    bits = math.prod(max(1, sum(sum(map(abs, a)) for a in row)) for row in rows).bit_length() + 1
+    if bits * (sum(max(map(len, row)) for row in rows) - n + 1) <= pack_bits:
+        M = [[_int_pack(a, bits) for a in row] for row in rows]
         prev, mul, sub, div = 1, int.__mul__, int.__sub__, divmod
         read = functools.partial(_int_unpack, bits=bits)
     else:
-        M = [[[s * c for c in a] for s, a in row] for row in M]
+        M = [list(row) for row in rows]
         prev, mul, sub, div = [1], _int_mul, _int_sub, _int_divmod
         read = list
     sgn = 1
@@ -419,10 +429,10 @@ def _bareiss(matrix, minors, pack_bits):
             else:
                 return (Poly(), None) if minors else Poly()
         if minors and k == n - 2 and not swapped:
-            scale = math.prod(cols[: n - 2])
+            scale = math.prod(dens[: n - 2])
             sub_minors = (
-                _poly(read(M[k][k]), scale * cols[n - 2]),
-                _poly(read(M[k][n - 1]), scale * cols[n - 1]),
+                _poly(read(M[k][k]), scale * dens[n - 2]),
+                _poly(read(M[k][n - 1]), scale * dens[n - 1]),
                 _poly(read(prev), scale),
             )
         pivot, top = M[k][k], M[k]
@@ -431,7 +441,7 @@ def _bareiss(matrix, minors, pack_bits):
                 num = sub(mul(pivot, row[j]), mul(row[k], top[j]))
                 row[j] = div(num, prev)[0] if k else num
         prev = pivot
-    det = _poly(read(M[n - 1][n - 1]), sgn * math.prod(cols))
+    det = _poly(read(M[n - 1][n - 1]), sgn * math.prod(dens))
     return (det, sub_minors) if minors else det
 
 

@@ -1,33 +1,44 @@
-"""Generalized Laguerre polynomials and the type-I/II seed functions
-with their gauge factors.
+"""Generalized Laguerre polynomials and the derivative tables of the
+type-I/II seed functions, built on ints.
 
-Seeds are kept in factored gauge-times-polynomial form (`QuasiPoly`),
-which is closed under differentiation, so every Wronskian entry stays an
-exact rational object.  The module is exact only: float evaluation, of
-polynomials and of the bound-state gauge alike, belongs to `spectral`.
+A seed is z^a e^(sz/2) P(z) with P a Laguerre polynomial, a form closed
+under d/dz, so its table of derivatives is a table of polynomials P_r.
+Each is emitted as int coefficients over one int denominator, unreduced,
+for `exactmath._int_columns` to bring to lowest terms once per column.
+The module is exact only: float evaluation, of polynomials and of the
+bound-state gauge alike, belongs to `spectral`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import SpecInvalid
 from .exactmath import Poly, _poly
 
 HALF = Fraction(1, 2)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a float or bool a must miss the cache and be refused
+def laguerre_series(n: int, p: int, q: int, negated: bool = False) -> list:
+    """n! q^n L_n^{(p/q)}(z), or at -z when negated, as ints lowest power
+    first, for any int p and positive int q, reduced or not: the
+    coefficient of z^i is (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q),
+    the sign dropped when negated.  A negative n gives the zero polynomial,
+    the convention of the gamma matrix."""
+    num, prod, c = [0] * (n + 1), 1, q ** max(n, 0)
+    for i in range(n, -1, -1):
+        num[i] = c * prod if negated or i % 2 == 0 else -c * prod
+        prod *= p + i * q
+        c = c * i // ((n - i + 1) * q)  # C(n, i-1) q^(i-1)
+    return num
+
+
 def laguerre(n: int, a: Fraction) -> Poly:
     """Exact L_n^{(a)}(z) from the series; degree exactly n.  A float or
     bool `a` is rejected with TypeError.
 
     Coefficient of z^i is (-1)^i (a+i+1)_{n-i} / ((n-i)! i!), which gives
-    L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q, n! q^n times it is the int
-    (-1)^i C(n, i) q^i (p + (i+1) q) ... (p + n q), reduced once at the end.
+    L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q this is `laguerre_series`
+    over n! q^n, reduced once at the end.
     """
     if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
         raise TypeError(f"laguerre argument must be int or Fraction, got {a!r}")
@@ -35,54 +46,31 @@ def laguerre(n: int, a: Fraction) -> Poly:
         raise ValueError("degree must be nonnegative")
     a = Fraction(a)
     p, q = a.numerator, a.denominator
-    num, prod = [0] * (n + 1), 1
-    for i in range(n, -1, -1):
-        num[i] = (-1) ** i * math.comb(n, i) * q**i * prod
-        prod *= p + i * q
-    return _poly(num, q**n * math.factorial(n))
+    return _poly(laguerre_series(n, p, q), q**n * math.factorial(n))
 
 
-class SeedKind(Enum):
-    TYPE_I = "I"
-    TYPE_II = "II"
+def seed_derivatives(type_i: bool, m: int, alpha_prime: Fraction, k: int) -> list:
+    """The seed of index m for the starting parameter alpha_prime and its
+    first k - 1 z-derivatives z^(a-r) e^(sz/2) P_r(z), as the k pairs
+    (num, den) of P_r, row r over den_0 (2 ad)^r.
 
-
-@dataclass(frozen=True)
-class QuasiPoly:
-    """A value z^zpower * e^(expsign*z/2) * poly(z), exact and closed
-    under d/dz."""
-
-    zpower: Fraction
-    expsign: int
-    poly: Poly
-
-    def __post_init__(self):
-        if self.expsign not in (-1, 1):
-            raise ValueError("expsign must be -1 or +1")
-
-    def diff(self) -> "QuasiPoly":
-        """d/dz [z^a e^{sz/2} P] = z^{a-1} e^{sz/2} (aP + (s/2) zP + zP'), in one
-        int pass: with a = an/ad and P = num/den, the coefficient of z^i is
-        2 (an + i ad) num_i + s ad num_{i-1}, over 2 ad den."""
-        a, s, p = self.zpower, self.expsign, self.poly
-        an, ad = a.numerator, a.denominator
-        pairs = enumerate(zip((*p.num, 0), (0, *p.num)))
-        num = [2 * (an + i * ad) * c + s * ad * b for i, (c, b) in pairs]
-        return QuasiPoly(a - 1, s, _poly(num, 2 * ad * p.den))
-
-
-def make_seed(kind: SeedKind, m: int, alpha_prime: Fraction) -> QuasiPoly:
-    """Seed function for the starting potential with parameter alpha_prime.
-
-    Type I comes from the omega -> -omega symmetry and lies below the
-    ground state for every m; type II (alpha -> -alpha) requires
-    alpha_prime > m to be nodeless.  A float or bool alpha_prime is
-    rejected with TypeError.
+    Type I, from the omega -> -omega symmetry, lies below the ground state
+    for every m: a = (a'+1/2)/2, s = +1, P_0 = L_m^{(a')}(-z).  Type II
+    (alpha -> -alpha) is nodeless only for a' > m: a = -(a'-1/2)/2, s = -1,
+    P_0 = L_m^{(-a')}(z).  Each step is
+    d/dz [z^a e^{sz/2} P] = z^{a-1} e^{sz/2} (aP + (s/2) zP + zP'): with
+    a = an/ad and P = num/den, the coefficient of z^i is
+    2 (an + i ad) num_i + s ad num_{i-1}, over 2 ad den, with no trailing
+    zero since s ad num_top is not 0.
     """
-    if isinstance(alpha_prime, bool) or not isinstance(alpha_prime, (int, Fraction)):
-        raise TypeError(f"make_seed argument must be int or Fraction, got {alpha_prime!r}")
-    if alpha_prime < HALF:
-        raise SpecInvalid(f"alpha' must be >= 1/2, got {alpha_prime}")
-    if kind is SeedKind.TYPE_I:
-        return QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre(m, alpha_prime).compose_neg())
-    return QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
+    s, p, q = 1 if type_i else -1, alpha_prime.numerator, alpha_prime.denominator
+    an, ad = 2 * s * p + q, 4 * q  # a = s (a' + s/2) / 2
+    g = math.gcd(an, ad)
+    an, ad = an // g, ad // g
+    num, den = laguerre_series(m, s * p, q, type_i), q**m * math.factorial(m)
+    table = [(num, den)]
+    for _ in range(k - 1):
+        num = [2 * (an + i * ad) * c + s * ad * b for i, (c, b) in enumerate(zip(num + [0], [0] + num))]
+        den, an = 2 * ad * den, an - ad
+        table.append((num, den))
+    return table

@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import Inapplicable, OracleMismatch, SpecInvalid
-from .exactmath import Poly, pochhammer, poly_mat_det, vandermonde
-from .seeds import HALF, SeedKind, laguerre, make_seed
+from .exactmath import Poly, _int_columns, poly_mat_det, vandermonde
+from .seeds import HALF, laguerre_series, seed_derivatives
 
 # largest k the direct seed-Wronskian oracle runs at; its cost grows
 # steeply with k
@@ -107,37 +107,38 @@ class GReport:
     sub_constants: tuple = None
 
 
-def _laguerre_or_zero(n: int, a: Fraction, negated: bool) -> Poly:
-    # entries with m_j - i + 1 < 0 use the zero-polynomial convention
-    if n < 0:
-        return Poly()
-    return laguerre(n, a).compose_neg() if negated else laguerre(n, a)
-
-
-def _gamma_entry(i: int, j: int, k: int, q: int, m: int, ap: Fraction) -> Poly:
-    if j <= q:
-        if i <= q + 1:
-            return _laguerre_or_zero(m - i + 1, ap + (i - 1), negated=True)
-        return _laguerre_or_zero(m - q, ap + (i - 1), negated=True)
-    # (m+1)_r is the int (m+r)! / m!
-    if i <= q + 1:
-        pref = math.perm(m + i - 1, i - 1)
-        body = _laguerre_or_zero(m + i - 1, (1 - i) - ap, negated=False)
-    else:
-        pref = math.perm(m + q, q) * pochhammer((m - i + q + 2) - ap, i - q - 1)
-        body = _laguerre_or_zero(m + q, (1 - i) - ap, negated=False)
-    return (body * pref).shift_up(k - i)
-
-
-def _gamma_matrix(k: int, q: int, ms, ap: Fraction):
-    return [[_gamma_entry(i, j, k, q, ms[j - 1], ap) for j in range(1, k + 1)] for i in range(1, k + 1)]
+def _gamma_column(k: int, q: int, j: int, m: int, p: int, d: int) -> list:
+    """Column j (1-based) of the gamma matrix for alpha' = p/d, as (num, den)
+    pairs: entry i is a Laguerre series over d^n n! (a negative n is the
+    zero polynomial), type I at -z, type II times its prefactor and z^(k-i)."""
+    col = []
+    for i in range(1, k + 1):
+        if j <= q:
+            n = m - min(i, q + 1) + 1  # below 0: the zero polynomial, over 1
+            den = d ** max(n, 0) * math.factorial(max(n, 0))
+            col.append((laguerre_series(n, p + (i - 1) * d, d, negated=True), den))
+            continue
+        # (m+1)_r is the int (m+r)! / m!; past row q+1 the factor
+        # (m-i+q+2-alpha')_t adds t d-steps over d^t
+        r, t = min(i - 1, q), max(i - q - 1, 0)
+        start = (m - i + q + 2) * d - p
+        pref = math.perm(m + r, r) * math.prod(range(start, start + t * d, d))
+        body = [pref * c for c in laguerre_series(m + r, (1 - i) * d - p, d)]
+        # pref is 0 where the factor passes an integer alpha': the zero polynomial
+        col.append(([0] * (k - i) + body if pref else [], d ** (m + r + t) * math.factorial(m + r)))
+    return col
 
 
 def build_gamma_matrix(spec: ExtensionSpec):
     """The k x k polynomial matrix whose determinant carries g (times a
-    known power of z): rows are derivative levels, columns seed functions,
-    type I first."""
-    return _gamma_matrix(spec.k, spec.q, spec.all_m, spec.alpha_prime)
+    known power of z), in `poly_mat_det`'s int form (rows, dens): rows are
+    derivative levels, columns seed functions, type I first.  Its entries
+    are emitted straight from the Laguerre series on alpha' = p/d, with no
+    reduction of their own; one content gcd per column brings each column
+    to lowest terms."""
+    k, q, ap = spec.k, spec.q, spec.alpha_prime
+    p, d = ap.numerator, ap.denominator
+    return _int_columns([_gamma_column(k, q, j, m, p, d) for j, m in enumerate(spec.all_m, start=1)])
 
 
 def predict_mu_sigma_lead(spec: ExtensionSpec):
@@ -154,34 +155,40 @@ def predict_mu_sigma_lead(spec: ExtensionSpec):
 def predict_const(spec: ExtensionSpec) -> Fraction:
     """Closed-form constant term g(0), in the alpha' form: the type-I block
     contributes (a'+1)_{m_1} ... (a'+q)_{m_q-q+1} and the type-II block
-    (a'-m_{q+1})_{m_{q+1}+q} ... (a'-m_k)_{m_k+2q-k+1}."""
-    k, q = spec.k, spec.q
-    ap = spec.alpha_prime
-    _, sigma, lead = predict_mu_sigma_lead(spec)
-    out = lead
-    for i, m in enumerate(spec.m_type_i, start=1):
-        out *= pochhammer(ap + i, m - i + 1)
-    for i, m in enumerate(spec.m_type_ii, start=q + 1):
-        out *= pochhammer(ap - m, m + 2 * q + 1 - i)
-    return out
+    (a'-m_{q+1})_{m_{q+1}+q} ... (a'-m_k)_{m_k+2q-k+1}.  With a' = p/d each
+    (p/d + c)_n is the int (p + cd) (p + (c+1)d) ... over d^n, so the
+    product is taken on ints and reduced once, with the leading coefficient."""
+    q, ap = spec.q, spec.alpha_prime
+    p, d = ap.numerator, ap.denominator
+    lead = predict_mu_sigma_lead(spec)[2]
+    factors = [(i, m - i + 1) for i, m in enumerate(spec.m_type_i, start=1)]
+    factors += [(-m, m + 2 * q + 1 - i) for i, m in enumerate(spec.m_type_ii, start=q + 1)]
+    num = math.prod(math.prod(range(p + c * d, p + (c + n) * d, d)) for c, n in factors)
+    return Fraction(lead.numerator * num, lead.denominator * d ** sum(n for _, n in factors))
 
 
 def compute_g(spec: ExtensionSpec) -> GReport:
     """Exact g via fraction-free determinant of the structured matrix,
     with the z-power divided out, against the closed-form predictions.
 
-    When k - q >= 2 the one elimination also gives `sub_constants`: only
-    the type-II z-shift depends on k, so each sub-extension's matrix is a
-    minor `poly_mat_det` passes through, with one z per dropped seed too
-    many in each type-II column.  Leading minors are such g too and never
-    vanish, so a row swap is a bug and raises OracleMismatch.
+    The matrix goes to `poly_mat_det` in its int form, each column in
+    lowest terms after one content gcd, so it packs into as few bits as
+    the reduced entries would, and takes the same route.
+
+    When k - q >= 2, and only then, the one elimination also gives
+    `sub_constants`: only the type-II z-shift depends on k, so each
+    sub-extension's matrix is a minor `poly_mat_det` passes through, with
+    one z per dropped seed too many in each type-II column.  Leading minors
+    are such g too and never vanish, so a row swap is a bug and raises
+    OracleMismatch.
 
     NotDivisible propagating from a z-power division means a computed
     determinant violates the structure theory - an implementation bug, not
     a property of the input.
     """
     k, q = spec.k, spec.q
-    det, minors = poly_mat_det(build_gamma_matrix(spec), minors=True)
+    det = poly_mat_det(*build_gamma_matrix(spec), minors=k - q >= 2)
+    det, minors = det if k - q >= 2 else (det, None)
     g = det.divexact_zpow((k - q) * (k - q - 1))
     sub_constants = None
     if k - q >= 2:
@@ -213,22 +220,17 @@ def wronskian_direct(report: GReport) -> Poly:
 
     The derivative table uses z-derivatives; the chain rule from the
     physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
-    is not part of the returned polynomial.
+    is not part of the returned polynomial.  It is built on int lists by
+    `seed_derivatives`, row r over den (2 ad)^r, and brought to
+    `poly_mat_det`'s int form by one content gcd per column, so its packed
+    size is that of the reduced derivatives.
     """
     spec = report.spec
     k, q = spec.k, spec.q
     if k > ORACLE_MAX_K:
         raise Inapplicable(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
-    kinds = [SeedKind.TYPE_I] * q + [SeedKind.TYPE_II] * (k - q)
-    cols = []
-    for kind, m in zip(kinds, spec.all_m):
-        cur = make_seed(kind, m, spec.alpha_prime)
-        col = [cur.poly]
-        for _ in range(k - 1):
-            cur = cur.diff()
-            col.append(cur.poly)
-        cols.append(col)
-    w = poly_mat_det([[cols[j][i] for j in range(k)] for i in range(k)])
+    cols = [seed_derivatives(j < q, m, spec.alpha_prime, k) for j, m in enumerate(spec.all_m)]
+    w = poly_mat_det(*_int_columns(cols))
     if w != report.g.shift_up(k * (k - 1) // 2 - q * (k - q)):
         raise OracleMismatch(
             f"direct Wronskian disagrees with structured determinant for {spec}"

@@ -460,7 +460,7 @@ def test_failed_numeric_check_exits_1(check, error, capsys, monkeypatch):
 def test_a_vanishing_g_is_an_internal_inconsistency(argv, capsys, monkeypatch):
     # a zero g comes from the exact stage, never from the input: it exited 2
     # with "error: cannot certify the zero polynomial", as bad input
-    def zero_det(matrix, minors=False):
+    def zero_det(rows, dens, minors=False):
         return (exactmath.Poly(), None) if minors else exactmath.Poly()
 
     monkeypatch.setattr(wronskian, "poly_mat_det", zero_det)
@@ -582,8 +582,8 @@ def _cycled_rows(bad):
     build_real = wronskian.build_gamma_matrix
 
     def build(spec):
-        m = build_real(spec)
-        return [m[2], m[0], m[1]] + m[3:] if spec == bad else m
+        rows, dens = build_real(spec)
+        return ([rows[2], rows[0], rows[1]] + rows[3:], dens) if spec == bad else (rows, dens)
 
     return build
 

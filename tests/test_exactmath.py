@@ -10,7 +10,7 @@ from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
     Poly,
     _bareiss,
-    pochhammer,
+    _int_columns,
     poly_gcd,
     poly_mat_det,
     rational_nullspace,
@@ -212,6 +212,20 @@ def test_divexact_zpow_zero_poly():
     assert not Poly().divexact_zpow(3)
 
 
+def pochhammer(a, n):
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1: for a = p/q
+    the int p (p+q) ... (p+(n-1)q) over q^n, as one Fraction.  A float or bool
+    `a` is rejected with TypeError, neither rounded nor converted.  The
+    reference for the integer products that predict_const and the gamma
+    matrix take inline."""
+    if isinstance(a, bool) or not isinstance(a, (int, F)):
+        raise TypeError(f"pochhammer argument must be int or Fraction, got {a!r}")
+    if n < 0:
+        raise ValueError("pochhammer order must be nonnegative")
+    p, q = a.numerator, a.denominator
+    return F(math.prod(range(p, p + n * q, q)), q**n)
+
+
 def test_pochhammer_values():
     a = F(7, 3)
     assert pochhammer(a, 0) == 1
@@ -349,6 +363,27 @@ def _det_cofactor(m):
     return out
 
 
+def columns(matrix):
+    """poly_mat_det's int form of a square matrix of Poly, scaled as the
+    elimination scaled it when it took Polys: each column over the lcm of
+    its entries' denominators."""
+    dens = [math.lcm(*(e.den for e in col)) for col in zip(*matrix)]
+    return [[[c * (dens[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix], dens
+
+
+@given(
+    st.lists(st.lists(rationals, max_size=4).map(Poly), min_size=9, max_size=9),
+    st.lists(st.integers(1, 36), min_size=9, max_size=9),
+)
+@example([Poly()] * 9, [6] * 9)
+def test_int_columns_reduce_unreduced_entries_to_the_poly_columns(entries, scales):
+    # each entry handed over as num * s / den * s: one gcd per column must
+    # give back the columns of the reduced Polys
+    m = [entries[3 * i : 3 * i + 3] for i in range(3)]
+    pairs = [([c * s for c in e.num], e.den * s) for e, s in zip(entries, scales)]
+    assert _int_columns([pairs[j::3] for j in range(3)]) == columns(m)
+
+
 # poly_mat_det's two routes, called directly: the packing limit forces the
 # packed ints (inf) or the coefficient lists (-inf) at any size
 ROUTES = pytest.mark.parametrize("pack_bits", [math.inf, -math.inf], ids=["integer", "polynomial"])
@@ -359,7 +394,7 @@ ROUTES = pytest.mark.parametrize("pack_bits", [math.inf, -math.inf], ids=["integ
 @settings(deadline=None, max_examples=25)
 def test_bareiss_matches_cofactor_expansion(pack_bits, entries):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
-    assert _bareiss(m, False, pack_bits) == _det_cofactor(m)
+    assert _bareiss(*columns(m), False, pack_bits) == _det_cofactor(m)
 
 
 @ROUTES
@@ -368,7 +403,7 @@ def test_bareiss_matches_cofactor_expansion(pack_bits, entries):
 @example([Poly((c,)) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 7)])
 def test_bareiss_minors_match_cofactor_expansion(pack_bits, entries):
     m = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    det, minors = _bareiss(m, True, pack_bits)
+    det, minors = _bareiss(*columns(m), True, pack_bits)
     assert det == _det_cofactor(m)
     if not m[0][0]:
         assert minors is None  # a row swap was needed
@@ -383,13 +418,13 @@ def test_bareiss_minors_match_cofactor_expansion(pack_bits, entries):
 @ROUTES
 def test_both_routes_on_the_small_cases(pack_bits):
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
-    assert _bareiss([], True, pack_bits) == (Poly((1,)), None)
-    assert _bareiss([[c]], True, pack_bits) == (c, None)
-    assert _bareiss([[Poly()]], False, pack_bits) == Poly()
-    assert not _bareiss([[a, b], [a, b]], False, pack_bits)
-    assert _bareiss([[Poly(), b], [c, d]], True, pack_bits) == (-(b * c), None)  # a swap
-    assert _bareiss([[Poly((-1,)), b], [Poly(), d]], True, pack_bits) == (-d, (Poly((-1,)), b, Poly((1,))))
-    assert _bareiss([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]], False, pack_bits) == Poly()
+    assert _bareiss([], [], True, pack_bits) == (Poly((1,)), None)
+    assert _bareiss(*columns([[c]]), True, pack_bits) == (c, None)
+    assert _bareiss(*columns([[Poly()]]), False, pack_bits) == Poly()
+    assert not _bareiss(*columns([[a, b], [a, b]]), False, pack_bits)
+    assert _bareiss(*columns([[Poly(), b], [c, d]]), True, pack_bits) == (-(b * c), None)  # a swap
+    assert _bareiss(*columns([[Poly((-1,)), b], [Poly(), d]]), True, pack_bits) == (-d, (Poly((-1,)), b, Poly((1,))))
+    assert _bareiss(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False, pack_bits) == Poly()
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -398,17 +433,17 @@ def test_the_packing_bound_holds_at_equality(sign):
     # read +H back as -H
     diag = [Poly((0, sign * 2**3)), Poly((0, 0, -(2**5))), Poly((-(2**7),))]
     m = [[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)]
-    assert _bareiss(m, False, math.inf) == Poly((0, 0, 0, sign * 2**15))
-    assert _bareiss([[Poly((sign * 2**200,))]], False, math.inf) == Poly((sign * 2**200,))
-    assert poly_mat_det([[Poly((sign * 2**200,))]]) == Poly((sign * 2**200,))
+    assert _bareiss(*columns(m), False, math.inf) == Poly((0, 0, 0, sign * 2**15))
+    assert _bareiss(*columns([[Poly((sign * 2**200,))]]), False, math.inf) == Poly((sign * 2**200,))
+    assert poly_mat_det(*columns([[Poly((sign * 2**200,))]])) == Poly((sign * 2**200,))
 
 
 def test_minors_of_a_2x2_and_a_swap():
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
-    assert poly_mat_det([[a, b], [c, d]], minors=True) == (a * d - b * c, (a, b, Poly((1,))))
+    assert poly_mat_det(*columns([[a, b], [c, d]]), minors=True) == (a * d - b * c, (a, b, Poly((1,))))
     # a zero (1,1) entry: the determinant still comes back, the minors do not
     zero = Poly()
-    assert poly_mat_det([[zero, b], [c, d]], minors=True) == (-(b * c), None)
+    assert poly_mat_det(*columns([[zero, b], [c, d]]), minors=True) == (-(b * c), None)
 
 
 def test_poly_pickles():
@@ -418,6 +453,6 @@ def test_poly_pickles():
 
 
 def test_det_of_empty_and_singular():
-    assert poly_mat_det([]) == Poly((1,))
+    assert poly_mat_det([], []) == Poly((1,))
     row = [Poly((1, 2)), Poly((3, 4))]
-    assert not poly_mat_det([row, row])
+    assert not poly_mat_det(*columns([row, row]))

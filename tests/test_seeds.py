@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,20 +8,75 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_exactmath import ref_pochhammer
+from test_exactmath import columns, ref_pochhammer
 from xlag.errors import SpecInvalid
-from xlag.exactmath import Poly
+from xlag.exactmath import Poly, _int_columns, _poly
 from xlag.regularity import count_roots_open_interval
-from xlag.seeds import (
-    QuasiPoly,
-    SeedKind,
-    laguerre,
-    make_seed,
-)
+from xlag.seeds import HALF, laguerre, laguerre_series, seed_derivatives
 from xlag.spectral import _polyval, build_potential, expected_spectrum
 from xlag.wronskian import ExtensionSpec, compute_g
 
 params = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+
+
+# -- the factored seed and its Poly derivative, kept as the oracle of the
+# -- int derivative table (seed_derivatives)
+
+
+class SeedKind(Enum):
+    TYPE_I = "I"
+    TYPE_II = "II"
+
+
+@dataclass(frozen=True)
+class QuasiPoly:
+    """A value z^zpower * e^(expsign*z/2) * poly(z), exact and closed
+    under d/dz."""
+
+    zpower: F
+    expsign: int
+    poly: Poly
+
+    def __post_init__(self):
+        if self.expsign not in (-1, 1):
+            raise ValueError("expsign must be -1 or +1")
+
+    def diff(self) -> "QuasiPoly":
+        """d/dz [z^a e^{sz/2} P] = z^{a-1} e^{sz/2} (aP + (s/2) zP + zP'), in one
+        int pass: with a = an/ad and P = num/den, the coefficient of z^i is
+        2 (an + i ad) num_i + s ad num_{i-1}, over 2 ad den."""
+        a, s, p = self.zpower, self.expsign, self.poly
+        an, ad = a.numerator, a.denominator
+        pairs = enumerate(zip((*p.num, 0), (0, *p.num)))
+        num = [2 * (an + i * ad) * c + s * ad * b for i, (c, b) in pairs]
+        return QuasiPoly(a - 1, s, _poly(num, 2 * ad * p.den))
+
+
+def make_seed(kind: SeedKind, m: int, alpha_prime: F) -> QuasiPoly:
+    """Seed function for the starting potential with parameter alpha_prime.
+
+    Type I comes from the omega -> -omega symmetry and lies below the
+    ground state for every m; type II (alpha -> -alpha) requires
+    alpha_prime > m to be nodeless.  A float or bool alpha_prime is
+    rejected with TypeError.
+    """
+    if isinstance(alpha_prime, bool) or not isinstance(alpha_prime, (int, F)):
+        raise TypeError(f"make_seed argument must be int or Fraction, got {alpha_prime!r}")
+    if alpha_prime < HALF:
+        raise SpecInvalid(f"alpha' must be >= 1/2, got {alpha_prime}")
+    if kind is SeedKind.TYPE_I:
+        return QuasiPoly((alpha_prime + HALF) / 2, +1, laguerre(m, alpha_prime).compose_neg())
+    return QuasiPoly(-(alpha_prime - HALF) / 2, -1, laguerre(m, -alpha_prime))
+
+
+def quasipoly_table(kind, m, alpha_prime, k):
+    """The seed's polynomial and those of its first k - 1 derivatives, by QuasiPoly.diff."""
+    cur = make_seed(kind, m, alpha_prime)
+    out = [cur.poly]
+    for _ in range(k - 1):
+        cur = cur.diff()
+        out.append(cur.poly)
+    return out
 
 
 def test_laguerre_low_orders():
@@ -31,7 +88,7 @@ def test_laguerre_low_orders():
 @pytest.mark.parametrize("a", [0.1, 2.0, 0.5, True])
 def test_laguerre_rejects_a_float_parameter(a):
     # a float is neither converted to its binary fraction nor, as 0.5 equals
-    # and hashes like F(1, 2), served from the cache; a bool, which equals
+    # and hashes like F(1, 2), served from a cache; a bool, which equals
     # and hashes like an int, is refused the same way
     laguerre(1, F(1, 2))
     laguerre(1, 1)
@@ -210,14 +267,44 @@ def test_type_ii_seed_nodeless_when_admissible(m):
     # L_m^{(-a')}(z) has no roots on (0, inf) whenever a' > m
     for j in range(1, 10):
         ap = m + F(j, 2)
-        qp = make_seed(SeedKind.TYPE_II, m, ap)
-        assert count_roots_open_interval(qp.poly, 0) == 0
+        seed = _poly(*seed_derivatives(False, m, ap, 1)[0])
+        assert seed == laguerre(m, -ap)
+        assert count_roots_open_interval(seed, 0) == 0
 
 
 def test_type_ii_seed_has_node_below_bound():
     # the counterexample configuration: alpha' = 3/2 < m = 2
-    qp = make_seed(SeedKind.TYPE_II, 2, F(3, 2))
-    assert count_roots_open_interval(qp.poly, 0) == 1
+    seed = _poly(*seed_derivatives(False, 2, F(3, 2), 1)[0])
+    assert count_roots_open_interval(seed, 0) == 1
+
+
+@given(st.integers(-3, 12), st.integers(-40, 40), st.integers(1, 12), st.booleans())
+@example(0, 5, 1, False)
+def test_laguerre_series_is_the_unreduced_laguerre(n, p, q, negated):
+    # p/q need not be in lowest terms; a negative degree is the zero polynomial
+    series = laguerre_series(n, p, q, negated)
+    if n < 0:
+        assert series == []
+        return
+    expect = laguerre(n, F(p, q))
+    assert _poly(series, q**n * math.factorial(n)) == (expect.compose_neg() if negated else expect)
+    assert len(series) == n + 1 and series[-1]
+
+
+@pytest.mark.parametrize("kind", list(SeedKind))
+def test_seed_derivatives_equal_the_quasipoly_table(kind):
+    # row by row as rationals, and as poly_mat_det's columns: the int table
+    # in lowest terms per column is the QuasiPoly table scaled the old way
+    checked = 0
+    for k in range(1, 6):
+        for m in range(1, 7):
+            for ap in (F(1, 2), F(1), F(5, 2), F(7, 3), F(9), F(41, 4)):
+                table = seed_derivatives(kind is SeedKind.TYPE_I, m, ap, k)
+                polys = quasipoly_table(kind, m, ap, k)
+                assert [_poly(list(num), den) for num, den in table] == polys
+                assert _int_columns([table]) == columns([[p] for p in polys])
+                checked += 1
+    assert checked == 5 * 6 * 6
 
 
 def test_isotonic_potential_float():

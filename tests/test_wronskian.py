@@ -4,18 +4,18 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from test_exactmath import ref_pochhammer
+from test_exactmath import columns, pochhammer, ref_pochhammer
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
 from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
-from xlag.exactmath import _PACK_BITS, Poly, _bareiss, poly_mat_det
+from xlag.exactmath import _PACK_BITS, Poly, _bareiss, _poly, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
     ExtensionSpec,
-    _gamma_matrix,
-    _laguerre_or_zero,
     build_gamma_matrix,
     check_origin_recurrence,
     compute_g,
@@ -27,6 +27,12 @@ from xlag.wronskian import (
 
 def spec(alpha, m_i=(), m_ii=(), omega=1):
     return ExtensionSpec(F(alpha), omega, tuple(m_i), tuple(m_ii))
+
+
+def polys(form):
+    """The Poly matrix of poly_mat_det's int form (rows, dens)."""
+    rows, dens = form
+    return [[_poly(list(a), d) for a, d in zip(row, dens)] for row in rows]
 
 
 def predictions_hold(rep):
@@ -94,20 +100,20 @@ class TestSpecValidation:
 class TestGammaMatrix:
     def test_k1_type_i(self):
         s = spec("7/2", m_i=(1,))
-        m = build_gamma_matrix(s)
+        m = polys(build_gamma_matrix(s))
         assert m == [[laguerre(1, s.alpha_prime).compose_neg()]]
         assert m[0][0] == Poly((s.alpha_prime + 1, 1))
 
     def test_k1_type_ii(self):
         s = spec("3/2", m_ii=(1,))
-        m = build_gamma_matrix(s)
+        m = polys(build_gamma_matrix(s))
         assert m == [[laguerre(1, -s.alpha_prime)]]
 
     def test_k2_mixed_explicit(self):
         # alpha' = alpha for k=2, q=1
         a = F(5, 2)
         s = spec(a, m_i=(1,), m_ii=(1,))
-        m = build_gamma_matrix(s)
+        m = polys(build_gamma_matrix(s))
         assert m[0][0] == Poly((a + 1, 1))  # L_1^{(a)}(-z)
         assert m[0][1] == Poly((0, 1)) * laguerre(1, -a)  # z L_1^{(-a)}(z)
         assert m[1][0] == Poly((1,))  # L_0^{(a+1)}(-z)
@@ -116,12 +122,12 @@ class TestGammaMatrix:
     def test_negative_degree_entries_are_zero(self):
         # q=2 pure type I with m=(1,2): row 2, column 1 hits degree -1
         s = spec("9/2", m_i=(1, 2))
-        m = build_gamma_matrix(s)
+        m = polys(build_gamma_matrix(s))
         assert m[1][0] == laguerre(0, s.alpha_prime + 1).compose_neg()
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
-        m3 = build_gamma_matrix(s3)
-        assert not m3[2][0]  # L_{-1} convention
+        rows, _ = build_gamma_matrix(s3)
+        assert rows[2][0] == []  # L_{-1} convention
 
 
 class TestComputeG:
@@ -180,7 +186,7 @@ class TestPredictions:
         # (alpha-k+1)_{m_1} ... (alpha)_{m_k-k+1} / (m_1! ... m_k!) * Delta
         from math import factorial
 
-        from xlag.exactmath import pochhammer, vandermonde
+        from xlag.exactmath import vandermonde
 
         a = F(9, 2)
         ms = (1, 3, 4)
@@ -293,7 +299,37 @@ def test_sub_constants_equal_the_sub_extensions_g0(specs, count):
     assert checked == count
 
 
-# -- the Fraction-prefactor gamma entry, kept as an oracle -----------------
+# -- the Poly gamma matrix, kept as an oracle ------------------------------
+#
+# Each entry a reduced Poly: a Laguerre polynomial, negated in z for type I,
+# times a Pochhammer prefactor and shifted for type II.  Scaled per column
+# by the lcm of the denominators, it must be the int matrix entry for entry.
+
+
+def _laguerre_or_zero(n, a, negated):
+    # entries with m_j - i + 1 < 0 use the zero-polynomial convention
+    if n < 0:
+        return Poly()
+    return laguerre(n, a).compose_neg() if negated else laguerre(n, a)
+
+
+def _gamma_entry(i, j, k, q, m, ap):
+    if j <= q:
+        if i <= q + 1:
+            return _laguerre_or_zero(m - i + 1, ap + (i - 1), negated=True)
+        return _laguerre_or_zero(m - q, ap + (i - 1), negated=True)
+    # (m+1)_r is the int (m+r)! / m!
+    if i <= q + 1:
+        pref = math.perm(m + i - 1, i - 1)
+        body = _laguerre_or_zero(m + i - 1, (1 - i) - ap, negated=False)
+    else:
+        pref = math.perm(m + q, q) * pochhammer((m - i + q + 2) - ap, i - q - 1)
+        body = _laguerre_or_zero(m + q, (1 - i) - ap, negated=False)
+    return (body * pref).shift_up(k - i)
+
+
+def _gamma_matrix(k, q, ms, ap):
+    return [[_gamma_entry(i, j, k, q, ms[j - 1], ap) for j in range(1, k + 1)] for i in range(1, k + 1)]
 
 
 def _ref_gamma_entry(i, j, k, q, m, ap):
@@ -315,7 +351,7 @@ def test_gamma_matrix_matches_the_fraction_prefactor_route():
     # three alpha' steps give integer and half-integer alpha' above each bound
     checked = 0
     for s in enumerate_lattice(max_k=4, max_m=6, alpha_steps=3):
-        matrix = build_gamma_matrix(s)
+        matrix = polys(build_gamma_matrix(s))
         for i in range(1, s.k + 1):
             for j in range(1, s.k + 1):
                 expect = _ref_gamma_entry(i, j, s.k, s.q, s.all_m[j - 1], s.alpha_prime)
@@ -324,24 +360,118 @@ def test_gamma_matrix_matches_the_fraction_prefactor_route():
     assert checked == 30528
 
 
+# the nodal and mu30 specs of the extend ladder, a k = 6 and a k = 8 spec, and
+# an integer alpha' = 3 at which the type-II prefactor (m - alpha')_1 of entry
+# (2, 2) is 0
+NAMED_SPECS = {
+    "zero-prefactor": ("1", (), (1, 3)),
+    "nodal": ("5/2", (6, 8, 10, 12), (7, 9, 11, 13)),
+    "mu30": ("29/2", (2, 4, 6), (3, 5, 7)),
+    "k6": ("23/2", (15,), (1, 3, 5, 6, 15)),
+    "k8": ("37/2", (3, 10, 12, 15), (1, 2, 3, 18)),
+}
+
+
+@pytest.mark.parametrize(
+    "specs, count",
+    [pytest.param(enumerate_lattice, 5551, id="lattice")]
+    + [pytest.param(lambda v=v: [spec(v[0], v[1], v[2])], 1, id=name) for name, v in NAMED_SPECS.items()],
+)
+def test_the_int_gamma_matrix_is_the_poly_one_scaled_per_column(specs, count):
+    # entry for entry, and so the same determinant, minors and packed size:
+    # one content gcd per column leaves nothing the reduced Polys do not
+    checked = 0
+    for s in specs():
+        rows, dens = build_gamma_matrix(s)
+        old_rows, old_dens = columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime))
+        assert (rows, dens) == (old_rows, old_dens), s
+        assert _packed_size(rows) == _packed_size(old_rows)
+        assert poly_mat_det(rows, dens, True) == poly_mat_det(old_rows, old_dens, True)
+        checked += 1
+    assert checked == count
+
+
+def test_a_prefactor_through_zero_is_the_zero_entry():
+    rows, _ = build_gamma_matrix(spec(*NAMED_SPECS["zero-prefactor"]))
+    assert rows[1][1] == [] and rows[0][1]  # trimmed, as the int form requires
+    wronskian_direct(compute_g(spec(*NAMED_SPECS["zero-prefactor"])))
+
+
+def _poly_route_sub_constants(s):
+    """sub_constants as read from the minors of the Poly gamma matrix, which
+    compute_g once asked for on every spec."""
+    _, minors = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime)), minors=True)
+    if s.k - s.q < 2:
+        return None
+    r = s.k - s.q - 1
+    last, prev, both = minors
+    return last.divexact_zpow(r * r).constant, prev.divexact_zpow(r * r).constant, both.divexact_zpow((r - 1) * r).constant
+
+
+def test_compute_g_asks_for_minors_only_where_it_reads_them(monkeypatch):
+    asked = []
+
+    def recording(rows, dens, minors=False):
+        asked.append(minors)
+        return poly_mat_det(rows, dens, minors)
+
+    monkeypatch.setattr(wronskian, "poly_mat_det", recording)
+    specs = list(enumerate_lattice(max_k=4, max_m=4, alpha_steps=2))
+    reports = [compute_g(s) for s in specs]
+    assert asked == [s.k - s.q >= 2 for s in specs]
+    assert 0 < asked.count(False) < len(specs)
+    for s, report in zip(specs, reports):
+        assert report.sub_constants == _poly_route_sub_constants(s), s
+
+
+def _poly_route_const(s):
+    """predict_const as a product of Fraction Pochhammer symbols."""
+    k, q, ap = s.k, s.q, s.alpha_prime
+    out = predict_mu_sigma_lead(s)[2]
+    for i, m in enumerate(s.m_type_i, start=1):
+        out *= pochhammer(ap + i, m - i + 1)
+    for i, m in enumerate(s.m_type_ii, start=q + 1):
+        out *= pochhammer(ap - m, m + 2 * q + 1 - i)
+    return out
+
+
+def test_predict_const_matches_the_pochhammer_product_on_the_lattice():
+    checked = 0
+    for s in enumerate_lattice():
+        assert predict_const(s) == _poly_route_const(s), s
+        checked += 1
+    assert checked == 5551
+
+
+@given(
+    st.fractions(min_value=F(1, 2), max_value=40, max_denominator=12),
+    st.lists(st.integers(1, 14), max_size=4, unique=True),
+    st.lists(st.integers(1, 14), max_size=4, unique=True),
+)
+@example(F(3), [1, 2], [3, 5])  # integer alpha' at which a type-II factor passes 0
+def test_predict_const_matches_the_pochhammer_product(ap, m_i, m_ii):
+    k, q = len(m_i) + len(m_ii), len(m_i)
+    s = ExtensionSpec(ap - k + 2 * q, 1, sorted(m_i), sorted(m_ii))
+    out = predict_const(s)
+    assert type(out) is F and out == _poly_route_const(s)
+
+
 def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
     # I:1,2 II:1,2 has a zero in row 3 of its first column (L_{-1}); a cyclic
     # shift of the first three rows keeps det, and so g, but puts that zero
     # in the (1,1) entry, so the elimination must swap rows
     s = spec("5/2", m_i=(1, 2), m_ii=(1, 2))
-    matrix = build_gamma_matrix(s)
-    assert not matrix[2][0] and matrix[0][0]
-    shifted = [matrix[2], matrix[0], matrix[1]] + matrix[3:]
-    assert poly_mat_det(shifted) == poly_mat_det(matrix)
-    monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: shifted)
+    rows, dens = build_gamma_matrix(s)
+    assert not rows[2][0] and rows[0][0]
+    shifted = [rows[2], rows[0], rows[1]] + rows[3:]
+    assert poly_mat_det(shifted, dens) == poly_mat_det(rows, dens)
+    monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: (shifted, dens))
     with pytest.raises(OracleMismatch, match="swapped rows"):
         compute_g(s)
 
 
-def _packed_size(matrix):
+def _packed_size(rows):
     # B (D + 1), as poly_mat_det's docstring defines it
-    cols = [math.lcm(*(e.den for e in col)) for col in zip(*matrix)]
-    rows = [[[c * (cols[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix]
     h = math.prod(max(1, sum(abs(c) for e in row for c in e)) for row in rows)
     return (h.bit_length() + 1) * (sum(max(map(len, row)) for row in rows) - len(rows) + 1)
 
@@ -353,9 +483,9 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     # are the packed ints' reference
     seen = []
 
-    def recording(matrix, minors=False):
-        seen.append((matrix, minors))
-        return poly_mat_det(matrix, minors)
+    def recording(rows, dens, minors=False):
+        seen.append((rows, dens, minors))
+        return poly_mat_det(rows, dens, minors)
 
     monkeypatch.setattr(wronskian, "poly_mat_det", recording)
     for s in enumerate_lattice(4, 4, 2):
@@ -367,11 +497,11 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
         spec("37/2", m_i=(3, 10, 12, 15), m_ii=(1, 2, 3, 18)),
     ):
         compute_g(s)
-    sizes = [_packed_size(matrix) for matrix, _ in seen]
+    sizes = [_packed_size(rows) for rows, _, _ in seen]
     assert lattice == 2 * 324 and max(sizes[:lattice]) <= _PACK_BITS < min(sizes[lattice:])
-    for matrix, minors in seen:
-        packed = _bareiss(matrix, minors, math.inf)
-        assert packed == _bareiss(matrix, minors, -math.inf) == poly_mat_det(matrix, minors)
+    for rows, dens, minors in seen:
+        packed = _bareiss(rows, dens, minors, math.inf)
+        assert packed == _bareiss(rows, dens, minors, -math.inf) == poly_mat_det(rows, dens, minors)
 
 
 def test_report_pickles():
@@ -396,7 +526,7 @@ def test_gamma_determinant_z_power_divisibility_by_cofactor_oracle():
     # at the origin; oracle is a full Laplace expansion, independent of the
     # Bareiss route used by compute_g
     s = spec("5/2", m_i=(1,), m_ii=(1, 2))
-    det = _det_cofactor(build_gamma_matrix(s))
+    det = _det_cofactor(polys(build_gamma_matrix(s)))
     assert det[0] == 0 and det[1] == 0 and det[2] != 0
     assert det.divexact_zpow(2) == compute_g(s).g
 
@@ -405,8 +535,8 @@ def test_column_permutation_flips_sign():
     # transposing two same-type indices flips the determinant sign, i.e.
     # the Vandermonde factor of the leading/constant coefficients
     s = spec("9/2", m_i=(1, 3), m_ii=(2,))
-    sorted_det = poly_mat_det(_gamma_matrix(s.k, s.q, (1, 3, 2), s.alpha_prime))
-    swapped_det = poly_mat_det(_gamma_matrix(s.k, s.q, (3, 1, 2), s.alpha_prime))
+    sorted_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (1, 3, 2), s.alpha_prime)))
+    swapped_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (3, 1, 2), s.alpha_prime)))
     assert swapped_det == -sorted_det
 
 
