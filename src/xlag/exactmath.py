@@ -131,10 +131,6 @@ class Poly:
         return self + (-_coerce(other))
 
     def __mul__(self, other) -> "Poly":
-        if type(other) is int:
-            return _poly([c * other for c in self.num], self.den)
-        if isinstance(other, Fraction):
-            return _poly([c * other.numerator for c in self.num], self.den * other.denominator)
         other = _coerce(other)
         return _poly(_int_mul(self.num, other.num), self.den * other.den)
 
@@ -180,10 +176,6 @@ class Poly:
         if not self:
             raise ZeroPolynomial("zero polynomial has no monic form")
         return _poly(list(self.num), self.num[-1])
-
-    def compose_neg(self) -> "Poly":
-        """Substitute z -> -z."""
-        return _poly([-c if i % 2 else c for i, c in enumerate(self.num)], self.den)
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -332,17 +324,14 @@ def _int_taylor1(a):
 
 
 def _int_coprime_mod(a, b, p):
-    """True if Euclid over GF(p) ends a, b in a nonzero constant, by the
-    inverse-free step a <- lead(b) a - lead(a) z^k b (twice in one pass at k = 1)."""
+    """True if Euclid over GF(p), p prime, ends a, b in a nonzero constant."""
     a, b = _int_trim([c % p for c in a]), _int_trim([c % p for c in b])
     while len(b) > 1:
-        lb = b[-1]
-        if len(a) == len(b) + 1:
-            la, top = a[-1], (lb * a[-2] - a[-1] * b[-2]) % p
-            a = [(lb * (lb * x - la * y) - top * w) % p for x, y, w in zip(a, [0] + b, b[:-1])]
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
         while len(a) >= len(b):
             k, la = len(a) - len(b), a[-1]
-            a = [lb * x % p for x in a[:k]] + [(lb * x - la * y) % p for x, y in zip(a[k:-1], b)]
+            a = a[:k] + [(x - la * y) % p for x, y in zip(a[k:-1], b)]
         a, b = b, _int_trim(a)
     return len(b) == 1
 

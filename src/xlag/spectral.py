@@ -24,7 +24,7 @@ from .errors import (
     QuadratureNonconvergence,
     SpecInvalid,
 )
-from .exactmath import Poly
+from .exactmath import Poly, _poly
 from .wronskian import ExtensionSpec, GReport
 
 
@@ -62,22 +62,22 @@ class ExtendedPotential:
 def build_potential(report: GReport) -> ExtendedPotential:
     """Assemble the extended potential of report.spec from its computed g.
 
-    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  It is
-    built whether or not g is regular (poles and all, useful for
-    demonstrations); whether it is certified is certify(report)'s verdict.
+    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2; its
+    numerator is built from g^2 and g'^2, as g'g = (g^2)'/2 and g''g - g'^2
+    = (g^2)''/2 - 2g'^2.  It is built whether or not g is regular (poles
+    and all); whether it is certified is certify(report)'s verdict.
     """
     spec = report.spec
     if spec.l < 0:
         raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
-    g = report.g
-    gd = g.diff()
-    gdd = gd.diff()
-    num = (gd * g + (gdd * g - gd * gd).shift_up(1) * 2) * (-2 * spec.omega)
+    g2, gd = report.g * report.g, report.g.diff()
+    g2d = g2.diff()
+    num = (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-spec.omega)
     return ExtendedPotential(
         spec=spec,
         shift=(spec.k - 2 * spec.q) * spec.omega,
         rat_num=num,
-        rat_den=g * g,
+        rat_den=g2,
     )
 
 
@@ -141,7 +141,7 @@ def solve_eop(report: GReport, nu_max: int) -> tuple:
             C[d] = c.numerator * (D // c.denominator)
         if any(sum(entry(r, j, nu) * C[j] for j in range(r + 2)) for r in range(mu)):
             raise NullSpaceDimension("null space dimension 0, expected 1")
-        polys.append(Poly(C) * Fraction(1, D))
+        polys.append(_poly(C, D))
     return tuple(polys)
 
 

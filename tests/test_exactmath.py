@@ -73,6 +73,13 @@ def ref_compose_neg(a):
     return ref([-c if i % 2 else c for i, c in enumerate(a)])
 
 
+def compose_neg(p):
+    """p(-z) by the reference substitution, for the type-I entries of the
+    seed and gamma-matrix oracles: `laguerre_series(negated=True)` is the
+    route they check, so they do not negate through it."""
+    return Poly(ref_compose_neg(p.coeffs))
+
+
 def ref_monic(a):
     return ref([c / a[-1] for c in a])
 
@@ -119,7 +126,6 @@ def test_poly_matches_the_fraction_reference(a, b, s):
     assert canonical(p * q) == ref_mul(a, b)
     assert canonical(p * s) == canonical(s * p) == ref_scale(a, s)
     assert canonical(p.diff()) == ref_diff(a)
-    assert canonical(p.compose_neg()) == ref_compose_neg(a)
     for e in range(3):
         assert canonical(p.shift_up(e)) == ref_shift_up(a, e)
         assert canonical(p.shift_up(e).divexact_zpow(e)) == ref_divexact_zpow(ref_shift_up(a, e), e)
@@ -139,7 +145,6 @@ def test_equal_polynomials_from_different_routes_compare_and_hash_equal(a, b, s)
         (p + q) - q,
         p * s * (1 / F(s)),
         p.shift_up(2).divexact_zpow(2),
-        p.compose_neg().compose_neg(),
         p * Poly((1,)),
     ]
     for r in routes:

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_exactmath import ref, ref_diff, ref_divmod, ref_eval, ref_monic
 from xlag.errors import BoundaryRoot, ZeroPolynomial
-from xlag.exactmath import Poly, poly_gcd
+from xlag.exactmath import Poly, _int_coprime_mod, poly_gcd, remainder_chain
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
 from xlag.wronskian import ExtensionSpec, GReport, compute_g
 
@@ -328,6 +328,30 @@ def test_a_repeated_positive_root_falls_back_to_sturm():
     cert = _certify_as_oracle(g, "sturm")
     assert (cert.root_count_positive_axis, cert.repeated_root_defect) == (2, 1)
     assert cert.sign_variations >= 2
+
+
+small_ints = st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda a: a[-1])
+
+
+@given(small_ints, small_ints, st.booleans())
+@example([2, -3, 1], [1, 1], False)  # (z - 1)(z - 2): square-free
+@example([1, -2, 1], [1, 1], False)  # (z - 1)^2
+def test_the_gcd_mod_p_is_constant_exactly_when_the_chain_ends_in_one(a, s, plant):
+    # certify's proof that a core is square-free, against the chain over Q
+    g = Poly(a) * Poly(s) * Poly(s) if plant else Poly(a)
+    squarefree = remainder_chain(g, g.diff())[-1].degree == 0
+    a = list(g.num)
+    assert _int_coprime_mod(a, [i * c for i, c in enumerate(a) if i], 2**61 - 1) == squarefree
+    assert not (plant and squarefree)
+
+
+def test_a_root_repeated_only_mod_a_small_prime_fails_the_proof():
+    # z^2 - 5 is square-free over Q but z^2 mod 5, so at p = 5 certify would
+    # fall back to the Sturm chain
+    a = [-5, 0, 1]
+    assert remainder_chain(Poly(a), Poly(a).diff())[-1].degree == 0
+    assert _int_coprime_mod(a, [0, 2], 2**61 - 1)
+    assert not _int_coprime_mod(a, [0, 2], 5)
 
 
 def test_the_nodal_rung_takes_the_vca_route():

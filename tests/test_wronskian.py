@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from test_exactmath import columns, pochhammer, ref_pochhammer
+from test_exactmath import columns, compose_neg, pochhammer, ref_pochhammer
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
 from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
@@ -101,7 +101,7 @@ class TestGammaMatrix:
     def test_k1_type_i(self):
         s = spec("7/2", m_i=(1,))
         m = polys(build_gamma_matrix(s))
-        assert m == [[laguerre(1, s.alpha_prime).compose_neg()]]
+        assert m == [[compose_neg(laguerre(1, s.alpha_prime))]]
         assert m[0][0] == Poly((s.alpha_prime + 1, 1))
 
     def test_k1_type_ii(self):
@@ -123,7 +123,7 @@ class TestGammaMatrix:
         # q=2 pure type I with m=(1,2): row 2, column 1 hits degree -1
         s = spec("9/2", m_i=(1, 2))
         m = polys(build_gamma_matrix(s))
-        assert m[1][0] == laguerre(0, s.alpha_prime + 1).compose_neg()
+        assert m[1][0] == compose_neg(laguerre(0, s.alpha_prime + 1))
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
         rows, _ = build_gamma_matrix(s3)
@@ -310,7 +310,7 @@ def _laguerre_or_zero(n, a, negated):
     # entries with m_j - i + 1 < 0 use the zero-polynomial convention
     if n < 0:
         return Poly()
-    return laguerre(n, a).compose_neg() if negated else laguerre(n, a)
+    return compose_neg(laguerre(n, a)) if negated else laguerre(n, a)
 
 
 def _gamma_entry(i, j, k, q, m, ap):
