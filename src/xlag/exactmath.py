@@ -7,8 +7,9 @@ codebase only in the numeric verification layer (`spectral`), never here.
 A polynomial determinant takes its matrix as int coefficient lists with one
 denominator per column, which its builders emit with no `Poly` per entry
 and one content gcd per column.  A small one runs on ints, its entries
-packed at z = 2^B with B from a bound on every minor, so each Z[z] product
-and exact division is one big-int operation (Kronecker substitution).
+packed at z = 2^B with B from the smaller of a row and a column bound on
+every minor, so each Z[z] product and exact division is one big-int
+operation (Kronecker substitution).
 """
 from __future__ import annotations
 
@@ -309,8 +310,9 @@ def _int_unpack(v, bits):
     v = _int_pack(a, bits) with every |a_i| below 2^(bits - 1)."""
     out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
     while v:
-        out.append(((v + half) & mask) - half)
-        v = (v - out[-1]) >> bits
+        v += half
+        out.append((v & mask) - half)
+        v >>= bits
     return out
 
 
@@ -365,17 +367,22 @@ def poly_mat_det(rows, dens, minors: bool = False):
     Bareiss one-step elimination: every intermediate entry is divisible by
     the previous pivot, so all divisions are exact.
 
-    Two routes run the one elimination loop.  Every intermediate, pivot and
-    minor read back is a minor of the row-permuted int matrix M = rows, so
-    its coefficients are at most H = prod_i max(1, sum_j |M_ij|_1) in size.
-    Where the packed size B (D + 1), with B = H.bit_length() + 1 and
-    D = sum_i max_j deg M_ij, is at most `_PACK_BITS`, each entry is
-    evaluated at X = 2^B and the loop runs on plain ints: evaluation is a
-    ring homomorphism, so the exact divisions in Z[z] stay exact in Z, and
-    it is one-to-one on coefficients below X/2, so a pivot is 0 exactly
-    when its polynomial is and balanced base-X digits give the result
-    back.  Above the limit it runs on the coefficient lists.  Columns in
-    lowest terms keep H, and so B, as small as the form allows.
+    Two routes run the one elimination loop.  Every entry it stores, pivots
+    and minors read back too, is a minor of the row-permuted int matrix
+    M = rows.  Expanded by Leibniz, its l1 norm, and so each coefficient,
+    is at most the product of its rows' l1 norms and at most that of its
+    columns', and its degree at most either degree sum; a row swap moves
+    no column sum.  So its coefficients are at most
+    H = min(prod_i max(1, sum_j |M_ij|_1), prod_j max(1, sum_i |M_ij|_1))
+    and its degree at most D = min(sum_i max_j deg M_ij, sum_j max_i deg M_ij).
+    Where the packed size B (D + 1), with B = H.bit_length() + 1, is at most
+    `_PACK_BITS`, each entry is evaluated at X = 2^B and the loop runs on
+    plain ints: evaluation is a ring homomorphism, so the exact divisions
+    in Z[z] stay exact in Z, and it is one-to-one on coefficients below
+    X/2, so a pivot is 0 exactly when its polynomial is and balanced
+    base-X digits give the result back.  Above the limit it runs on the
+    coefficient lists.  Columns in lowest terms keep H, and so B, as small
+    as the form allows.
 
     Entries left in place are minors (Bareiss 1968).  With `minors`, the
     result is (det, minors) with the three that the last step reads, for
@@ -385,10 +392,12 @@ def poly_mat_det(rows, dens, minors: bool = False):
     return _bareiss(rows, dens, minors, _PACK_BITS)
 
 
-# The int route's speed over the lists by packed size, measured with Python
-# 3.11 on 2 vCPUs: about 2.5x on the lattice's matrices (at most 2k bits),
-# 0.7-2.0x at 15-33k, 0.4-1.6x at 33-60k and 0.3-0.7x at 100-158k.
-_PACK_BITS = 1 << 15
+# The int route's speed over the lists by packed size on 120 random k 5-8
+# gamma matrices (Python 3.11, 2 vCPUs): 1.2-5.0x up to 15k bits, 0.7-2.5x
+# at 15-25k, 0.7-2.0x at 25-40k, 0.4-1.4x at 40-48k, 0.16-1.0x above.  Their
+# total time is least at a limit of 40k, within 0.5% of that from 34k to
+# 42k, and 1.2% above it at 2^15, 20% at 2^16.
+_PACK_BITS = 40_000
 
 
 def _bareiss(rows, dens, minors, pack_bits):
@@ -396,8 +405,10 @@ def _bareiss(rows, dens, minors, pack_bits):
     n = len(rows)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
-    bits = math.prod(max(1, sum(sum(map(abs, a)) for a in row)) for row in rows).bit_length() + 1
-    if bits * (sum(max(map(len, row)) for row in rows) - n + 1) <= pack_bits:
+    norms = [[sum(map(abs, a)) for a in row] for row in rows]
+    lens = [[*map(len, row)] for row in rows]
+    bits = min(math.prod(s or 1 for s in map(sum, v)) for v in (norms, zip(*norms))).bit_length() + 1
+    if bits * (min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - n + 1) <= pack_bits:
         M = [[_int_pack(a, bits) for a in row] for row in rows]
         prev, mul, sub, div = 1, int.__mul__, int.__sub__, divmod
         read = functools.partial(_int_unpack, bits=bits)

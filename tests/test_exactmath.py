@@ -430,6 +430,40 @@ def test_both_routes_on_the_small_cases(pack_bits):
     assert _bareiss(*columns([[Poly(), b], [c, d]]), True, pack_bits) == (-(b * c), None)  # a swap
     assert _bareiss(*columns([[Poly((-1,)), b], [Poly(), d]]), True, pack_bits) == (-d, (Poly((-1,)), b, Poly((1,))))
     assert _bareiss(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False, pack_bits) == Poly()
+    # a zero row makes the row product 0, but the minors above it still read back
+    assert _bareiss(*columns([[a, b], [Poly(), Poly()]]), True, pack_bits) == (Poly(), (a, b, Poly((1,))))
+
+
+def _side_bounds(rows):
+    # the row and the column product of l1 norms that _bareiss takes the
+    # smaller of
+    norms = [[sum(map(abs, a)) for a in row] for row in rows]
+    return tuple(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
+
+
+@given(
+    st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any).map(Poly), min_size=9, max_size=9),
+    st.integers(0, 2),
+    st.integers(10, 120),
+    st.integers(0, 6),
+)
+@settings(deadline=None, max_examples=40)
+@example([Poly((c,)) for c in (1, 1, -1, 1, -1, 1, -1, 1, 1)], 0, 10, 0)  # |det| = 4 prod_j max_i |M_ij|
+def test_lopsided_matrices_pack_by_their_lighter_side(entries, heavy, e, d):
+    # one row, then one column, scaled by 2^e z^d: the row product sets B for
+    # the heavy row and the column product for the heavy column, and the
+    # transposes swap the two; both routes and the Laplace expansion agree
+    m = [entries[3 * i : 3 * i + 3] for i in range(3)]
+    scale = Poly((0,) * d + (2**e,))
+    heavy_row = [[a * scale if i == heavy else a for a in row] for i, row in enumerate(m)]
+    heavy_col = [[a * scale if j == heavy else a for j, a in enumerate(row)] for row in m]
+    heavy_row_t, heavy_col_t = ([list(c) for c in zip(*h)] for h in (heavy_row, heavy_col))
+    for matrix, row_side in ((heavy_row, True), (heavy_col, False), (heavy_row_t, False), (heavy_col_t, True)):
+        rows, dens = columns(matrix)
+        by_rows, by_cols = _side_bounds(rows)
+        assert (by_rows < by_cols) == row_side
+        packed = _bareiss(rows, dens, True, math.inf)
+        assert packed == _bareiss(rows, dens, True, -math.inf) and packed[0] == _det_cofactor(matrix)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

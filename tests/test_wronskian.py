@@ -368,7 +368,9 @@ NAMED_SPECS = {
     "nodal": ("5/2", (6, 8, 10, 12), (7, 9, 11, 13)),
     "mu30": ("29/2", (2, 4, 6), (3, 5, 7)),
     "k6": ("23/2", (15,), (1, 3, 5, 6, 15)),
+    "k7": ("13", (6, 8), (4, 5, 7, 12, 15)),
     "k8": ("37/2", (3, 10, 12, 15), (1, 2, 3, 18)),
+    "k8-type-ii": ("13", (7,), (4, 8, 9, 15, 16, 17, 18)),
 }
 
 
@@ -471,16 +473,20 @@ def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
 
 
 def _packed_size(rows):
-    # B (D + 1), as poly_mat_det's docstring defines it
-    h = math.prod(max(1, sum(abs(c) for e in row for c in e)) for row in rows)
-    return (h.bit_length() + 1) * (sum(max(map(len, row)) for row in rows) - len(rows) + 1)
+    # B (D + 1), as poly_mat_det's docstring defines it: H and D each the
+    # smaller of the row and the column figure
+    norms = [[sum(map(abs, e)) for e in row] for row in rows]
+    lens = [[len(e) for e in row] for row in rows]
+    h = min(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
+    d = min(sum(max(v) for v in vs) for vs in (lens, zip(*lens)))
+    return (h.bit_length() + 1) * (d - len(rows) + 1)
 
 
 def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypatch):
-    # every gamma and Wronskian matrix of a sub-lattice, which take the packed
-    # ints, and the gamma matrices of the nodal spec (deg g = 80) and of a
-    # k = 6 and a k = 8 spec, which take the coefficient lists; the lists
-    # are the packed ints' reference
+    # every gamma and Wronskian matrix of a sub-lattice and the nodal and
+    # k = 6 gamma matrices, which take the packed ints, and the two k = 8
+    # gamma matrices, which take the coefficient lists; each route is the
+    # other's reference
     seen = []
 
     def recording(rows, dens, minors=False):
@@ -490,18 +496,25 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     monkeypatch.setattr(wronskian, "poly_mat_det", recording)
     for s in enumerate_lattice(4, 4, 2):
         wronskian_direct(compute_g(s))
-    lattice = len(seen)
-    for s in (
-        spec("5/2", m_i=(6, 8, 10, 12), m_ii=(7, 9, 11, 13)),
-        spec("23/2", m_i=(15,), m_ii=(1, 3, 5, 6, 15)),
-        spec("37/2", m_i=(3, 10, 12, 15), m_ii=(1, 2, 3, 18)),
-    ):
-        compute_g(s)
+    for name in ("nodal", "k6", "k8", "k8-type-ii"):
+        compute_g(spec(*NAMED_SPECS[name]))
     sizes = [_packed_size(rows) for rows, _, _ in seen]
-    assert lattice == 2 * 324 and max(sizes[:lattice]) <= _PACK_BITS < min(sizes[lattice:])
+    assert len(sizes) == 2 * 324 + 4 and max(sizes[:-2]) <= _PACK_BITS < min(sizes[-2:])
     for rows, dens, minors in seen:
         packed = _bareiss(rows, dens, minors, math.inf)
         assert packed == _bareiss(rows, dens, minors, -math.inf) == poly_mat_det(rows, dens, minors)
+
+
+@pytest.mark.parametrize("name", ["nodal", "k6", "k7", "k8", "k8-type-ii"])
+def test_a_transposed_gamma_matrix_has_the_same_determinant_on_both_routes(name):
+    # the transpose swaps the row and the column bound; over unit
+    # denominators its determinant is det(rows)
+    rows, _ = build_gamma_matrix(spec(*NAMED_SPECS[name]))
+    ones = [1] * len(rows)
+    det = _bareiss(rows, ones, False, -math.inf)
+    transposed = [list(col) for col in zip(*rows)]
+    assert _packed_size(transposed) == _packed_size(rows)
+    assert _bareiss(transposed, ones, False, math.inf) == det == _bareiss(transposed, ones, False, -math.inf)
 
 
 def test_report_pickles():
