@@ -9,7 +9,8 @@ denominator per column, which its builders emit with no `Poly` per entry
 and one content gcd per column.  A small one runs on ints, its entries
 packed at z = 2^B with B from the smaller of a row and a column bound on
 every minor, so each Z[z] product and exact division is one big-int
-operation (Kronecker substitution).
+operation (Kronecker substitution).  The remainder chain divides each
+pseudo-remainder by its predicted content lc(A)^2 before a gcd takes the rest.
 """
 from __future__ import annotations
 
@@ -23,20 +24,12 @@ from .errors import NotDivisible, ZeroPolynomial
 def vandermonde(ns) -> int:
     """prod_{i<j} (n_j - n_i); equals 1 for lists of length 0 or 1."""
     ns = list(ns)
-    out = 1
-    for i in range(len(ns)):
-        for j in range(i + 1, len(ns)):
-            out *= ns[j] - ns[i]
-    return out
+    return math.prod(ns[j] - ns[i] for i in range(len(ns)) for j in range(i + 1, len(ns)))
 
 
 def sign(x) -> int:
     """-1, 0 or +1."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
 class Poly:
@@ -142,9 +135,10 @@ class Poly:
         return _poly([i * c for i, c in enumerate(self.num) if i], self.den)
 
     def eval(self, z0) -> Fraction:
-        """Exact Horner evaluation at a rational point p/q, on the ints:
-        sum num_i p^i q^(n-i), over den q^n."""
-        z0 = Fraction(z0)
+        """Exact Horner evaluation at an int or Fraction (never a bool or
+        float) p/q, on the ints: sum num_i p^i q^(n-i), over den q^n."""
+        if isinstance(z0, bool) or not isinstance(z0, (int, Fraction)):
+            raise TypeError(f"Poly.eval takes an int or Fraction, got {z0!r}")
         p, q = z0.numerator, z0.denominator
         acc, qpow = 0, 1
         for c in reversed(self.num):
@@ -219,14 +213,26 @@ def remainder_chain(a: Poly, b: Poly):
     primitive integer form, so with b = a' this is the Sturm chain of a:
     sign variations, which is all it is read for, are unaffected, while
     coefficient growth stays tame.  The chain runs on the numerators.
+
+    A normal step (deg A = deg B + 1, B not constant) forms the pseudo-
+    remainder R = lb^2 A - (la lb z + e) B, e = lb a_(n-1) - la b_(n-2), in
+    one pass; other degree drops take `_int_prem`.  The content of R is
+    lc(A)^2 up to a ratio of subresultant contents (Collins 1967, Brown &
+    Traub 1971), so `_int_divide_out` divides that out first and a gcd
+    takes only the small rest: exact for any divisor, which sets the speed.
     """
     chain = [a, b] if b else [a]
     A, B = _int_primitive(a.num), _int_primitive(b.num)
-    while B:
-        R = _int_prem(A, B)
+    while A and B:
+        la, lb = A[-1], B[-1]
+        if len(A) == len(B) + 1 > 2:
+            e, l2, f = lb * A[-2] - la * B[-2], lb * lb, la * lb
+            R = _int_trim([f * b1 + e * b0 - l2 * c for c, b0, b1 in zip(A, B[:-1], [0, *B])])
+        else:
+            R = [-c for c in _int_prem(A, B)]
         if not R:
             break
-        R = _int_primitive([-c for c in R])
+        R = _int_primitive(_int_divide_out(R, la * la))
         chain.append(_poly(R))
         A, B = B, R
     return chain
@@ -289,6 +295,19 @@ def _int_prem(a, b):
     scale = b[-1] ** steps
     _, rem = _int_divmod([c * scale for c in a], b)
     return [-c for c in rem] if b[-1] < 0 and steps % 2 else rem
+
+
+def _int_divide_out(a, h):
+    """a over gcd(h, *a), h > 0, found while dividing: on a remainder m, h
+    shrinks to gcd(h, m) and the quotients so far scale by old h / new h."""
+    out = []
+    for c in a:
+        q, m = divmod(c, h)
+        if m:
+            g = math.gcd(h, m)
+            out, h, q = [x * (h // g) for x in out], g, c // g
+        out.append(q)
+    return out
 
 
 def _int_primitive(a):

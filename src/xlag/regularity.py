@@ -10,7 +10,6 @@ so tolerance-based root finding would defeat it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundaryRoot, ZeroPolynomial
 from .exactmath import Poly, _int_coprime_mod, _int_taylor1, remainder_chain, sign
@@ -37,18 +36,18 @@ def _variations(values) -> int:
 def count_roots_open_interval(p: Poly, lo, hi=None) -> int:
     """Distinct real roots of p in (lo, hi), hi=None meaning +infinity.
 
-    Raises ValueError unless lo is finite and below hi, and BoundaryRoot
-    if either finite endpoint is itself a root; the callers that could hit
-    this (g with vanishing constant term) strip the z-power first.
+    Raises ValueError unless lo is finite and below hi, TypeError unless
+    finite endpoints are ints or Fractions, and BoundaryRoot if either is a
+    root; the callers that could hit this (g with vanishing constant term)
+    strip the z-power first.
     """
-    if lo is None or hi is not None and Fraction(lo) >= Fraction(hi):
+    if lo is None or hi is not None and lo >= hi:
         raise ValueError(f"need a finite lo below hi, got ({lo}, {hi})")
     chain = sturm_sequence(p)
 
     def variations_at(point, name):
         if point is None:
             return _variations([q.leading for q in chain])
-        point = Fraction(point)
         if p.eval(point) == 0:
             raise BoundaryRoot(f"{name} endpoint {point} is a root")
         return _variations([q.eval(point) for q in chain])

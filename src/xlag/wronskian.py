@@ -152,15 +152,16 @@ def predict_mu_sigma_lead(spec: ExtensionSpec):
     return mu, sigma, lead
 
 
-def predict_const(spec: ExtensionSpec) -> Fraction:
+def predict_const(spec: ExtensionSpec, *, lead: Fraction = None) -> Fraction:
     """Closed-form constant term g(0), in the alpha' form: the type-I block
     contributes (a'+1)_{m_1} ... (a'+q)_{m_q-q+1} and the type-II block
     (a'-m_{q+1})_{m_{q+1}+q} ... (a'-m_k)_{m_k+2q-k+1}.  With a' = p/d each
     (p/d + c)_n is the int (p + cd) (p + (c+1)d) ... over d^n, so the
-    product is taken on ints and reduced once, with the leading coefficient."""
+    product is taken on ints and reduced once, with the leading coefficient
+    `lead`, predict_mu_sigma_lead's when not given."""
     q, ap = spec.q, spec.alpha_prime
     p, d = ap.numerator, ap.denominator
-    lead = predict_mu_sigma_lead(spec)[2]
+    lead = predict_mu_sigma_lead(spec)[2] if lead is None else lead
     factors = [(i, m - i + 1) for i, m in enumerate(spec.m_type_i, start=1)]
     factors += [(-m, m + 2 * q + 1 - i) for i, m in enumerate(spec.m_type_ii, start=q + 1)]
     num = math.prod(math.prod(range(p + c * d, p + (c + n) * d, d)) for c, n in factors)
@@ -208,7 +209,7 @@ def compute_g(spec: ExtensionSpec) -> GReport:
         mu_predicted=mu,
         sigma=sigma,
         lead_predicted=lead,
-        const_predicted=predict_const(spec),
+        const_predicted=predict_const(spec, lead=lead),
         sub_constants=sub_constants,
     )
 

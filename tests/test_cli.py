@@ -838,7 +838,7 @@ class TestVerify:
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
         predict_const = wronskian.predict_const
-        monkeypatch.setattr(wronskian, "predict_const", lambda spec: -predict_const(spec))
+        monkeypatch.setattr(wronskian, "predict_const", lambda spec, **kw: -predict_const(spec, **kw))
         code, _, err = run_cli(["verify", "--max-k", "1", "--max-m", "2", "--alpha-grid", "1"], capsys)
         assert code == 1
         assert "first failing spec" in err

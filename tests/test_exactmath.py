@@ -11,12 +11,18 @@ from xlag.exactmath import (
     Poly,
     _bareiss,
     _int_columns,
+    _int_divide_out,
+    _int_prem,
+    _int_primitive,
+    _poly,
     poly_gcd,
     poly_mat_det,
     rational_nullspace,
     remainder_chain,
     vandermonde,
 )
+from xlag.verify import enumerate_lattice
+from xlag.wronskian import ExtensionSpec, compute_g
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
@@ -283,6 +289,14 @@ def test_eval():
     assert Poly((F(-1, 8), F(-1, 2), F(1, 2))).eval(2) == F(7, 8)
 
 
+@pytest.mark.parametrize("z", [0.1, True, 1.0, "1/10"])
+def test_eval_refuses_a_float_or_bool_point(z):
+    # the float 0.1 is 0.1000000000000000055..., so 10z - 1 read 2^-54, not 0
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Poly((-1, 10)).eval(z)
+    assert Poly((-1, 10)).eval(F(1, 10)) == 0
+
+
 def test_degree_sentinel():
     assert Poly().degree is None
     assert Poly((4,)).degree == 0
@@ -351,6 +365,87 @@ def test_squarefree_part_collapses_multiplicity():
     quo = Poly((-2, 1, 1)) * (p.leading / last.leading)
     assert ref_divmod(list(p.coeffs), list(last.coeffs)) == (list(quo.coeffs), [])
     assert poly_gcd(p, p.diff()) == Poly((-1, 1))
+
+
+# -- the remainder chain against its plain route ------------------------
+#
+# The chain as it ran before the one-pass normal step and the predicted
+# divisor: every step a pseudo-remainder by `_int_prem`, made primitive by
+# a full gcd.  The chain must equal it member by member.
+
+
+def ref_remainder_chain(a, b):
+    chain = [a, b] if b else [a]
+    A, B = _int_primitive(a.num), _int_primitive(b.num)
+    while B:
+        R = _int_prem(A, B)
+        if not R:
+            break
+        R = _int_primitive([-c for c in R])
+        chain.append(_poly(R))
+        A, B = B, R
+    return chain
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(Poly)
+
+
+@st.composite
+def chain_inputs(draw):
+    """a with squared and cubed factors and an int content; b its
+    derivative, a perturbed derivative, or any int polynomial (of degree
+    at least a's, zero, or constant)."""
+    a = Poly((draw(st.integers(-6, 6).filter(bool)),))
+    for f in draw(st.lists(int_polys.filter(bool), max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            a = a * f
+    other = draw(st.lists(st.integers(-30, 30), max_size=12).map(Poly))
+    b = draw(st.sampled_from((a.diff(), a.diff() + other, other)))
+    return a, b
+
+
+@given(chain_inputs())
+@settings(deadline=None)
+@example((Poly((-3, -3, -2, 3)), Poly((-3, -4, 9))))  # the divisor shrinks
+@example((Poly((2, 0, 1)), Poly()))  # zero b
+@example((Poly((5,)), Poly((1, 2, 3))))  # constant a, deg b above deg a
+@example((Poly((1, 2, 1)) * Poly((1, 2, 1)) * Poly((3, 1)), Poly((4, 0, 0, 1))))  # b not a'
+def test_remainder_chain_matches_the_plain_route(ab):
+    a, b = ab
+    assert remainder_chain(a, b) == ref_remainder_chain(a, b)
+
+
+def test_the_predicted_divisor_shrinks_where_it_misses():
+    # a = 3z^3 - 2z^2 - 3z - 3, b = a': the normal step's R is 261 + 186z,
+    # h = lc(a)^2 = 9 divides 261 but not 186, so h shrinks to 3 and the
+    # quotient 29 already taken is scaled by 9/3
+    assert _int_divide_out([261, 186], 9) == [87, 62]
+    assert _int_divide_out([8, 12, 6], 4) == [4, 6, 3]
+    assert _int_divide_out([0, -14, 0], 4) == [0, -7, 0]
+    a = Poly((-3, -3, -2, 3))
+    assert remainder_chain(a, a.diff())[2] == Poly((87, 62))
+
+
+def test_remainder_chain_matches_the_plain_route_on_the_benchmark_lattice():
+    # every g of perfbench's `lattice` workload
+    for spec in enumerate_lattice(max_k=4, max_m=4, alpha_steps=2):
+        g = compute_g(spec).g
+        assert remainder_chain(g, g.diff()) == ref_remainder_chain(g, g.diff()), spec
+
+
+@pytest.mark.parametrize(
+    "m_i, m_ii, alpha",
+    [
+        ((15,), (1, 3, 5, 6, 15), F(23, 2)),  # k = 6, deg 40
+        ((6, 8), (4, 5, 7, 12, 15), 13),  # k = 7, deg 56
+        ((3, 10, 12, 15), (1, 2, 3, 18), F(37, 2)),  # k = 8, deg 68: the divisor misses at 37 of 67 steps
+    ],
+)
+def test_remainder_chain_matches_the_plain_route_on_deep_specs(m_i, m_ii, alpha):
+    g = compute_g(ExtensionSpec(alpha, 1, m_i, m_ii)).g
+    chain = remainder_chain(g, g.diff())
+    assert chain == ref_remainder_chain(g, g.diff())
+    assert len(chain) == g.degree + 1
 
 
 def _det_cofactor(m):

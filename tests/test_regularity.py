@@ -67,6 +67,16 @@ def test_an_empty_or_unbounded_below_interval_is_refused(lo, hi):
         count_roots_open_interval(Poly((F(-3, 2), 1)), lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 0.1), (0.0, None), (True, 2), (0, True)])
+def test_a_float_or_bool_endpoint_is_refused(lo, hi):
+    # the float 0.1 sits just above the root 1/10 of 10z - 1, so it was
+    # counted as interior; at F(1, 10) the same call raises BoundaryRoot
+    with pytest.raises(TypeError, match="int or Fraction"):
+        count_roots_open_interval(Poly((-1, 10)), lo, hi)
+    with pytest.raises(BoundaryRoot):
+        count_roots_open_interval(Poly((-1, 10)), 0, F(1, 10))
+
+
 def test_counts_with_negative_leading_coefficient():
     # exercises the sign bookkeeping of the pseudo-remainder chain
     assert count_roots_open_interval(Poly((-3, 4, -1)), 0) == 2  # -(z-1)(z-3)

@@ -182,6 +182,15 @@ class TestPredictions:
         # pure type-I pair m=(1,2): (a-1) a / 2
         assert predict_const(spec(a, m_i=(1, 2))) == (a - 1) * a / 2
 
+    def test_compute_g_takes_the_closed_forms_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wronskian, "predict_mu_sigma_lead", lambda s: calls.append(s) or predict_mu_sigma_lead(s))
+        s = spec("15/2", m_i=(1, 3), m_ii=(2, 4, 5))
+        report = compute_g(s)
+        assert calls == [s]
+        assert report.const_predicted == predict_const(s) == report.g.constant
+        assert predict_const(s, lead=report.lead_predicted) == report.const_predicted
+
     def test_pure_type_i_paper_form(self):
         # (alpha-k+1)_{m_1} ... (alpha)_{m_k-k+1} / (m_1! ... m_k!) * Delta
         from math import factorial
