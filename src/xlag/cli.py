@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .regularity import certify
-from .report import SCHEMA_VERSION, build_document, eop_section, rat, spec_section
+from .report import SCHEMA_VERSION, build_document, eop_section, spec_section
 from .spectral import (
     build_potential,
     expected_spectrum,
@@ -159,7 +159,7 @@ def cmd_extend(args) -> int:
             levels = numeric_spectrum(potential, n_levels)
             expected = expected_spectrum(spec, n_levels)
             numeric["spectrum_computed"] = levels
-            numeric["spectrum_expected"] = [rat(e) for e in expected]
+            numeric["spectrum_expected"] = [str(e) for e in expected]
             numeric["spectrum_max_rel_dev"] = max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected))
     _emit(json.dumps(build_document(*ext, potential=potential, numeric=numeric), indent=2), args.out)
     return 0

@@ -17,10 +17,6 @@ class OracleMismatch(XlagError):
     """Two independent computation routes disagree; hard failure."""
 
 
-class Inapplicable(XlagError):
-    """Requested check does not apply to this specification."""
-
-
 class ZeroPolynomial(XlagError):
     """Operation undefined for the zero polynomial."""
 

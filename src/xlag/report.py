@@ -7,7 +7,6 @@ plain JSON-compatible dicts, so serialization round-trips field-exact.
 from __future__ import annotations
 
 from dataclasses import asdict
-from fractions import Fraction
 
 from .exactmath import Poly
 from .regularity import RegularityCertificate
@@ -17,25 +16,21 @@ from .wronskian import ExtensionSpec, GReport
 SCHEMA_VERSION = 1
 
 
-def rat(x) -> str:
-    return str(Fraction(x))
-
-
 def poly_coeffs(p: Poly):
-    return [rat(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def spec_section(spec: ExtensionSpec) -> dict:
     return {
-        "alpha": rat(spec.alpha),
-        "l": rat(spec.l),
-        "omega": rat(spec.omega),
+        "alpha": str(spec.alpha),
+        "l": str(spec.l),
+        "omega": str(spec.omega),
         "m_type_i": list(spec.m_type_i),
         "m_type_ii": list(spec.m_type_ii),
         "k": spec.k,
         "q": spec.q,
-        "alpha_prime": rat(spec.alpha_prime),
-        "l_prime": rat(spec.l_prime),
+        "alpha_prime": str(spec.alpha_prime),
+        "l_prime": str(spec.l_prime),
         "admissible": spec.admissible,
     }
 
@@ -46,11 +41,11 @@ def g_section(report: GReport, check: SpecCheck) -> dict:
         "coefficients": poly_coeffs(g),
         "degree": g.degree,
         "sigma": report.sigma,
-        "divisible": True,
+        "divisible": check.checks["divisible"],
         "mu": {"predicted": report.mu_predicted, "computed": g.degree},
-        "leading": {"predicted": rat(report.lead_predicted), "computed": rat(g.leading)},
-        "constant": {"predicted": rat(report.const_predicted), "computed": rat(g.constant)},
-        "predictions_hold": check.mu and check.lead and check.const,
+        "leading": {"predicted": str(report.lead_predicted), "computed": str(g.leading)},
+        "constant": {"predicted": str(report.const_predicted), "computed": str(g.constant)},
+        "predictions_hold": check.checks["mu"] and check.checks["lead"] and check.checks["const"],
     }
 
 
@@ -76,11 +71,11 @@ def build_document(
         "spec": spec_section(report.spec),
         "g": g_section(report, check),
         "certificate": {**asdict(cert), "admissible": report.spec.admissible},
-        "origin_recurrence": check.recurrence,
+        "origin_recurrence": check.checks.get("recurrence"),
     }
     if potential is not None:
         doc["potential"] = {
-            "shift": rat(potential.shift),
+            "shift": str(potential.shift),
             "rational_numerator": poly_coeffs(potential.rat_num),
             "rational_denominator": poly_coeffs(potential.rat_den),
             "certified_regular": cert.regular,

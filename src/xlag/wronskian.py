@@ -9,13 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import Inapplicable, OracleMismatch, SpecInvalid
+from .errors import OracleMismatch, SpecInvalid
 from .exactmath import Poly, _int_columns, poly_mat_det, vandermonde
 from .seeds import HALF, laguerre_series, seed_derivatives
-
-# largest k the direct seed-Wronskian oracle runs at; its cost grows
-# steeply with k
-ORACLE_MAX_K = 5
 
 
 def _check_indices(ms, label):
@@ -217,7 +213,8 @@ def compute_g(spec: ExtensionSpec) -> GReport:
 def wronskian_direct(report: GReport) -> Poly:
     """Direct exact Wronskian of the seeds of report.spec, checked against
     the structured route: it must equal z^(k(k-1)/2 - q(k-q)) * report.g
-    exactly, or OracleMismatch is raised.
+    exactly, or OracleMismatch is raised.  It runs at any k;
+    verify.check_report runs it only where it is cheap.
 
     The derivative table uses z-derivatives; the chain rule from the
     physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
@@ -228,8 +225,6 @@ def wronskian_direct(report: GReport) -> Poly:
     """
     spec = report.spec
     k, q = spec.k, spec.q
-    if k > ORACLE_MAX_K:
-        raise Inapplicable(f"direct Wronskian oracle restricted to k <= {ORACLE_MAX_K}")
     cols = [seed_derivatives(j < q, m, spec.alpha_prime, k) for j, m in enumerate(spec.all_m)]
     w = poly_mat_det(*_int_columns(cols))
     if w != report.g.shift_up(k * (k - 1) // 2 - q * (k - q)):

@@ -6,7 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,8 +290,8 @@ def test_check_report_skips_the_sign_theorem_on_an_inadmissible_spec():
     assert not report.spec.admissible and not cert.regular
     check = verify.check_report(report, cert)
     assert check.passed
-    assert (check.sign_theorem, check.regular) == (None, None)
-    assert (check.mu, check.lead, check.const, check.wronskian_oracle) == (True, True, True, True)
+    # k - q = 1: no origin recurrence either
+    assert check.checks == {"divisible": True, "mu": True, "lead": True, "const": True, "wronskian_oracle": True}
 
 
 def test_a_report_moved_onto_an_inadmissible_spec_takes_its_admissibility():
@@ -302,11 +302,11 @@ def test_a_report_moved_onto_an_inadmissible_spec_takes_its_admissibility():
     cert = regularity.certify(moved)
     check = verify.check_report(moved, cert)
     assert build_document(moved, cert, check)["certificate"]["admissible"] is False
-    assert (check.sign_theorem, check.regular) == (None, None)
+    assert "sign_theorem" not in check.checks and "regular" not in check.checks
 
 
-# k = 6 > ORACLE_MAX_K and no type-II pair: neither the Wronskian oracle nor
-# the origin recurrence runs, so only the closed forms guard g
+# k = 6 > verify.ORACLE_MAX_K and no type-II pair: neither the Wronskian
+# oracle nor the origin recurrence runs, so only the closed forms guard g
 BARE_SPEC = wronskian.ExtensionSpec(Fraction(25, 2), 1, (1, 2, 3, 4, 5, 6), ())
 
 
@@ -323,7 +323,7 @@ def test_the_closed_form_checks_read_g_itself(fault, failures):
     report = wronskian.compute_g(BARE_SPEC)
     bad = replace(report, g=fault(report.g))
     check = verify.check_report(bad, regularity.certify(bad))
-    assert (check.recurrence, check.wronskian_oracle) == (None, None)
+    assert "recurrence" not in check.checks and "wronskian_oracle" not in check.checks
     assert check.failures == failures
     assert verify.check_report(report, regularity.certify(report)).passed
 
@@ -495,9 +495,50 @@ def test_g_is_computed_once_per_spec(run, compute_g_calls, capsys):
     # k - q = 2 and k <= ORACLE_MAX_K: certificate, recurrence and oracle all
     # run, the recurrence on constants the one elimination already gave
     spec = wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2))
-    assert spec.k <= wronskian.ORACLE_MAX_K
+    assert spec.k <= verify.ORACLE_MAX_K
     run(spec)
     assert compute_g_calls == [spec]
+
+
+# every spec perfbench's `deep` workload can draw (k = 6-8): type-I and
+# type-II indices and the alpha' half-steps above the largest type-II index
+DEEP_POOL = [
+    wronskian.ExtensionSpec(max(m_ii) + Fraction(step, 2) - len(m_i) - len(m_ii) + 2 * len(m_i), 1, m_i, m_ii)
+    for m_i, m_ii, steps in (
+        ((15,), (1, 3, 5, 6, 15), (1, 3, 5)),
+        ((6, 8), (4, 5, 7, 12, 15), (2, 4, 6)),
+        ((3, 10, 12, 15), (1, 2, 3, 18), (1, 3, 5)),
+        ((7,), (4, 8, 9, 15, 16, 17, 18), (2, 4, 6)),
+    )
+    for step in steps
+]
+
+
+def test_check_report_runs_the_oracle_exactly_at_k_up_to_oracle_max_k(monkeypatch):
+    # perfbench's `lattice` specs (k <= 4) and its `deep` pool (k = 6-8)
+    oracle_specs = []
+    original = verify.wronskian_direct
+
+    def counted(report):
+        oracle_specs.append(report.spec)
+        return original(report)
+
+    monkeypatch.setattr(verify, "wronskian_direct", counted)
+    specs = list(verify.enumerate_lattice(max_k=4, max_m=4, alpha_steps=2)) + DEEP_POOL
+    results = [verify.check_extension(spec) for spec in specs]
+    assert all(r.passed for r in results)
+    assert oracle_specs == [s for s in specs if s.k <= verify.ORACLE_MAX_K]
+    assert (len(oracle_specs), len(specs)) == (324, 336)
+    assert [("wronskian_oracle" in r.checks) for r in results] == [s.k <= verify.ORACLE_MAX_K for s in specs]
+
+
+def test_the_verdict_table_holds_the_checks_that_ran_in_check_names_order():
+    # k - q = 2, admissible and k <= ORACLE_MAX_K: every check applies
+    check = verify.check_extension(wronskian.ExtensionSpec(Fraction(5, 2), 1, (1,), (1, 2)))
+    assert list(check.checks) == list(verify.CHECK_NAMES)
+    assert all(check.checks.values()) and check.failures == []
+    # the table is the one place a check's name is kept
+    assert not set(verify.CHECK_NAMES) & {f.name for f in fields(verify.SpecCheck)}
 
 
 @pytest.mark.parametrize(
@@ -835,6 +876,12 @@ class TestVerify:
         assert worker_cap(8) == 1
         monkeypatch.delenv("XLAG_THREADS")
         assert worker_cap(3) == 3
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, workers):
+        # 0 is no count of workers; it must not mean every CPU
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            verify.run_lattice(max_k=1, max_m=1, alpha_steps=1, workers=workers)
 
     def test_fault_injection_detected(self, capsys, monkeypatch):
         predict_const = wronskian.predict_const

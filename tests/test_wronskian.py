@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_exactmath import columns, compose_neg, pochhammer, ref_pochhammer
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
-from xlag.errors import Inapplicable, OracleMismatch, SpecInvalid
+from xlag.errors import OracleMismatch, SpecInvalid
 from xlag.exactmath import _PACK_BITS, Poly, _bareiss, _poly, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
@@ -234,10 +234,13 @@ class TestWronskianOracle:
         with pytest.raises(OracleMismatch):
             wronskian_direct(replace(report, g=report.g + Poly((1,))))
 
-    def test_cost_guard(self):
-        # a valid spec the oracle does not run on
-        with pytest.raises(Inapplicable):
-            wronskian_direct(compute_g(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6))))
+    def test_runs_past_the_lattice_k(self):
+        # k = 6, where verify.check_report skips the oracle for its cost: the
+        # oracle itself is exact at any k, z^(k(k-1)/2) * g with q = 0
+        report = compute_g(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6)))
+        assert wronskian_direct(report) == report.g.shift_up(15)
+        with pytest.raises(OracleMismatch):
+            wronskian_direct(replace(report, g=report.g + Poly((1,))))
 
 
 class TestOriginRecurrence:
