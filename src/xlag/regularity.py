@@ -94,8 +94,11 @@ class RegularityCertificate:
     sturm_sequence_length: int | None  # None where no chain ran
     signs_match: bool
     repeated_root_defect: int
-    method: str  # "sturm", "descartes" or "vca": what counted the roots
+    method: str  # one of CERTIFY_METHODS: what counted the roots
     sign_variations: int  # of the core's coefficients
+
+
+CERTIFY_METHODS = ("sturm", "descartes", "vca")  # certify's root counters, in the order reports list them
 
 
 def certify(report: GReport) -> RegularityCertificate:

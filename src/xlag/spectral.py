@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GridTooCoarse,
-    NullSpaceDimension,
-    OracleMismatch,
-    QuadratureNonconvergence,
-    SpecInvalid,
-)
+from .errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
 from .exactmath import Poly, _poly
 from .wronskian import ExtensionSpec, GReport
 
@@ -75,7 +69,7 @@ def build_potential(report: GReport) -> ExtendedPotential:
     num = (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-spec.omega)
     return ExtendedPotential(
         spec=spec,
-        shift=(spec.k - 2 * spec.q) * spec.omega,
+        shift=spec.shift,
         rat_num=num,
         rat_den=g2,
     )
@@ -83,27 +77,25 @@ def build_potential(report: GReport) -> ExtendedPotential:
 
 def _ode_operator(g: Poly, alpha):
     """entry(r, d, nu): the coefficient of z^r in the eigenvalue operator
-    z g y'' + q1 y' + q0 y of level nu applied to y = z^d, times
-    den(g) den(alpha), so an int.
-
-    q1 = (alpha + 1 - z) g - 2 z g' and q0 = (z - alpha) g' + z g'' + nu g;
-    only q0's nu g term depends on nu.  Column d spans rows d-1 .. d+mu
-    (mu = deg g) and its top entry, in row d+mu, is the scaled lead(g)
-    (mu + nu - d): the system is banded and triangular from the top.
-    """
+    z g y'' + [(alpha + 1 - z) g - 2z g'] y' + [(z - alpha) g' + z g'' + nu g] y
+    of level nu applied to y = z^d, times den(g) den(alpha), so an int.  With
+    alpha = a/s, g_i the numerators of g and i = r - d + 1 it is
+    g_i ((d - i)(s (d - i) + a) - s i) + s g_{i-1} (nu + i - 1 - d) for
+    0 <= i <= mu + 1 (mu = deg g), else 0: column d spans rows d-1 .. d+mu and
+    its top entry, in row d+mu, is s lead(g) (mu + nu - d), so the system is
+    banded and triangular from the top."""
     alpha = Fraction(alpha)
     a, s = alpha.numerator, alpha.denominator
-    G = Poly(g.num)
-    Gd = G.diff()
-    q1 = G * Poly((a + s, -s)) - Gd.shift_up(1) * (2 * s)
-    q0 = Gd * Poly((-a, s)) + Gd.diff().shift_up(1) * s
-    # entry(r, d, nu) reads slot r - d + 1 of z q0, z g, q1 and g, scaled
-    w = g.degree + 2
-    A, N, B, C = ([*p.num] + [0] * (w - len(p.num)) for p in (q0.shift_up(1), G.shift_up(1) * s, q1, G * s))
+    G = (0, *g.num, 0)  # G[i + 1] = g_i, zero at i = -1 and i = mu + 1
+    sG = tuple(s * c for c in G)
+    top = g.degree + 1
 
     def entry(r: int, d: int, nu: int) -> int:
         i = r - d + 1
-        return A[i] + nu * N[i] + d * B[i] + d * (d - 1) * C[i] if 0 <= i < w else 0
+        if not 0 <= i <= top:
+            return 0
+        e = d - i
+        return G[i + 1] * (e * (s * e + a) - s * i) + sG[i] * (nu - 1 - e)
 
     return entry
 
@@ -115,11 +107,11 @@ def solve_eop(report: GReport, nu_max: int) -> tuple:
     orthogonal family is certify(report)'s verdict, which the caller checks.
 
     With c_{mu+nu} = 1, row mu+d of the banded operator fixes c_d for d =
-    mu+nu-1 down to 0 through its nonzero pivot lead(g) (mu+nu-d)
-    (OracleMismatch if it were zero), so the solution is monic, of degree
-    mu+nu and unique.  Rows 0..mu-1, which fix no coefficient, must then
-    vanish, or no polynomial solution exists (NullSpaceDimension).  The
-    band is built once and holds ints; c_j = C_j / D over one common D.
+    mu+nu-1 down to 0 through its pivot s lead(g) (mu+nu-d), alpha = a/s,
+    which needs no zero guard: each factor is nonzero, as d < mu+nu.  So the
+    solution is monic, of degree mu+nu and unique.  Rows 0..mu-1, which fix
+    no coefficient, must then vanish, or no polynomial solution exists
+    (NullSpaceDimension).  The band holds ints; c_j = C_j / D over one D.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be nonnegative")
@@ -131,8 +123,6 @@ def solve_eop(report: GReport, nu_max: int) -> tuple:
         C, D = [0] * n + [1], 1
         for d in range(n - 1, -1, -1):
             pivot = entry(mu + d, d, nu)
-            if not pivot:
-                raise OracleMismatch(f"zero pivot in row {mu + d} for nu={nu}")
             s = sum(entry(mu + d, j, nu) * C[j] for j in range(d + 1, min(n, mu + d + 1) + 1))
             c = Fraction(-s, D * pivot)
             f = c.denominator // math.gcd(c.denominator, D)  # D becomes lcm(D, den c_d)
@@ -256,6 +246,5 @@ def numeric_spectrum(potential: ExtendedPotential, n_levels: int):
 
 def expected_spectrum(spec: ExtensionSpec, n_levels: int):
     """Levels omega*(2 nu + alpha + 1) + C implied by the isospectral
-    construction (exact rationals)."""
-    c = (spec.k - 2 * spec.q) * spec.omega
-    return [spec.omega * (2 * nu + spec.alpha + 1) + c for nu in range(n_levels)]
+    construction (exact rationals), C = spec.shift."""
+    return [spec.omega * (2 * nu + spec.alpha + 1) + spec.shift for nu in range(n_levels)]

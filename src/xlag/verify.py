@@ -123,11 +123,12 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
 
 
 def worker_cap(requested=None) -> int:
-    """Parallelism: `requested` workers, or every CPU when it is None,
-    bounded by the XLAG_THREADS environment variable."""
+    """Parallelism: `requested` workers, or when it is None every CPU this
+    process may run on (its affinity mask where the platform has one, which
+    taskset can narrow below os.cpu_count()), bounded by XLAG_THREADS."""
     if requested is not None and requested < 1:
         raise ValueError(f"workers must be at least 1, got {requested}")
-    n = requested or os.cpu_count() or 1
+    n = requested or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
     cap = os.environ.get("XLAG_THREADS")
     if cap:
         try:

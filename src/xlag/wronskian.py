@@ -76,6 +76,10 @@ class ExtensionSpec:
         return self.alpha_prime - HALF
 
     @property
+    def shift(self) -> Fraction:  # the extended potential's level shift C
+        return (self.k - 2 * self.q) * self.omega
+
+    @property
     def all_m(self) -> tuple:
         return self.m_type_i + self.m_type_ii
 

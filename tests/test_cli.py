@@ -693,6 +693,7 @@ def test_a_spec_check_carries_the_certificate_method():
     ]
     results = [verify.check_extension(spec) for spec in specs]
     assert [r.method for r in results] == ["sturm", "descartes", "vca"]
+    assert tuple(r.method for r in results) == regularity.CERTIFY_METHODS
     assert verify.summarize(results)["methods"] == {"sturm": 1, "descartes": 1, "vca": 1}
 
 
@@ -876,6 +877,19 @@ class TestVerify:
         assert worker_cap(8) == 1
         monkeypatch.delenv("XLAG_THREADS")
         assert worker_cap(3) == 3
+
+    def test_worker_cap_counts_the_cpus_the_process_may_run_on(self, monkeypatch):
+        from xlag.verify import worker_cap
+
+        monkeypatch.delenv("XLAG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert worker_cap() == 1  # as under taskset -c 3 on 8 CPUs
+        assert worker_cap(4) == 4  # an explicit count stands
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert worker_cap() == 8  # no affinity mask on the platform
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_cap() == 1
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_are_refused(self, workers):

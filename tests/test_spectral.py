@@ -26,6 +26,7 @@ from xlag.spectral import (
     solve_eop,
     wavefunction,
 )
+from xlag.verify import enumerate_lattice
 from xlag.wronskian import ExtensionSpec, compute_g
 
 
@@ -164,6 +165,35 @@ class TestEOP:
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
         with pytest.raises(ValueError):
             solve_eop(report, -1)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            list(enumerate_lattice(max_k=4, max_m=4, alpha_steps=2)),  # perfbench's lattice
+            [  # the mu = 5, mu = 30 and nodal rungs
+                ExtensionSpec(F(9, 2), 1, (1,), (1, 2)),
+                ExtensionSpec(F(29, 2), 1, (2, 4, 6), (3, 5, 7)),
+                ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13)),
+            ],
+            [ExtensionSpec(F(1, 4), 1, (), (1,))],
+            [ExtensionSpec(F(3, 4), F(3, 2), (1,), (1,))],
+        ],
+        ids=["lattice", "rungs", "negative_l", "omega"],
+    )
+    def test_the_band_equals_the_poly_route(self, specs):
+        # entry(r, d, nu) is coefficient r of ode_residual on y = z^d, scaled
+        # by den(g) den(alpha), on rows d-2 .. d+mu+2: the band and past both ends
+        for spec in specs:
+            g = compute_g(spec).g
+            entry = _ode_operator(g, spec.alpha)
+            scale = g.den * spec.alpha.denominator
+            mu = g.degree
+            for nu in range(4):
+                for d in range(mu + 4):
+                    residual = ode_residual(g, spec.alpha, nu, Poly((0,) * d + (1,))).coeffs
+                    for r in range(d - 2, d + mu + 3):
+                        expected = residual[r] * scale if 0 <= r < len(residual) else 0
+                        assert entry(r, d, nu) == expected, (spec, r, d, nu)
 
 
 class TestWavefunction:
