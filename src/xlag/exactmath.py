@@ -4,17 +4,14 @@ Everything here is exact, so no operation ever rounds: a polynomial is a
 tuple of Python-int numerators over one int denominator, and scalars are
 built on ints and handed out as `fractions.Fraction`.  Floats enter the
 codebase only in the numeric verification layer (`spectral`), never here.
-A polynomial determinant takes its matrix as int coefficient lists with one
-denominator per column, which its builders emit with no `Poly` per entry
-and one content gcd per column.  A small one runs on ints, its entries
-packed at z = 2^B with B from the smaller of a row and a column bound on
-every minor, so each Z[z] product and exact division is one big-int
-operation (Kronecker substitution).  The remainder chain divides each
-pseudo-remainder by its predicted content lc(A)^2 before a gcd takes the rest.
+A polynomial determinant takes int coefficient lists over one denominator
+per column and packs them at z = 2^B, so each Z[z] product and exact
+division is one big-int operation (Kronecker substitution); a large one
+widens B step by step.  The remainder chain divides each pseudo-remainder
+by its predicted content lc(A)^2 before a gcd takes the rest.
 """
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -267,34 +264,17 @@ def _int_mul(a, b):
     return out
 
 
-def _int_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return _int_trim(out)
-
-
-def _int_divmod(a, b):
-    """Quotient and remainder in Z[z]; lead(b) must divide each leading term
-    met, as in an exact division or a pseudo-division's scaled dividend."""
-    a = list(a)
-    d = len(b)
-    quot = [0] * max(len(a) - d + 1, 0)
-    while len(a) >= d:
-        c = a[-1] // b[-1]
-        pos = len(a) - d
-        quot[pos] = c
+def _int_prem(a, b):
+    """Pseudo-remainder scaled so it is a *positive* multiple of rem(a, b):
+    lead(b)^steps a reduced by b, each leading term met divisible by lead(b)."""
+    steps = max(len(a) - len(b) + 1, 0)
+    a = [c * b[-1] ** steps for c in a]
+    while len(a) >= len(b):
+        c, pos = a[-1] // b[-1], len(a) - len(b)
         for i, bc in enumerate(b):
             a[pos + i] -= c * bc
         _int_trim(a)
-    return quot, a
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder scaled so it is a *positive* multiple of rem(a, b)."""
-    steps = max(len(a) - len(b) + 1, 0)
-    scale = b[-1] ** steps
-    _, rem = _int_divmod([c * scale for c in a], b)
-    return [-c for c in rem] if b[-1] < 0 and steps % 2 else rem
+    return [-c for c in a] if b[-1] < 0 and steps % 2 else a
 
 
 def _int_divide_out(a, h):
@@ -335,6 +315,21 @@ def _int_unpack(v, bits):
     return out
 
 
+def _int_respace(values, bits, new_bits):
+    """[_int_pack(_int_unpack(v, bits), new_bits) for v in values] in linear
+    time, for whole-byte widths, new_bits >= bits: lifted by 2^(bits - 1),
+    each digit moves as plain bytes, and the lift, moved too, comes off."""
+    b, c = bits // 8, new_bits // 8
+    slots = max(v.bit_length() for v in values) // bits + 2  # >= every value's digit count
+    lift = int.from_bytes((bytes(b - 1) + b"\x80") * slots, "little")
+    src = b"".join((v + lift).to_bytes(slots * b, "little") for v in values)
+    dst = bytearray(len(src) // b * c)
+    for i in range(b):
+        dst[i::c] = src[i::b]
+    lift = int.from_bytes((bytes(b - 1) + b"\x80" + bytes(c - b)) * slots, "little")
+    return [int.from_bytes(dst[i : i + slots * c], "little") - lift for i in range(0, len(dst), slots * c)]
+
+
 def _int_taylor1(a):
     """a(z + 1), by the O(n^2) repeated synthetic division."""
     a = list(a)
@@ -364,8 +359,7 @@ def _int_columns(cols):
 
     One content gcd per column, taken with that denominator, brings the
     column to lowest terms, so it is the column of reduced `Poly`s scaled
-    by the lcm of their denominators: the entries need no reduction of
-    their own, and the packed size, and with it the route, is theirs.
+    by the lcm of their denominators, and its l1 sums are theirs.
     """
     scaled, dens = [], []
     for col in cols:
@@ -383,85 +377,90 @@ def poly_mat_det(rows, dens, minors: bool = False):
     trailing zeros, over one positive int denominator per column, so the
     determinant is det(rows) / prod(dens).  `_int_columns` builds the form.
 
-    Bareiss one-step elimination: every intermediate entry is divisible by
-    the previous pivot, so all divisions are exact.
+    Bareiss (1968) elimination on ints, entries evaluated at X = 2^B: a
+    ring homomorphism, so every division, exact in Z[z], stays exact in Z,
+    and one-to-one on coefficients below X/2, so a pivot is 0 exactly when
+    its polynomial is, and balanced base-X digits give back what fits.  Each
+    stored entry is a minor of the row-permuted M = rows, so (Leibniz) its
+    coefficients are at most the product of its rows' l1 sums R_i =
+    max(1, sum_j |M_ij|_1) and that of its columns' C_j.  Step k writes the
+    minors on rows 0..k, i and columns 0..k, j (i, j > k), which need
+    H_k = min(R_0...R_k max_{i>k} R_i, C_0...C_k max_{j>k} C_j), growing to
+    H = min(prod R, prod C); R moves with the rows, C never moves.  Where
+    the packed size B (D + 1), B = H.bit_length() + 1 and D = min(sum_i
+    max_j deg M_ij, sum_j max_i deg M_ij), is at most `_STEP_FLOOR`, every
+    step runs at B.  Above it, step k runs at the whole bytes that hold
+    H_k, and re-spaces what it reads, which fits the old width, as it widens.
 
-    Two routes run the one elimination loop.  Every entry it stores, pivots
-    and minors read back too, is a minor of the row-permuted int matrix
-    M = rows.  Expanded by Leibniz, its l1 norm, and so each coefficient,
-    is at most the product of its rows' l1 norms and at most that of its
-    columns', and its degree at most either degree sum; a row swap moves
-    no column sum.  So its coefficients are at most
-    H = min(prod_i max(1, sum_j |M_ij|_1), prod_j max(1, sum_i |M_ij|_1))
-    and its degree at most D = min(sum_i max_j deg M_ij, sum_j max_i deg M_ij).
-    Where the packed size B (D + 1), with B = H.bit_length() + 1, is at most
-    `_PACK_BITS`, each entry is evaluated at X = 2^B and the loop runs on
-    plain ints: evaluation is a ring homomorphism, so the exact divisions
-    in Z[z] stay exact in Z, and it is one-to-one on coefficients below
-    X/2, so a pivot is 0 exactly when its polynomial is and balanced
-    base-X digits give the result back.  Above the limit it runs on the
-    coefficient lists.  Columns in lowest terms keep H, and so B, as small
-    as the form allows.
-
-    Entries left in place are minors (Bareiss 1968).  With `minors`, the
-    result is (det, minors) with the three that the last step reads, for
-    n >= 2 (0-based): the leading (n-1)-minor, the one on rows 0..n-2 and
-    columns 0..n-3, n-1, and the leading (n-2)-minor; None after a row swap.
+    With `minors`, the result is (det, minors) with the three that the last
+    step reads, for n >= 2 (0-based): the leading (n-1)-minor, the one on
+    rows 0..n-2 and columns 0..n-3, n-1, and the leading (n-2)-minor; None
+    after a row swap.
     """
-    return _bareiss(rows, dens, minors, _PACK_BITS)
+    return _bareiss(rows, dens, minors, _STEP_FLOOR)
 
 
-# The int route's speed over the lists by packed size on 120 random k 5-8
-# gamma matrices (Python 3.11, 2 vCPUs): 1.2-5.0x up to 15k bits, 0.7-2.5x
-# at 15-25k, 0.7-2.0x at 25-40k, 0.4-1.4x at 40-48k, 0.16-1.0x above.  Their
-# total time is least at a limit of 40k, within 0.5% of that from 34k to
-# 42k, and 1.2% above it at 2^15, 20% at 2^16.
-_PACK_BITS = 40_000
+# Per-step widths took 1.1-1.6x the time of one width below 6k bits and
+# 0.5-0.9x above 9k (80 random k 4-7 gamma matrices, 2 vCPUs, Python 3.11).
+_STEP_FLOOR = 8_000
 
 
-def _bareiss(rows, dens, minors, pack_bits):
-    """`poly_mat_det`, on packed ints where the packed size is at most pack_bits."""
+def _bareiss(rows, dens, minors, floor):
+    """`poly_mat_det`, at one width where the packed size is at most floor."""
     n = len(rows)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
-    norms = [[sum(map(abs, a)) for a in row] for row in rows]
-    lens = [[*map(len, row)] for row in rows]
-    bits = min(math.prod(s or 1 for s in map(sum, v)) for v in (norms, zip(*norms))).bit_length() + 1
-    if bits * (min(sum(map(max, lens)), sum(map(max, zip(*lens)))) - n + 1) <= pack_bits:
-        M = [[_int_pack(a, bits) for a in row] for row in rows]
-        prev, mul, sub, div = 1, int.__mul__, int.__sub__, divmod
-        read = functools.partial(_int_unpack, bits=bits)
-    else:
-        M = [list(row) for row in rows]
-        prev, mul, sub, div = [1], _int_mul, _int_sub, _int_divmod
-        read = list
-    sgn = 1
-    swapped = sub_minors = None
+    R, C, deg, col_deg = [], [0] * n, 0, [0] * n  # l1 sums and lengths, in one pass
+    for row in rows:
+        r = longest = 0
+        for j, a in enumerate(row):
+            s, m = sum(map(abs, a)), len(a)
+            r += s
+            C[j] += s
+            if m > longest:
+                longest = m
+            if m > col_deg[j]:
+                col_deg[j] = m
+        R.append(r or 1)
+        deg += longest
+    C = [c or 1 for c in C]
+    bits = min(math.prod(R), math.prod(C)).bit_length() + 1
+    steps = n > 1 and bits * (min(deg, sum(col_deg)) - n + 1) > floor
+    bits = _step_bits(R, C, 0) if steps else bits
+    M = [[_int_pack(a, bits) for a in row] for row in rows]
+    prev, sgn, swapped, sub_minors = 1, 1, False, None
     for k in range(n - 1):
         if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sgn = -sgn
-                    swapped = True
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
                 return (Poly(), None) if minors else Poly()
+            M[k], M[i], R[k], R[i] = M[i], M[k], R[i], R[k]
+            sgn, swapped = -sgn, True
+        new = _step_bits(R, C, k) if steps else bits
+        if new > bits:
+            prev, *flat = _int_respace([prev, *(v for row in M[k:] for v in row[k:])], bits, new)
+            for i, row in enumerate(M[k:]):
+                row[k:] = flat[i * (n - k) : (i + 1) * (n - k)]
+            bits = new
         if minors and k == n - 2 and not swapped:
-            scale = math.prod(dens[: n - 2])
-            sub_minors = (
-                _poly(read(M[k][k]), scale * dens[n - 2]),
-                _poly(read(M[k][n - 1]), scale * dens[n - 1]),
-                _poly(read(prev), scale),
-            )
-        pivot, top = M[k][k], M[k]
+            scale, read = math.prod(dens[: n - 2]), ((M[k][k], dens[n - 2]), (M[k][n - 1], dens[n - 1]), (prev, 1))
+            sub_minors = tuple(_poly(_int_unpack(v, bits), scale * f) for v, f in read)
+        # the divisor's power of two (its z-power) comes off first
+        tz = (prev & -prev).bit_length() - 1
+        pivot, top, d = M[k][k], M[k], prev >> tz
         for row in M[k + 1 :]:
+            rk = row[k]
             for j in range(k + 1, n):
-                num = sub(mul(pivot, row[j]), mul(row[k], top[j]))
-                row[j] = div(num, prev)[0] if k else num
+                row[j] = ((pivot * row[j] - rk * top[j]) >> tz) // d
         prev = pivot
-    det = _poly(read(M[n - 1][n - 1]), sgn * math.prod(dens))
+    det = _poly(_int_unpack(M[n - 1][n - 1], bits), sgn * math.prod(dens))
     return (det, sub_minors) if minors else det
+
+
+def _step_bits(R, C, k):
+    """Whole bytes, as bits, that hold the coefficients step k writes."""
+    h = min(math.prod(R[: k + 1]) * max(R[k + 1 :]), math.prod(C[: k + 1]) * max(C[k + 1 :]))
+    return -(-(h.bit_length() + 1) // 8) * 8
 
 
 def rational_nullspace(rows):

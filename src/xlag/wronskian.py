@@ -172,10 +172,6 @@ def compute_g(spec: ExtensionSpec) -> GReport:
     """Exact g via fraction-free determinant of the structured matrix,
     with the z-power divided out, against the closed-form predictions.
 
-    The matrix goes to `poly_mat_det` in its int form, each column in
-    lowest terms after one content gcd, so it packs into as few bits as
-    the reduced entries would, and takes the same route.
-
     When k - q >= 2, and only then, the one elimination also gives
     `sub_constants`: only the type-II z-shift depends on k, so each
     sub-extension's matrix is a minor `poly_mat_det` passes through, with
@@ -224,8 +220,7 @@ def wronskian_direct(report: GReport) -> Poly:
     physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
     is not part of the returned polynomial.  It is built on int lists by
     `seed_derivatives`, row r over den (2 ad)^r, and brought to
-    `poly_mat_det`'s int form by one content gcd per column, so its packed
-    size is that of the reduced derivatives.
+    `poly_mat_det`'s int form by `_int_columns`.
     """
     spec = report.spec
     k, q = spec.k, spec.q

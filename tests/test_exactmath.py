@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
+    _STEP_FLOOR,
     Poly,
     _bareiss,
     _int_columns,
     _int_divide_out,
+    _int_pack,
     _int_prem,
     _int_primitive,
+    _int_respace,
+    _int_unpack,
     _poly,
+    _step_bits,
     poly_gcd,
     poly_mat_det,
     rational_nullspace,
@@ -22,7 +27,7 @@ from xlag.exactmath import (
     vandermonde,
 )
 from xlag.verify import enumerate_lattice
-from xlag.wronskian import ExtensionSpec, compute_g
+from xlag.wronskian import ExtensionSpec, build_gamma_matrix, compute_g
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
@@ -484,27 +489,90 @@ def test_int_columns_reduce_unreduced_entries_to_the_poly_columns(entries, scale
     assert _int_columns([pairs[j::3] for j in range(3)]) == columns(m)
 
 
-# poly_mat_det's two routes, called directly: the packing limit forces the
-# packed ints (inf) or the coefficient lists (-inf) at any size
-ROUTES = pytest.mark.parametrize("pack_bits", [math.inf, -math.inf], ids=["integer", "polynomial"])
+def ref_int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_int_divexact(a, b):
+    # a / b in Z[z], b dividing a: quotient digits from the top
+    a, quot = list(a), [0] * (len(a) - len(b) + 1)
+    for pos in range(len(quot) - 1, -1, -1):
+        quot[pos] = a[pos + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[pos + i] -= quot[pos] * c
+    assert not any(a)
+    return quot
+
+
+def ref_bareiss(rows, dens, minors):
+    """`poly_mat_det` on the coefficient lists: every product and exact
+    division in Z[z], with no packing and so no bound to get wrong.  The
+    oracle of both packed schedules."""
+    n = len(rows)
+    if n == 0:
+        return (Poly((1,)), None) if minors else Poly((1,))
+    M, prev, sgn, swapped, sub_minors = [list(row) for row in rows], [1], 1, False, None
+    for k in range(n - 1):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                return (Poly(), None) if minors else Poly()
+            M[k], M[i], sgn, swapped = M[i], M[k], -sgn, True
+        if minors and k == n - 2 and not swapped:
+            scale = math.prod(dens[: n - 2])
+            sub_minors = (
+                _poly(list(M[k][k]), scale * dens[n - 2]),
+                _poly(list(M[k][n - 1]), scale * dens[n - 1]),
+                _poly(list(prev), scale),
+            )
+        for row in M[k + 1 :]:
+            for j in range(k + 1, n):
+                a, b = ref_int_mul(M[k][k], row[j]), ref_int_mul(row[k], M[k][j])
+                num = [x - y for x, y in zip(a + [0] * len(b), b + [0] * len(a))]
+                while num and not num[-1]:
+                    num.pop()
+                row[j] = ref_int_divexact(num, prev) if num else []
+        prev = M[k][k]
+    det = _poly(list(M[n - 1][n - 1]), sgn * math.prod(dens))
+    return (det, sub_minors) if minors else det
+
+
+def single_width(rows, dens, minors):
+    return _bareiss(rows, dens, minors, math.inf)
+
+
+def per_step(rows, dens, minors):
+    return _bareiss(rows, dens, minors, -math.inf)
+
+
+# the determinant at any size: the floor forces the packed ints at one
+# width (inf) or at the per-step widths (-inf), and the coefficient lists
+# are the oracle of both
+ROUTES = pytest.mark.parametrize(
+    "det", [single_width, per_step, ref_bareiss], ids=["integer", "per-step", "polynomial"]
+)
 
 
 @ROUTES
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2).map(Poly), min_size=9, max_size=9))
 @settings(deadline=None, max_examples=25)
-def test_bareiss_matches_cofactor_expansion(pack_bits, entries):
+def test_bareiss_matches_cofactor_expansion(det, entries):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
-    assert _bareiss(*columns(m), False, pack_bits) == _det_cofactor(m)
+    assert det(*columns(m), False) == _det_cofactor(m)
 
 
 @ROUTES
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2).map(Poly), min_size=16, max_size=16))
 @settings(deadline=None, max_examples=25)
 @example([Poly((c,)) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 7)])
-def test_bareiss_minors_match_cofactor_expansion(pack_bits, entries):
+def test_bareiss_minors_match_cofactor_expansion(det, entries):
     m = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    det, minors = _bareiss(*columns(m), True, pack_bits)
-    assert det == _det_cofactor(m)
+    d, minors = det(*columns(m), True)
+    assert d == _det_cofactor(m)
     if not m[0][0]:
         assert minors is None  # a row swap was needed
     if minors is not None:
@@ -516,24 +584,28 @@ def test_bareiss_minors_match_cofactor_expansion(pack_bits, entries):
 
 
 @ROUTES
-def test_both_routes_on_the_small_cases(pack_bits):
+def test_both_routes_on_the_small_cases(det):
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
-    assert _bareiss([], [], True, pack_bits) == (Poly((1,)), None)
-    assert _bareiss(*columns([[c]]), True, pack_bits) == (c, None)
-    assert _bareiss(*columns([[Poly()]]), False, pack_bits) == Poly()
-    assert not _bareiss(*columns([[a, b], [a, b]]), False, pack_bits)
-    assert _bareiss(*columns([[Poly(), b], [c, d]]), True, pack_bits) == (-(b * c), None)  # a swap
-    assert _bareiss(*columns([[Poly((-1,)), b], [Poly(), d]]), True, pack_bits) == (-d, (Poly((-1,)), b, Poly((1,))))
-    assert _bareiss(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False, pack_bits) == Poly()
+    assert det([], [], True) == (Poly((1,)), None)
+    assert det(*columns([[c]]), True) == (c, None)
+    assert det(*columns([[Poly()]]), False) == Poly()
+    assert not det(*columns([[a, b], [a, b]]), False)
+    assert det(*columns([[Poly(), b], [c, d]]), True) == (-(b * c), None)  # a swap
+    assert det(*columns([[Poly((-1,)), b], [Poly(), d]]), True) == (-d, (Poly((-1,)), b, Poly((1,))))
+    assert det(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False) == Poly()
     # a zero row makes the row product 0, but the minors above it still read back
-    assert _bareiss(*columns([[a, b], [Poly(), Poly()]]), True, pack_bits) == (Poly(), (a, b, Poly((1,))))
+    assert det(*columns([[a, b], [Poly(), Poly()]]), True) == (Poly(), (a, b, Poly((1,))))
+
+
+def _sums(rows):
+    # the row and the column l1 sums, at least 1, that _bareiss bounds by
+    norms = [[sum(map(abs, a)) for a in row] for row in rows]
+    return tuple([max(1, sum(v)) for v in vs] for vs in (norms, zip(*norms)))
 
 
 def _side_bounds(rows):
-    # the row and the column product of l1 norms that _bareiss takes the
-    # smaller of
-    norms = [[sum(map(abs, a)) for a in row] for row in rows]
-    return tuple(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
+    # the row and the column product that _bareiss takes the smaller of
+    return tuple(map(math.prod, _sums(rows)))
 
 
 @given(
@@ -547,7 +619,7 @@ def _side_bounds(rows):
 def test_lopsided_matrices_pack_by_their_lighter_side(entries, heavy, e, d):
     # one row, then one column, scaled by 2^e z^d: the row product sets B for
     # the heavy row and the column product for the heavy column, and the
-    # transposes swap the two; both routes and the Laplace expansion agree
+    # transposes swap the two; every route and the Laplace expansion agree
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
     scale = Poly((0,) * d + (2**e,))
     heavy_row = [[a * scale if i == heavy else a for a in row] for i, row in enumerate(m)]
@@ -557,8 +629,9 @@ def test_lopsided_matrices_pack_by_their_lighter_side(entries, heavy, e, d):
         rows, dens = columns(matrix)
         by_rows, by_cols = _side_bounds(rows)
         assert (by_rows < by_cols) == row_side
-        packed = _bareiss(rows, dens, True, math.inf)
-        assert packed == _bareiss(rows, dens, True, -math.inf) and packed[0] == _det_cofactor(matrix)
+        packed = single_width(rows, dens, True)
+        assert packed == per_step(rows, dens, True) == ref_bareiss(rows, dens, True)
+        assert packed[0] == _det_cofactor(matrix)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -567,9 +640,117 @@ def test_the_packing_bound_holds_at_equality(sign):
     # read +H back as -H
     diag = [Poly((0, sign * 2**3)), Poly((0, 0, -(2**5))), Poly((-(2**7),))]
     m = [[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)]
-    assert _bareiss(*columns(m), False, math.inf) == Poly((0, 0, 0, sign * 2**15))
-    assert _bareiss(*columns([[Poly((sign * 2**200,))]]), False, math.inf) == Poly((sign * 2**200,))
+    for det in (single_width, per_step):
+        assert det(*columns(m), False) == Poly((0, 0, 0, sign * 2**15))
+        assert det(*columns([[Poly((sign * 2**200,))]]), False) == Poly((sign * 2**200,))
     assert poly_mat_det(*columns([[Poly((sign * 2**200,))]])) == Poly((sign * 2**200,))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_step_minor_at_its_bound_survives_the_re_spacing(sign):
+    # step 0 writes the 2-minor sign 2^7 2^8 z^3, whose coefficient is H_0
+    # = R_0 max(R_1, R_2) = 2^15 exactly: with a sign bit that takes 3
+    # bytes, and at 2 it would read back as -2^15.  Step 1 widens to 4
+    # bytes, so the minor is re-spaced from 3.
+    diag = [Poly((0, sign * 2**7)), Poly((0, 0, 2**8)), Poly((2**8,))]
+    rows, dens = columns([[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)])
+    R, C = _sums(rows)
+    assert math.prod(R[:1]) * max(R[1:]) == 2**15
+    assert _step_bits(R, C, 0) == 24 and _step_bits(R, C, 1) == 32
+    assert _int_unpack(_int_pack([0, 0, 0, 2**15], 16), 16) != [0, 0, 0, 2**15]
+    assert per_step(rows, dens, True) == ref_bareiss(rows, dens, True)
+    assert per_step(rows, dens, False) == Poly((0, 0, 0, sign * 2**23))
+
+
+def test_the_rows_bound_one_step_and_the_columns_the_next():
+    # row sums 1, h + 1, h + 1 and column sums 2, 2h, 1: step 0 is bounded
+    # by the rows (h + 1 < 4h), step 1 by the columns (4h < (h + 1)^2), and
+    # the width still never narrows
+    h = 2**40
+    m = [[Poly((0, 1)), Poly(), Poly()], [Poly((1,)), Poly((0, 0, h)), Poly()], [Poly(), Poly((h,)), Poly((0, 1))]]
+    rows, dens = columns(m)
+    R, C = _sums(rows)
+    assert R[0] * max(R[1:]) < C[0] * max(C[1:]) and math.prod(C) < math.prod(R)
+    assert _step_bits(R, C, 0) <= _step_bits(R, C, 1)
+    for minors in (False, True):
+        assert per_step(rows, dens, minors) == single_width(rows, dens, minors) == ref_bareiss(rows, dens, minors)
+
+
+@pytest.mark.parametrize("zero_row", [0, 1, 3])
+def test_a_zero_row_never_lowers_the_row_bound(zero_row):
+    # a zero row's l1 sum is 0, so the raw row bound falls to 0 at the step
+    # that takes it in, where every minor written is 0; taken as 1 it never
+    # falls, and the minors above the zero row, which the last step reads
+    # back when it is row 3, come out right
+    m = [[Poly((1, 200)), Poly((300,)), Poly((0, 500)), Poly((700,))],
+         [Poly((200,)), Poly((0, 0, 900)), Poly((1,)), Poly((400, 400))],
+         [Poly((0, 1100)), Poly((600,)), Poly((200, 0, 300)), Poly((1,))],
+         [Poly((500,)), Poly((1, 100)), Poly((800,)), Poly((0, 200))]]
+    m[zero_row] = [Poly()] * 4
+    rows, dens = columns(m)
+    for minors in (False, True):
+        assert per_step(rows, dens, minors) == ref_bareiss(rows, dens, minors)
+    assert per_step(rows, dens, True)[0] == Poly()
+
+
+@given(st.lists(st.integers(1, 2**40), min_size=2, max_size=8), st.data())
+def test_the_step_widths_never_narrow(R, data):
+    # R_k max_{i>k} R_i <= R_k R_{k+1} max_{i>k+1} R_i for sums >= 1, on
+    # either side, so the widths never narrow, and the last one holds the
+    # bound of the whole determinant
+    C = data.draw(st.lists(st.integers(1, 2**40), min_size=len(R), max_size=len(R)))
+    widths = [_step_bits(R, C, k) for k in range(len(R) - 1)]
+    assert widths == sorted(widths)
+    assert widths[-1] == -(-(min(math.prod(R), math.prod(C)).bit_length() + 1) // 8) * 8
+
+
+def test_a_row_swap_above_the_floor_widens_by_the_permuted_rows():
+    # step 1 finds a zero pivot and swaps in row 2, whose sum 2^20 then
+    # bounds the 3-minor 2^32 z it writes.  By the rows before the swap,
+    # 1 * 1 * 2^20, step 1 would run at 3 bytes and the minor, re-spaced for
+    # step 2, would read back wrong.
+    m = [[Poly((c,)) for c in row] for row in ([1, 0, 0, 0], [0, 0, 0, 1], [0, 2**20, 0, 0], [0, 0, 0, 0])]
+    m[3][2] = Poly((0, 2**12))
+    rows, dens = columns(m)
+    assert per_step(rows, dens, True) == ref_bareiss(rows, dens, True) == (Poly((0, 2**32)), None)
+    # and a gamma matrix above the floor with its rows cycled, at the floor
+    # poly_mat_det itself uses
+    rows, dens = build_gamma_matrix(ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13)))
+    cycled = [rows[2], rows[0], rows[1], *rows[3:]]
+    assert _packed_size(cycled) > _STEP_FLOOR
+    assert poly_mat_det(cycled, dens, True) == ref_bareiss(cycled, dens, True)
+
+
+def _packed_size(rows):
+    # B (D + 1), as poly_mat_det's docstring defines it: H and D each the
+    # smaller of the row and the column figure
+    norms = [[sum(map(abs, e)) for e in row] for row in rows]
+    lens = [[len(e) for e in row] for row in rows]
+    h = min(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
+    d = min(sum(max(v) for v in vs) for vs in (lens, zip(*lens)))
+    return (h.bit_length() + 1) * (d - len(rows) + 1)
+
+
+balanced_digits = st.integers(1, 4).flatmap(
+    lambda b: st.tuples(
+        st.just(8 * b),
+        st.integers(0, 3).map(lambda extra: 8 * (b + extra)),
+        st.lists(st.lists(st.integers(-(2 ** (8 * b - 1)) + 1, 2 ** (8 * b - 1) - 1), max_size=6), max_size=4),
+    )
+)
+
+
+@given(balanced_digits)
+@example((8, 16, [[5, -3, 0, -1]]))  # a negative top digit
+@example((8, 24, [[0, 0, 7], [], [0]]))  # zero digits, and zero values
+@example((16, 24, [[-(2**15) + 1]]))  # a single slot at -(X/2 - 1)
+@example((8, 16, [[127, -127, 127, -127], [-127, 127]]))  # digits at +-(X/2 - 1)
+def test_re_spacing_matches_unpack_and_repack(case):
+    bits, new_bits, digit_lists = case
+    values = [_int_pack(a, bits) for a in digit_lists] or [0]
+    spaced = _int_respace(values, bits, new_bits)
+    assert spaced == [_int_pack(_int_unpack(v, bits), new_bits) for v in values]
+    assert [_int_unpack(v, new_bits) for v in spaced] == [_int_unpack(v, bits) for v in values]
 
 
 def test_minors_of_a_2x2_and_a_swap():

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from test_exactmath import columns, compose_neg, pochhammer, ref_pochhammer
+from test_exactmath import (
+    _packed_size,
+    columns,
+    compose_neg,
+    per_step,
+    pochhammer,
+    ref_bareiss,
+    ref_pochhammer,
+    single_width,
+)
 from test_regularity import _inadmissible_probes
 from xlag import wronskian
 from xlag.errors import OracleMismatch, SpecInvalid
-from xlag.exactmath import _PACK_BITS, Poly, _bareiss, _poly, poly_mat_det
+from xlag.exactmath import _STEP_FLOOR, Poly, _poly, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
@@ -484,21 +493,11 @@ def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
         compute_g(s)
 
 
-def _packed_size(rows):
-    # B (D + 1), as poly_mat_det's docstring defines it: H and D each the
-    # smaller of the row and the column figure
-    norms = [[sum(map(abs, e)) for e in row] for row in rows]
-    lens = [[len(e) for e in row] for row in rows]
-    h = min(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
-    d = min(sum(max(v) for v in vs) for vs in (lens, zip(*lens)))
-    return (h.bit_length() + 1) * (d - len(rows) + 1)
-
-
 def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypatch):
-    # every gamma and Wronskian matrix of a sub-lattice and the nodal and
-    # k = 6 gamma matrices, which take the packed ints, and the two k = 8
-    # gamma matrices, which take the coefficient lists; each route is the
-    # other's reference
+    # every gamma and Wronskian matrix of a sub-lattice, which stay at or
+    # below the floor and run at one width, and the nodal, k = 6 and two
+    # k = 8 gamma matrices, which run at the per-step widths; both packed
+    # schedules and the coefficient-list oracle agree on each
     seen = []
 
     def recording(rows, dens, minors=False):
@@ -511,22 +510,24 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     for name in ("nodal", "k6", "k8", "k8-type-ii"):
         compute_g(spec(*NAMED_SPECS[name]))
     sizes = [_packed_size(rows) for rows, _, _ in seen]
-    assert len(sizes) == 2 * 324 + 4 and max(sizes[:-2]) <= _PACK_BITS < min(sizes[-2:])
+    assert len(sizes) == 2 * 324 + 4 and max(sizes[:-4]) <= _STEP_FLOOR < min(sizes[-4:])
     for rows, dens, minors in seen:
-        packed = _bareiss(rows, dens, minors, math.inf)
-        assert packed == _bareiss(rows, dens, minors, -math.inf) == poly_mat_det(rows, dens, minors)
+        det = poly_mat_det(rows, dens, minors)
+        assert det == single_width(rows, dens, minors) == per_step(rows, dens, minors) == ref_bareiss(rows, dens, minors)
 
 
 @pytest.mark.parametrize("name", ["nodal", "k6", "k7", "k8", "k8-type-ii"])
 def test_a_transposed_gamma_matrix_has_the_same_determinant_on_both_routes(name):
     # the transpose swaps the row and the column bound; over unit
-    # denominators its determinant is det(rows)
+    # denominators its determinant is det(rows) on both packed schedules
+    # and the coefficient-list oracle
     rows, _ = build_gamma_matrix(spec(*NAMED_SPECS[name]))
     ones = [1] * len(rows)
-    det = _bareiss(rows, ones, False, -math.inf)
+    det = ref_bareiss(rows, ones, False)
     transposed = [list(col) for col in zip(*rows)]
     assert _packed_size(transposed) == _packed_size(rows)
-    assert _bareiss(transposed, ones, False, math.inf) == det == _bareiss(transposed, ones, False, -math.inf)
+    for route in (single_width, per_step, ref_bareiss):
+        assert route(transposed, ones, False) == det
 
 
 def test_report_pickles():
