@@ -9,9 +9,9 @@ levels itself.  extend and sample add the potential, which only they render.
 main builds argv[0]'s subparser alone; --help and unknown commands get all four.
 
 Exit codes: 0 ok (including regular=false reports for inadmissible but
-computable specs), 1 verification failure, 2 bad input, 3 internal
-inconsistency (an exact check of the exact stage failed, an exact oracle
-disagreed or an internal polynomial vanished).
+computable specs), 1 a failed verify lattice, and otherwise the exit_code of
+the XlagError raised: 2 bad input, 3 internal inconsistency, 1 a numeric
+check that did not converge.
 """
 from __future__ import annotations
 
@@ -23,16 +23,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    GridTooCoarse,
-    NotDivisible,
-    NullSpaceDimension,
-    OracleMismatch,
-    QuadratureNonconvergence,
-    SpecInvalid,
-    XlagError,
-    ZeroPolynomial,
-)
+from .errors import OracleMismatch, SpecInvalid, XlagError
 from .regularity import CERTIFY_METHODS, certify
 from .report import SCHEMA_VERSION, build_document, eop_section, spec_section
 from .spectral import (
@@ -45,15 +36,6 @@ from .spectral import (
 )
 from .verify import CHECK_NAMES, check_report, run_lattice, summarize
 from .wronskian import ExtensionSpec, compute_g
-
-# exception -> (exit code, stderr prefix); the first matching row wins.  Only
-# internal objects (certify's g, a Sturm chain, a monic form) raise ZeroPolynomial
-EXIT_CODES = (
-    ((NotDivisible, OracleMismatch, NullSpaceDimension, ZeroPolynomial), 3, "internal inconsistency"),
-    ((GridTooCoarse, QuadratureNonconvergence), 1, "numeric check failed"),
-    (XlagError, 2, "error"),
-)
-
 
 # the numeric layer takes spec rationals as floats and exact outputs grow as
 # powers of them, so numerator and denominator are kept at most 2^53
@@ -168,8 +150,7 @@ def cmd_extend(args) -> int:
 def cmd_eop(args) -> int:
     ext = extension(spec_from_args(args), args.nu_max)
     if ext.family is None:
-        print("spec is not regular; no orthogonal polynomial family exists", file=sys.stderr)
-        return 2
+        raise SpecInvalid("spec is not regular; no orthogonal polynomial family exists")
     doc = {"schema": SCHEMA_VERSION, "spec": spec_section(ext.report.spec), "eop": eop_section(ext.report, ext.family)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
@@ -179,12 +160,10 @@ def cmd_sample(args) -> int:
     spec = spec_from_args(args)
     if not 0 < args.x_min < args.x_max < math.inf:
         raise SpecInvalid(f"need 0 < --x-min < --x-max, got {args.x_min} and {args.x_max}")
-    if spec.l < 0:
-        raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
     ext = extension(spec, None)
+    potential = build_potential(ext.report)
     if not ext.cert.regular and not args.force:
-        print("spec is not regular; pass --force to sample anyway", file=sys.stderr)
-        return 2
+        raise SpecInvalid("spec is not regular; pass --force to sample anyway")
     import numpy as np
 
     nus = args.wavefunctions
@@ -193,7 +172,7 @@ def cmd_sample(args) -> int:
     header = ["x", "V2"] + [f"psi_{nu}" for nu in nus]
     with np.errstate(all="ignore"):  # a value past the float range is reported below, not warned of
         psis = [wavefunction(ext.report, family[nu], xs) for nu in nus]
-        rows = np.array([xs, build_potential(ext.report)(xs)] + psis).T
+        rows = np.array([xs, potential(xs)] + psis).T
     bad = np.argwhere(~np.isfinite(rows))  # (row, column) pairs, first row first
     if len(bad):
         raise SpecInvalid(f"{header[bad[0][1]]} is not finite at x = {xs[bad[0][0]]:.17g}; narrow --x-min/--x-max")
@@ -224,8 +203,8 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad argv raises SpecInvalid, so it leaves main through EXIT_CODES
-    as one error line instead of a usage block and SystemExit.  A negative
+    """Bad argv raises SpecInvalid, so it leaves main as one error line
+    and exit 2 instead of a usage block and SystemExit.  A negative
     rational such as -1/2 reads as a value, as -0.5 does, not as a flag."""
 
     def __init__(self, *args, **kwargs):
@@ -292,9 +271,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # only --help leaves argparse this way, after printing
         return exc.code
     except XlagError as exc:
-        code, prefix = next((code, prefix) for types, code, prefix in EXIT_CODES if isinstance(exc, types))
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

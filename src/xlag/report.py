@@ -75,7 +75,7 @@ def build_document(
     }
     if potential is not None:
         doc["potential"] = {
-            "shift": str(potential.shift),
+            "shift": str(potential.spec.shift),
             "rational_numerator": poly_coeffs(potential.rat_num),
             "rational_denominator": poly_coeffs(potential.rat_den),
             "certified_regular": cert.regular,

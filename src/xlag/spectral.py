@@ -34,11 +34,10 @@ def _polyval(p: Poly, z):
 @dataclass(frozen=True)
 class ExtendedPotential:
     """V(x) = omega^2 x^2/4 + l(l+1)/x^2 + V_rat(z) + C with z = omega x^2/2,
-    l and omega those of spec, cached as the exact rational pair
-    (rat_num, g^2) for the rational part."""
+    l, omega and C (spec.shift) those of spec, cached as the exact rational
+    pair (rat_num, g^2) for the rational part."""
 
     spec: ExtensionSpec
-    shift: Fraction
     rat_num: Poly
     rat_den: Poly
 
@@ -49,7 +48,7 @@ class ExtendedPotential:
         w = float(self.spec.omega)
         cf = float(self.spec.l * (self.spec.l + 1))
         z = 0.5 * w * x * x
-        val = 0.25 * w * w * x * x + cf / (x * x) + float(self.shift)
+        val = 0.25 * w * w * x * x + cf / (x * x) + float(self.spec.shift)
         return val + _polyval(self.rat_num, z) / _polyval(self.rat_den, z)
 
 
@@ -67,12 +66,7 @@ def build_potential(report: GReport) -> ExtendedPotential:
     g2, gd = report.g * report.g, report.g.diff()
     g2d = g2.diff()
     num = (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-spec.omega)
-    return ExtendedPotential(
-        spec=spec,
-        shift=spec.shift,
-        rat_num=num,
-        rat_den=g2,
-    )
+    return ExtendedPotential(spec=spec, rat_num=num, rat_den=g2)
 
 
 def _ode_operator(g: Poly, alpha):
@@ -235,7 +229,7 @@ def numeric_spectrum(potential: ExtendedPotential, n_levels: int):
     """
     import numpy as np
     w = float(potential.spec.omega)
-    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.shift))
+    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.spec.shift))
     x_turn = 2.0 * math.sqrt(e_top) / w
     x_max = math.sqrt(x_turn * x_turn + 120.0 / w)
     coarse, fine = (_fd_levels(potential, n_levels, np.linspace(0.0, x_max, n + 2)[1:-1]) for n in (500, 1001))

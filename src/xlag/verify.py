@@ -1,8 +1,8 @@
 """Enumeration of the admissible verification lattice and the exact
 invariant checks run on every member: divisibility, degree/leading/
 constant closed forms, the endpoint-sign theorem, nodelessness, the
-origin recurrence, and the direct-Wronskian oracle.  check_report is the
-one place these comparisons are made; every CLI subcommand runs it too.
+origin recurrence, and the direct-Wronskian oracle.  check_report is where
+every verdict is collected; every CLI subcommand runs it too.
 """
 from __future__ import annotations
 

@@ -150,7 +150,7 @@ def test_criterion_8_classical_reduction():
     for nu in range(7):
         assert family[nu] == laguerre(nu, spec.alpha).monic()
     pot = build_potential(report)
-    assert pot.shift == 0 and not pot.rat_num
+    assert pot.spec.shift == 0 and not pot.rat_num
     xs = np.linspace(0.2, 7.0, 101)
     # omega^2 x^2 / 4 + l(l+1) / x^2 at l = 1, omega = 1
     assert np.array_equal(pot(xs), 0.25 * xs * xs + 2.0 / (xs * xs))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlag
-from xlag import cli, exactmath, regularity, spectral, verify, wronskian
+from xlag import cli, errors, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
 from xlag.report import build_document
 
@@ -247,6 +247,10 @@ def test_argv_fuzz_exits_with_a_documented_code(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    # every nonzero status is one line of stderr under its error type's prefix
+    prefix = {1: "numeric check failed: ", 2: "error: ", 3: "internal inconsistency: "}.get(code)
+    if prefix:
+        assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("command", ["extend", "eop", "sample"])
@@ -450,6 +454,39 @@ def test_failed_numeric_check_exits_1(check, error, capsys, monkeypatch):
     code, out, err = run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys)
     assert code == 1 and out == ""
     assert err == "numeric check failed: did not converge\n"
+
+
+# the exit contract, written out: error type -> (exit status, stderr prefix)
+EXIT_STATUS = {
+    "XlagError": (2, "error"),
+    "SpecInvalid": (2, "error"),
+    "BoundaryRoot": (2, "error"),
+    "InternalInconsistency": (3, "internal inconsistency"),
+    "NotDivisible": (3, "internal inconsistency"),
+    "OracleMismatch": (3, "internal inconsistency"),
+    "ZeroPolynomial": (3, "internal inconsistency"),
+    "NullSpaceDimension": (3, "internal inconsistency"),
+    "NumericCheckFailed": (1, "numeric check failed"),
+    "GridTooCoarse": (1, "numeric check failed"),
+    "QuadratureNonconvergence": (1, "numeric check failed"),
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.XlagError)],
+    ids=lambda t: t.__name__,
+)
+def test_every_error_type_exits_with_its_documented_status(error, capsys, monkeypatch):
+    # a new error type must be added to EXIT_STATUS before it can pass
+    assert error.__name__ in EXIT_STATUS
+    code, prefix = EXIT_STATUS[error.__name__]
+
+    def planted(spec):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "compute_g", planted)
+    assert run_cli(["extend", "--alpha", "5/2", "--seeds", "I:1"], capsys) == (code, "", f"{prefix}: planted\n")
 
 
 @pytest.mark.parametrize(
@@ -779,9 +816,9 @@ def test_eop_subcommand(capsys):
 
 
 def test_eop_rejects_irregular(capsys):
-    code, _, err = run_cli(["eop", "--alpha", "1/2", "--seeds", "II:2"], capsys)
-    assert code == 2
-    assert "not regular" in err
+    code, out, err = run_cli(["eop", "--alpha", "1/2", "--seeds", "II:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: spec is not regular; no orthogonal polynomial family exists\n"
 
 
 class TestSample:
@@ -842,8 +879,7 @@ class TestSample:
 
     def test_irregular_requires_force(self, capsys):
         args = ["sample", "--alpha", "1/2", "--seeds", "II:2", "--points", "50"]
-        assert cli.main(args) == 2
-        capsys.readouterr()
+        assert run_cli(args, capsys) == (2, "", "error: spec is not regular; pass --force to sample anyway\n")
         code, out, _ = run_cli(args + ["--force"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "x,V2"

@@ -59,7 +59,7 @@ class TestPotential:
     def test_identity_extension_is_classical(self):
         spec, report, regular = pipeline("3/2")
         pot = build_potential(report)
-        assert pot.shift == 0
+        assert pot.spec.shift == 0
         assert not pot.rat_num
         xs = np.linspace(0.3, 6.0, 50)
         # omega^2 x^2 / 4 + l(l+1) / x^2 at l = 1, omega = 1
@@ -76,9 +76,9 @@ class TestPotential:
 
     def test_shift_values(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1, 2))  # k=3, q=1
-        assert build_potential(report).shift == spec.omega
+        assert build_potential(report).spec.shift == spec.omega
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        assert build_potential(report).shift == -spec.omega
+        assert build_potential(report).spec.shift == -spec.omega
 
     @pytest.mark.parametrize(
         "specs",
@@ -537,7 +537,7 @@ def ref_fd_levels(potential, n_levels, n_points=2000):
     from scipy.linalg import eigvalsh_tridiagonal
 
     w = float(potential.spec.omega)
-    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.shift))
+    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.spec.shift))
     x_max = np.sqrt((2.0 * np.sqrt(e_top) / w) ** 2 + 120.0 / w)
     x = np.linspace(0.01 / np.sqrt(w), x_max, 2 * n_points - 1)
     h = x[1] - x[0]
