@@ -306,13 +306,21 @@ def _int_pack(a, bits):
 
 def _int_unpack(v, bits):
     """The balanced base-2^bits digits of v, lowest first: a again, for
-    v = _int_pack(a, bits) with every |a_i| below 2^(bits - 1)."""
-    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
-    while v:
-        v += half
-        out.append((v & mask) - half)
-        v >>= bits
-    return out
+    v = _int_pack(a, bits) with every |a_i| below 2^(bits - 1): v shifted
+    down digit by digit, except at whole-byte widths past `_STEP_FLOOR` bits,
+    where a from_bytes per digit costs less: read through bytes, lifted as
+    in `_int_respace`, in linear time."""
+    half = 1 << (bits - 1)
+    if bits % 8 or v.bit_length() <= _STEP_FLOOR:
+        out, mask = [], (1 << bits) - 1
+        while v:
+            v += half
+            out.append((v & mask) - half)
+            v >>= bits
+        return out
+    b, slots = bits // 8, v.bit_length() // bits + 2
+    raw = (v + int.from_bytes((bytes(b - 1) + b"\x80") * slots, "little")).to_bytes(slots * b, "little")
+    return _int_trim([int.from_bytes(raw[i : i + b], "little") - half for i in range(0, len(raw), b)])
 
 
 def _int_respace(values, bits, new_bits):
@@ -352,30 +360,27 @@ def _int_coprime_mod(a, b, p):
     return len(b) == 1
 
 
-def _int_columns(cols):
-    """The matrix whose column j holds the polynomials num/den of the (num,
-    den) pairs in cols[j], in `poly_mat_det`'s int form: int coefficient
-    rows over one denominator per column, the lcm of the column's.
+def _int_column(col):
+    """The polynomials num/den of the (num, den) pairs in col as one column
+    of `poly_mat_det`'s int form, (entries, den): int coefficient tuples
+    over the lcm of the column's denominators.
 
-    One content gcd per column, taken with that denominator, brings the
-    column to lowest terms, so it is the column of reduced `Poly`s scaled
-    by the lcm of their denominators, and its l1 sums are theirs.
+    One content gcd, taken with that denominator, brings the column to
+    lowest terms, so it is the column of reduced `Poly`s scaled by the lcm
+    of their denominators, and its l1 sums are theirs.
     """
-    scaled, dens = [], []
-    for col in cols:
-        den = math.lcm(*(d for _, d in col))
-        col = [(a, den // d) for a, d in col]
-        g = math.gcd(den, *(f * math.gcd(*a) for a, f in col))
-        scaled.append([[c * f // g for c in a] for a, f in col])
-        dens.append(den // g)
-    return [list(row) for row in zip(*scaled)], dens
+    den = math.lcm(*(d for _, d in col))
+    col = [(a, den // d) for a, d in col]
+    g = math.gcd(den, *(f * math.gcd(*a) for a, f in col))
+    return tuple(tuple([c * f // g for c in a]) for a, f in col), den // g
 
 
 def poly_mat_det(rows, dens, minors: bool = False):
     """Determinant of the square polynomial matrix whose entry (i, j) is
-    rows[i][j] / dens[j]: int coefficient lists, lowest power first with no
-    trailing zeros, over one positive int denominator per column, so the
-    determinant is det(rows) / prod(dens).  `_int_columns` builds the form.
+    rows[i][j] / dens[j]: int coefficient lists or tuples, lowest power
+    first with no trailing zeros, over one positive int denominator per
+    column, so the determinant is det(rows) / prod(dens).  `_int_column`
+    builds its columns.
 
     Bareiss (1968) elimination on ints, entries evaluated at X = 2^B: a
     ring homomorphism, so every division, exact in Z[z], stays exact in Z,

@@ -4,7 +4,7 @@ type-I/II seed functions, built on ints.
 A seed is z^a e^(sz/2) P(z) with P a Laguerre polynomial, a form closed
 under d/dz, so its table of derivatives is a table of polynomials P_r.
 Each is emitted as int coefficients over one int denominator, unreduced,
-for `exactmath._int_columns` to bring to lowest terms once per column.
+for `exactmath._int_column` to bring to lowest terms once per column.
 The module is exact only: float evaluation, of polynomials and of the
 bound-state gauge alike, belongs to `spectral`.
 """

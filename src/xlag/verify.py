@@ -18,8 +18,9 @@ from .wronskian import ExtensionSpec, GReport, check_origin_recurrence, compute_
 
 # largest k check_report runs the direct seed-Wronskian oracle at.  The
 # oracle is exact at any k, but on the 12 specs of perfbench's deep pool
-# it would add 10-11 ms to a 31-32 ms check at k = 6, 26-28 ms to 68 ms
-# at k = 7 and 45-77 ms to 210-350 ms at k = 8 (best of 3, 2 vCPUs)
+# it would add 4.5-5.7 ms to a 17 ms check at k = 6, 9.6-16 ms to 38-45 ms
+# at k = 7 and 45-56 ms to 218-259 ms at k = 8 (best of 3, caches emptied
+# before each, 2 vCPUs, Python 3.11)
 ORACLE_MAX_K = 5
 
 CHECK_NAMES = (

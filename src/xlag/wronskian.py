@@ -7,10 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import OracleMismatch, SpecInvalid
-from .exactmath import Poly, _int_columns, poly_mat_det, vandermonde
+from .exactmath import Poly, _int_column, poly_mat_det, vandermonde
 from .seeds import HALF, laguerre_series, seed_derivatives
 
 
@@ -107,13 +107,13 @@ class GReport:
     sub_constants: tuple = None
 
 
-def _gamma_column(k: int, q: int, j: int, m: int, p: int, d: int) -> list:
-    """Column j (1-based) of the gamma matrix for alpha' = p/d, as (num, den)
+def _gamma_column(k: int, q: int, type_i: bool, m: int, p: int, d: int) -> list:
+    """The gamma matrix's column of seed m at alpha' = p/d, as (num, den)
     pairs: entry i is a Laguerre series over d^n n! (a negative n is the
     zero polynomial), type I at -z, type II times its prefactor and z^(k-i)."""
     col = []
     for i in range(1, k + 1):
-        if j <= q:
+        if type_i:
             n = m - min(i, q + 1) + 1  # below 0: the zero polynomial, over 1
             den = d ** max(n, 0) * math.factorial(max(n, 0))
             col.append((laguerre_series(n, p + (i - 1) * d, d, negated=True), den))
@@ -129,16 +129,36 @@ def _gamma_column(k: int, q: int, j: int, m: int, p: int, d: int) -> list:
     return col
 
 
+# Every spec is built from a few seeds at one alpha', so columns recur across
+# a run; each is built once, in poly_mat_det's int form (entries, den) with
+# tuple entries, only ever read.  174 is the smallest size at which both
+# memos reach their unbounded hit rate on the default lattice, serially.
+@lru_cache(maxsize=174)
+def _gamma_int_column(k: int, q: int, type_i: bool, m: int, p: int, d: int):
+    return _int_column(_gamma_column(k, q, type_i, m, p, d))
+
+
+@lru_cache(maxsize=174)
+def _seed_int_column(type_i: bool, m: int, p: int, d: int, k: int):
+    return _int_column(seed_derivatives(type_i, m, Fraction(p, d), k))
+
+
+def _matrix(cols):
+    """poly_mat_det's (rows, dens) of int-form columns, in new row lists."""
+    return [list(row) for row in zip(*(entries for entries, _ in cols))], [den for _, den in cols]
+
+
 def build_gamma_matrix(spec: ExtensionSpec):
     """The k x k polynomial matrix whose determinant carries g (times a
     known power of z), in `poly_mat_det`'s int form (rows, dens): rows are
     derivative levels, columns seed functions, type I first.  Its entries
     are emitted straight from the Laguerre series on alpha' = p/d, with no
     reduction of their own; one content gcd per column brings each column
-    to lowest terms."""
+    to lowest terms.  Entries are tuples from a memo keyed by all the column
+    depends on."""
     k, q, ap = spec.k, spec.q, spec.alpha_prime
     p, d = ap.numerator, ap.denominator
-    return _int_columns([_gamma_column(k, q, j, m, p, d) for j, m in enumerate(spec.all_m, start=1)])
+    return _matrix([_gamma_int_column(k, q, j < q, m, p, d) for j, m in enumerate(spec.all_m)])
 
 
 def predict_mu_sigma_lead(spec: ExtensionSpec):
@@ -220,12 +240,11 @@ def wronskian_direct(report: GReport) -> Poly:
     physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
     is not part of the returned polynomial.  It is built on int lists by
     `seed_derivatives`, row r over den (2 ad)^r, and brought to
-    `poly_mat_det`'s int form by `_int_columns`.
+    `poly_mat_det`'s int form by `_int_column`, once per column key.
     """
     spec = report.spec
-    k, q = spec.k, spec.q
-    cols = [seed_derivatives(j < q, m, spec.alpha_prime, k) for j, m in enumerate(spec.all_m)]
-    w = poly_mat_det(*_int_columns(cols))
+    k, q, p, d = spec.k, spec.q, spec.alpha_prime.numerator, spec.alpha_prime.denominator
+    w = poly_mat_det(*_matrix([_seed_int_column(j < q, m, p, d, k) for j, m in enumerate(spec.all_m)]))
     if w != report.g.shift_up(k * (k - 1) // 2 - q * (k - q)):
         raise OracleMismatch(
             f"direct Wronskian disagrees with structured determinant for {spec}"

@@ -11,7 +11,7 @@ from xlag.exactmath import (
     _STEP_FLOOR,
     Poly,
     _bareiss,
-    _int_columns,
+    _int_column,
     _int_divide_out,
     _int_pack,
     _int_prem,
@@ -468,6 +468,13 @@ def _det_cofactor(m):
     return out
 
 
+def int_columns(cols):
+    """The int form of the columns `_int_column` reduces, spelled as
+    `columns` spells it: entries as lists, in row lists."""
+    cols = [_int_column(col) for col in cols]
+    return [[list(a) for a in row] for row in zip(*(entries for entries, _ in cols))], [den for _, den in cols]
+
+
 def columns(matrix):
     """poly_mat_det's int form of a square matrix of Poly, scaled as the
     elimination scaled it when it took Polys: each column over the lcm of
@@ -486,7 +493,7 @@ def test_int_columns_reduce_unreduced_entries_to_the_poly_columns(entries, scale
     # give back the columns of the reduced Polys
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
     pairs = [([c * s for c in e.num], e.den * s) for e, s in zip(entries, scales)]
-    assert _int_columns([pairs[j::3] for j in range(3)]) == columns(m)
+    assert int_columns([pairs[j::3] for j in range(3)]) == columns(m)
 
 
 def ref_int_mul(a, b):
@@ -729,6 +736,39 @@ def _packed_size(rows):
     h = min(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
     d = min(sum(max(v) for v in vs) for vs in (lens, zip(*lens)))
     return (h.bit_length() + 1) * (d - len(rows) + 1)
+
+
+def ref_int_unpack(v, bits):
+    """_int_unpack by shifting v down one digit at a time, at any width:
+    quadratic in the digit count, the oracle for its byte route."""
+    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
+    while v:
+        v += half
+        out.append((v & mask) - half)
+        v >>= bits
+    return out
+
+
+# whole-byte widths up to 1720 bits, with values on both sides of _STEP_FLOOR
+digits_at_any_width = st.one_of(st.integers(2, 80), st.sampled_from([8, 16, 24, 64, 1720])).flatmap(
+    lambda bits: st.tuples(
+        st.just(bits), st.lists(st.integers(-(2 ** (bits - 1)), 2 ** (bits - 1) - 1), max_size=12)
+    )
+)
+
+
+@given(digits_at_any_width)
+@example((8, [-128, 127, 0, -128] * 600))  # digits at -X/2 and X/2 - 1, through bytes
+@example((16, [-(2**15)] + [0] * 600 + [5, 0, 0]))  # trailing zero digits are not read back
+@example((1720, [1] + [0] * 10 + [-(2**1719)]))  # a negative value, through bytes
+@example((9, [-256, 255, -1]))  # the shift loop's widths
+def test_unpack_reads_balanced_digits_back_as_the_shift_loop_does(case):
+    bits, digits = case
+    v = _int_pack(digits, bits)
+    trimmed = list(digits)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert _int_unpack(v, bits) == ref_int_unpack(v, bits) == trimmed
 
 
 balanced_digits = st.integers(1, 4).flatmap(

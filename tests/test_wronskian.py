@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import xlag_memos
 from test_exactmath import (
     _packed_size,
     columns,
@@ -136,7 +137,7 @@ class TestGammaMatrix:
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
         rows, _ = build_gamma_matrix(s3)
-        assert rows[2][0] == []  # L_{-1} convention
+        assert rows[2][0] == ()  # L_{-1} convention
 
 
 class TestComputeG:
@@ -407,16 +408,66 @@ def test_the_int_gamma_matrix_is_the_poly_one_scaled_per_column(specs, count):
     for s in specs():
         rows, dens = build_gamma_matrix(s)
         old_rows, old_dens = columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime))
-        assert (rows, dens) == (old_rows, old_dens), s
+        assert (rows, dens) == ([[tuple(a) for a in row] for row in old_rows], old_dens), s
         assert _packed_size(rows) == _packed_size(old_rows)
         assert poly_mat_det(rows, dens, True) == poly_mat_det(old_rows, old_dens, True)
         checked += 1
     assert checked == count
 
 
+# -- the column memos --------------------------------------------------------
+
+RUNG_SPECS = {"mu5": ("5/2", (1,), (1, 2)), "mu30": NAMED_SPECS["mu30"], "nodal": NAMED_SPECS["nodal"]}
+
+
+def _exact_outputs(s):
+    report = compute_g(s)
+    return build_gamma_matrix(s), report.g, report.sub_constants, wronskian_direct(report)
+
+
+def test_warm_and_cold_builds_agree():
+    specs = list(enumerate_lattice(max_k=4, max_m=4, alpha_steps=2)) + [spec(*v) for v in RUNG_SPECS.values()]
+    cold = []
+    for s in specs:
+        for memo in xlag_memos():
+            memo.cache_clear()
+        cold.append(_exact_outputs(s))
+    warm = [_exact_outputs(s) for s in specs]
+    assert warm == cold
+    # the warm pass took most columns from the memos
+    for memo in (wronskian._gamma_int_column, wronskian._seed_int_column):
+        info = memo.cache_info()
+        assert info.hits > info.misses, info
+
+
+def test_a_mutated_matrix_cannot_change_a_later_build():
+    s = spec(*NAMED_SPECS["mu30"])
+    rows, dens = build_gamma_matrix(s)
+    expect = ([list(row) for row in rows], list(dens))
+    rows[0][0], dens[0] = (1,), 7
+    rows[1].append(())
+    rows.pop()
+    again = build_gamma_matrix(s)
+    assert again == expect
+    assert wronskian._gamma_int_column.cache_info().hits == s.k
+    # and the entries the memo shares cannot be changed in place
+    assert all(isinstance(a, tuple) for row in again[0] for a in row)
+
+
+def test_every_memo_is_a_module_level_cache_that_clears():
+    memos = {f"{m.__module__}.{m.__qualname__}": m for m in xlag_memos()}
+    assert set(memos) == {"xlag.wronskian._gamma_int_column", "xlag.wronskian._seed_int_column"}
+    assert all(m.cache_info().currsize == 0 for m in memos.values())  # the autouse fixture emptied them
+    wronskian_direct(compute_g(spec(*RUNG_SPECS["mu5"])))
+    assert all(m.cache_info().currsize > 0 for m in memos.values())
+    for m in memos.values():
+        m.cache_clear()
+    assert all(m.cache_info().currsize == 0 for m in memos.values())
+
+
 def test_a_prefactor_through_zero_is_the_zero_entry():
     rows, _ = build_gamma_matrix(spec(*NAMED_SPECS["zero-prefactor"]))
-    assert rows[1][1] == [] and rows[0][1]  # trimmed, as the int form requires
+    assert rows[1][1] == () and rows[0][1]  # trimmed, as the int form requires
     wronskian_direct(compute_g(spec(*NAMED_SPECS["zero-prefactor"])))
 
 
