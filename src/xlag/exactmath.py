@@ -8,7 +8,9 @@ A polynomial determinant takes int coefficient lists over one denominator
 per column and packs them at z = 2^B, so each Z[z] product and exact
 division is one big-int operation (Kronecker substitution); a large one
 widens B step by step.  The remainder chain divides each pseudo-remainder
-by its predicted content lc(A)^2 before a gcd takes the rest.
+by its predicted content lc(A)^2 before a gcd takes the rest.  Packed ints
+also carry a Poly product (one big-int product), the Taylor shift (Horner
+at X + 1) and the gcd mod 2^61 - 1 (Euclid on 128-bit residue slots).
 """
 from __future__ import annotations
 
@@ -254,14 +256,15 @@ def _int_trim(a):
 
 
 def _int_mul(a, b):
+    """a b (nonzero tops) as one product at z = 2^w, w the whole bytes that
+    hold min(len a, len b) max|a| max|b| and a sign; a constant just scales."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+    if len(a) == 1 or len(b) == 1:
+        (c,), other = (a, b) if len(a) == 1 else (b, a)
+        return [c * x for x in other]
+    w = _byte_bits(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _int_unpack(_int_pack(a, w) * _int_pack(b, w), w)
 
 
 def _int_prem(a, b):
@@ -297,11 +300,18 @@ def _int_primitive(a):
 
 
 def _int_pack(a, bits):
-    """a at z = 2^bits."""
-    v = 0
-    for c in reversed(a):
-        v = (v << bits) + c
-    return v
+    """a at z = 2^bits, a shift per digit, except at whole-byte widths past
+    `_STEP_FLOOR` bits, where a must be balanced digits, -2^(bits - 1) <=
+    a_i < 2^(bits - 1): each, lifted by 2^(bits - 1), is written as bytes,
+    all are read as one int, and the lift comes off, in linear time."""
+    if bits % 8 or len(a) * bits <= _STEP_FLOOR:
+        v = 0
+        for c in reversed(a):
+            v = (v << bits) + c
+        return v
+    b, half = bits // 8, 1 << (bits - 1)
+    raw = b"".join((c + half).to_bytes(b, "little") for c in a)
+    return int.from_bytes(raw, "little") - _lift(b, len(a))
 
 
 def _int_unpack(v, bits):
@@ -319,8 +329,13 @@ def _int_unpack(v, bits):
             v >>= bits
         return out
     b, slots = bits // 8, v.bit_length() // bits + 2
-    raw = (v + int.from_bytes((bytes(b - 1) + b"\x80") * slots, "little")).to_bytes(slots * b, "little")
+    raw = (v + _lift(b, slots)).to_bytes(slots * b, "little")
     return _int_trim([int.from_bytes(raw[i : i + b], "little") - half for i in range(0, len(raw), b)])
+
+
+def _lift(b, slots, pad=0):
+    """2^(8b - 1) in the low b bytes of each of slots (b + pad)-byte slots."""
+    return int.from_bytes((bytes(b - 1) + b"\x80" + bytes(pad)) * slots, "little")
 
 
 def _int_respace(values, bits, new_bits):
@@ -329,35 +344,54 @@ def _int_respace(values, bits, new_bits):
     each digit moves as plain bytes, and the lift, moved too, comes off."""
     b, c = bits // 8, new_bits // 8
     slots = max(v.bit_length() for v in values) // bits + 2  # >= every value's digit count
-    lift = int.from_bytes((bytes(b - 1) + b"\x80") * slots, "little")
+    lift = _lift(b, slots)
     src = b"".join((v + lift).to_bytes(slots * b, "little") for v in values)
     dst = bytearray(len(src) // b * c)
     for i in range(b):
         dst[i::c] = src[i::b]
-    lift = int.from_bytes((bytes(b - 1) + b"\x80" + bytes(c - b)) * slots, "little")
+    lift = _lift(b, slots, c - b)
     return [int.from_bytes(dst[i : i + slots * c], "little") - lift for i in range(0, len(dst), slots * c)]
 
 
 def _int_taylor1(a):
-    """a(z + 1), by the O(n^2) repeated synthetic division."""
-    a = list(a)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
+    """a(z + 1), as long as a: Horner at X + 1 on one int, X = 2^w, read
+    back in balanced digits; w, in whole bytes, holds each |b_j| = |sum_i
+    a_i C(i, j)| <= sum_i |a_i| 2^i with a sign bit."""
+    w = _byte_bits(sum(abs(c) << i for i, c in enumerate(a)))
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << w) + acc + c
+    out = _int_unpack(acc, w)
+    return out + [0] * (len(a) - len(out))
 
 
 def _int_coprime_mod(a, b, p):
-    """True if Euclid over GF(p), p prime, ends a, b in a nonzero constant."""
+    """True if Euclid over GF(p), p = 2^e - 1 prime with e >= 4, ends a, b in
+    a nonzero constant.  A and B are ints with a residue per w-bit slot, w >=
+    2e + 2: a step drops A's top slot t and adds c z^s (2p - B_i) below it, c
+    = t / lead(B) mod p, and two masked folds x -> x mod 2^e + x div 2^e (2^e
+    = 1 mod p) bring each slot from below 2^(2e + 2) back below 2^e + 8 <= 2p."""
+    e = p.bit_length()
+    w = -(-(2 * e + 2) // 64) * 64
     a, b = _int_trim([c % p for c in a]), _int_trim([c % p for c in b])
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        while len(a) >= len(b):
-            k, la = len(a) - len(b), a[-1]
-            a = a[:k] + [(x - la * y) % p for x, y in zip(a[k:-1], b)]
-        a, b = b, _int_trim(a)
-    return len(b) == 1
+    ones = _int_pack([1] * max(len(a), len(b)), w)
+    low, high, twice_p = ones * p, ones * ((1 << (w - e)) - 1), ones * 2 * p
+    A, B, na, nb = _int_pack(a, w), _int_pack(b, w), len(a), len(b)
+    while nb > 1:
+        below = (1 << (w * (nb - 1))) - 1
+        inv, neg = pow((B >> (w * (nb - 1))) % p, -1, p), (twice_p & below) - (B & below)
+        while na >= nb:
+            na -= 1
+            top, A = (A >> (w * na)) % p, A & ((1 << (w * na)) - 1)
+            if top:
+                A += top * inv % p * neg << (w * (na - nb + 1))
+                A = (A & low) + (A >> e & high)
+                A = (A & low) + (A >> e & high)
+        while na and not (A >> (w * (na - 1))) % p:
+            na -= 1
+            A &= (1 << (w * na)) - 1
+        A, B, na, nb = B, A, nb, na
+    return nb == 1
 
 
 def _int_column(col):
@@ -464,7 +498,11 @@ def _bareiss(rows, dens, minors, floor):
 
 def _step_bits(R, C, k):
     """Whole bytes, as bits, that hold the coefficients step k writes."""
-    h = min(math.prod(R[: k + 1]) * max(R[k + 1 :]), math.prod(C[: k + 1]) * max(C[k + 1 :]))
+    return _byte_bits(min(math.prod(R[: k + 1]) * max(R[k + 1 :]), math.prod(C[: k + 1]) * max(C[k + 1 :])))
+
+
+def _byte_bits(h):
+    """Whole bytes, as bits, that hold ints of magnitude at most h with a sign."""
     return -(-(h.bit_length() + 1) // 8) * 8
 
 

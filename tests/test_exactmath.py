@@ -6,17 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xlag import exactmath
 from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
     _STEP_FLOOR,
     Poly,
     _bareiss,
     _int_column,
+    _int_coprime_mod,
     _int_divide_out,
+    _int_mul,
     _int_pack,
     _int_prem,
     _int_primitive,
     _int_respace,
+    _int_taylor1,
+    _int_trim,
     _int_unpack,
     _poly,
     _step_bits,
@@ -791,6 +796,109 @@ def test_re_spacing_matches_unpack_and_repack(case):
     spaced = _int_respace(values, bits, new_bits)
     assert spaced == [_int_pack(_int_unpack(v, bits), new_bits) for v in values]
     assert [_int_unpack(v, new_bits) for v in spaced] == [_int_unpack(v, bits) for v in values]
+
+
+@given(digits_at_any_width)
+@example((8, [-128, 127, 0, -128] * 600))  # digits at -X/2 and X/2 - 1, through bytes
+@example((1720, [2**1719 - 1] * 5 + [-(2**1719)]))  # past the floor in a few wide digits
+@example((128, [0] * 63 + [1]))  # 8,192 bits: just past the floor
+@example((128, [0] * 62 + [1]))  # 8,064 bits: the shift loop
+def test_pack_writes_balanced_digits_as_the_shift_loop_does(case):
+    bits, digits = case
+    v = 0
+    for c in reversed(digits):
+        v = (v << bits) + c
+    assert _int_pack(digits, bits) == v
+
+
+def ref_taylor1(a):
+    """a(z + 1), by the O(n^2) repeated synthetic division: the list
+    routine the packed Horner replaced, its oracle."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def ref_coprime_mod(a, b, p):
+    """True if Euclid over GF(p), p any prime, ends a, b in a nonzero
+    constant: the list routine the packed Euclid replaced, its oracle."""
+    a, b = _int_trim([c % p for c in a]), _int_trim([c % p for c in b])
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        while len(a) >= len(b):
+            k, la = len(a) - len(b), a[-1]
+            a = a[:k] + [(x - la * y) % p for x, y in zip(a[k:-1], b)]
+        a, b = b, _int_trim(a)
+    return len(b) == 1
+
+
+# int coefficient lists from a few bits to well past the byte routes' floor
+wide_ints = st.sampled_from([3, 40, 300, 1200]).flatmap(
+    lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=40)
+)
+topped_ints = wide_ints.filter(lambda a: a[-1])
+
+
+@given(topped_ints, topped_ints)
+@example([7], [3, 0, -2])  # a single coefficient scales the other
+@example([-(2**38)] * 4, [2**38] * 4)  # the middle coefficient is -h = -2^78, at w = 80
+@example([2**38] * 4, [2**38] * 4)  # and +h
+@example([1, 0, 0, 5], [0, 0, 1])  # zero digits inside either factor
+def test_the_packed_product_is_the_list_product(a, b):
+    assert _int_mul(a, b) == _int_trim(ref_int_mul(a, b))
+
+
+def test_the_nodal_g_squared_and_g_prime_squared_are_the_list_products(monkeypatch):
+    # deg 80 with 272-bit coefficients: g^2 and g'^2 pack and unpack past
+    # the floor at whole bytes, so both byte routes run
+    g = compute_g(ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13))).g
+    routes = []
+    for name in ("_int_pack", "_int_unpack"):
+        kernel = getattr(exactmath, name)
+
+        def spy(a, bits, kernel=kernel, name=name):
+            size = len(a) * bits if name == "_int_pack" else a.bit_length()
+            routes.append((name, size > _STEP_FLOOR and not bits % 8))
+            return kernel(a, bits)
+
+        monkeypatch.setattr(exactmath, name, spy)
+    gd = g.diff()
+    assert g * g == _poly(ref_int_mul(g.num, g.num), g.den**2)
+    assert gd * gd == _poly(ref_int_mul(gd.num, gd.num), gd.den**2)
+    assert routes.count(("_int_pack", True)) == 4 and routes.count(("_int_unpack", True)) == 2
+
+
+@given(wide_ints | st.lists(st.integers(-9, 9), max_size=12))
+@example([5])  # a single coefficient is its own shift
+@example([3, -1, 0])  # ends in 0: a(z + 1) = 2 - z + 0 z^2 keeps its length
+@example([0, 0])  # zero, as long as it came
+@example([127])  # b_0 = 127 at the bound, which fills w = 8 to its sign bit
+@example([-(2**63 - 1)])  # and -(2^63 - 1) at w = 64
+@example([0] * 40 + [2**300])  # b_j = 2^300 C(40, j), under the bound 2^340
+def test_the_packed_taylor_shift_is_the_list_one(a):
+    assert _int_taylor1(a) == ref_taylor1(a)
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=14),
+    st.lists(st.integers(-(2**70), 2**70), max_size=14),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.sampled_from([2**61 - 1, 31, 127, 8191]),
+)
+@example([-1] * 9, [-1] * 5, [], 2**61 - 1)  # every residue p - 1, at the slot bound
+@example([2, -1, -1], [-1, 1], [], 2**61 - 1)  # b = z - 1 divides a = (z - 1)(-z - 2)
+@example([2, -1, -1], [3], [], 2**61 - 1)  # a constant b divides everything
+@example([31, 62, 93], [1, 1], [], 31)  # a = 0 mod p: the gcd is b
+@example([31, 62, 93], [4], [], 31)  # and a constant b
+@example([1, 2, 1], [3, 1], [5, 1, 1], 2**61 - 1)  # a planted common factor
+@example([2, 1], [1, 1], [127, 127], 127)  # a factor 0 mod p zeroes both: gcd(0, 0)
+def test_the_packed_gcd_mod_p_is_the_list_one(a, b, factor, p):
+    if factor:
+        a, b = ref_int_mul(a, factor), ref_int_mul(b, factor)
+    assert _int_coprime_mod(a, b, p) == ref_coprime_mod(a, b, p)
 
 
 def test_minors_of_a_2x2_and_a_swap():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_exactmath import ref, ref_diff, ref_divmod, ref_eval, ref_monic
+from test_exactmath import ref, ref_coprime_mod, ref_diff, ref_divmod, ref_eval, ref_monic
 from xlag.errors import BoundaryRoot, ZeroPolynomial
 from xlag.exactmath import Poly, _int_coprime_mod, poly_gcd, remainder_chain
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
@@ -356,12 +356,15 @@ def test_the_gcd_mod_p_is_constant_exactly_when_the_chain_ends_in_one(a, s, plan
 
 
 def test_a_root_repeated_only_mod_a_small_prime_fails_the_proof():
-    # z^2 - 5 is square-free over Q but z^2 mod 5, so at p = 5 certify would
-    # fall back to the Sturm chain
-    a = [-5, 0, 1]
+    # z^2 - 31 is square-free over Q but z^2 mod 31, so at p = 31 certify
+    # would fall back to the Sturm chain.  The packed kernel takes Mersenne
+    # primes only; z^2 - 5 at p = 5 stays, on the list oracle.
+    a = [-31, 0, 1]
     assert remainder_chain(Poly(a), Poly(a).diff())[-1].degree == 0
     assert _int_coprime_mod(a, [0, 2], 2**61 - 1)
-    assert not _int_coprime_mod(a, [0, 2], 5)
+    assert not _int_coprime_mod(a, [0, 2], 31)
+    assert ref_coprime_mod([-5, 0, 1], [0, 2], 2**61 - 1)
+    assert not ref_coprime_mod([-5, 0, 1], [0, 2], 5)
 
 
 def test_the_nodal_rung_takes_the_vca_route():
