@@ -257,12 +257,9 @@ def _int_trim(a):
 
 def _int_mul(a, b):
     """a b (nonzero tops) as one product at z = 2^w, w the whole bytes that
-    hold min(len a, len b) max|a| max|b| and a sign; a constant just scales."""
+    hold min(len a, len b) max|a| max|b| and a sign."""
     if not a or not b:
         return []
-    if len(a) == 1 or len(b) == 1:
-        (c,), other = (a, b) if len(a) == 1 else (b, a)
-        return [c * x for x in other]
     w = _byte_bits(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
     return _int_unpack(_int_pack(a, w) * _int_pack(b, w), w)
 
@@ -430,22 +427,34 @@ def poly_mat_det(rows, dens, minors: bool = False):
     max_j deg M_ij, sum_j max_i deg M_ij), is at most `_STEP_FLOOR`, every
     step runs at B.  Above it, step k runs at the whole bytes that hold
     H_k, and re-spaces what it reads, which fits the old width, as it widens.
+    Step k divides by d, the last pivot less its power of two (its z-power),
+    so odd.  Where d is longer than `_RECIP_CUT` bits and the step writes at
+    least two quotients (all but the last step), one truncated reciprocal
+    of d gives each within 1/16 + 1/128 < 1/2 below it, so it rounds to it
+    exactly (`_divexact`); other steps take one // per quotient.
 
     With `minors`, the result is (det, minors) with the three that the last
     step reads, for n >= 2 (0-based): the leading (n-1)-minor, the one on
     rows 0..n-2 and columns 0..n-3, n-1, and the leading (n-2)-minor; None
     after a row swap.
     """
-    return _bareiss(rows, dens, minors, _STEP_FLOOR)
+    return _bareiss(rows, dens, minors, _STEP_FLOOR, _RECIP_CUT)
 
 
 # Per-step widths took 1.1-1.6x the time of one width below 6k bits and
 # 0.5-0.9x above 9k (80 random k 4-7 gamma matrices, 2 vCPUs, Python 3.11).
 _STEP_FLOOR = 8_000
+# Divisor bits past which a step writing two quotients or more divides by
+# one reciprocal.  Per step on the deep pool, nodal and a k = 10 matrix, it
+# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from
+# 4,900 (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python
+# 3.11, whose // is quadratic; from 3.12, // is subquadratic past ~9,000 bits.
+_RECIP_CUT = 4_500
 
 
-def _bareiss(rows, dens, minors, floor):
-    """`poly_mat_det`, at one width where the packed size is at most floor."""
+def _bareiss(rows, dens, minors, floor, cut):
+    """`poly_mat_det`, at one width where the packed size is at most floor,
+    and by one reciprocal where the divisor is longer than cut bits."""
     n = len(rows)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
@@ -487,13 +496,33 @@ def _bareiss(rows, dens, minors, floor):
         # the divisor's power of two (its z-power) comes off first
         tz = (prev & -prev).bit_length() - 1
         pivot, top, d = M[k][k], M[k], prev >> tz
-        for row in M[k + 1 :]:
-            rk = row[k]
-            for j in range(k + 1, n):
-                row[j] = ((pivot * row[j] - rk * top[j]) >> tz) // d
+        if k < n - 2 and d.bit_length() > cut:
+            qs = _divexact([(pivot * row[j] - row[k] * top[j]) >> tz for row in M[k + 1 :] for j in range(k + 1, n)], d)
+            for i, row in enumerate(M[k + 1 :]):
+                row[k + 1 :] = qs[i * (n - k - 1) : (i + 1) * (n - k - 1)]
+        else:
+            for row in M[k + 1 :]:
+                rk = row[k]
+                for j in range(k + 1, n):
+                    row[j] = ((pivot * row[j] - rk * top[j]) >> tz) // d
         prev = pivot
     det = _poly(_int_unpack(M[n - 1][n - 1], bits), sgn * math.prod(dens))
     return (det, sub_minors) if minors else det
+
+
+def _divexact(xs, d):
+    """[x // d for x in xs], each exact: with D = bits(d), Q = max bits(x) -
+    D + 1 >= bits(x // d) and P = D + Q + 6, |x| cut to its top Q + 4 bits,
+    times floor(2^P / |d|) over 2^P, is below |x / d| by under 1/16 + 1/128."""
+    D = d.bit_length()
+    Q = max(1, max(x.bit_length() for x in xs) - D + 1)
+    P, out = D + Q + 6, []
+    r = (1 << P) // abs(d)
+    for x in xs:
+        s = max(x.bit_length() - Q - 4, 0)
+        q = ((abs(x) >> s) * r + (1 << (P - s - 1))) >> (P - s)
+        out.append(q if (x < 0) == (d < 0) else -q)
+    return out
 
 
 def _step_bits(R, C, k):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
-from .exactmath import Poly, _poly
+from .exactmath import Poly, _int_mul, _poly
 from .wronskian import ExtensionSpec, GReport
 
 
@@ -55,18 +55,19 @@ class ExtendedPotential:
 def build_potential(report: GReport) -> ExtendedPotential:
     """Assemble the extended potential of report.spec from its computed g.
 
-    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2; its
-    numerator is built from g^2 and g'^2, as g'g = (g^2)'/2 and g''g - g'^2
-    = (g^2)''/2 - 2g'^2.  It is built whether or not g is regular (poles
-    and all); whether it is certified is certify(report)'s verdict.
+    The rational part is -2*omega*[g'g + 2z(g''g - g'^2)] / g^2.  With A and
+    B the numerators of g^2 and g'^2 over den(g)^2, its numerator's z^m
+    coefficient is -omega[(m+1)(2m+1) A_(m+1) - 8 B_(m-1)], on the ints.  It
+    is built whether or not g is regular (poles and all); whether it is
+    certified is certify(report)'s verdict.
     """
     spec = report.spec
     if spec.l < 0:
         raise SpecInvalid(f"final angular momentum l = {spec.l} is negative")
-    g2, gd = report.g * report.g, report.g.diff()
-    g2d = g2.diff()
-    num = (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-spec.omega)
-    return ExtendedPotential(spec=spec, rat_num=num, rat_den=g2)
+    a, b = report.g.num, [i * c for i, c in enumerate(report.g.num) if i]
+    A, B, p, den = _int_mul(a, a), [0, *_int_mul(b, b)], -spec.omega.numerator, report.g.den**2  # B[m] = B_(m-1)
+    num = [p * ((m + 1) * (2 * m + 1) * A[m + 1] - 8 * B[m]) for m in range(len(A) - 1)]
+    return ExtendedPotential(spec=spec, rat_num=_poly(num, den * spec.omega.denominator), rat_den=_poly(A, den))
 
 
 def _ode_operator(g: Poly, alpha):

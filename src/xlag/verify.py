@@ -18,8 +18,8 @@ from .wronskian import ExtensionSpec, GReport, check_origin_recurrence, compute_
 
 # largest k check_report runs the direct seed-Wronskian oracle at.  The
 # oracle is exact at any k, but on the 12 specs of perfbench's deep pool
-# it would add 4.5-5.7 ms to a 17 ms check at k = 6, 9.6-16 ms to 38-45 ms
-# at k = 7 and 45-56 ms to 218-259 ms at k = 8 (best of 3, caches emptied
+# it would add 4.5-4.7 ms to a 16 ms check at k = 6, 8.1-8.7 ms to 35-38 ms
+# at k = 7 and 32-37 ms to 194-206 ms at k = 8 (best of 3, caches emptied
 # before each, 2 vCPUs, Python 3.11)
 ORACLE_MAX_K = 5
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from xlag.exactmath import (
     _STEP_FLOOR,
     Poly,
     _bareiss,
+    _divexact,
     _int_column,
     _int_coprime_mod,
     _int_divide_out,
@@ -554,18 +556,25 @@ def ref_bareiss(rows, dens, minors):
 
 
 def single_width(rows, dens, minors):
-    return _bareiss(rows, dens, minors, math.inf)
+    return _bareiss(rows, dens, minors, math.inf, math.inf)
 
 
 def per_step(rows, dens, minors):
-    return _bareiss(rows, dens, minors, -math.inf)
+    return _bareiss(rows, dens, minors, -math.inf, math.inf)
+
+
+def reciprocal(rows, dens, minors):
+    return _bareiss(rows, dens, minors, -math.inf, 0)
 
 
 # the determinant at any size: the floor forces the packed ints at one
-# width (inf) or at the per-step widths (-inf), and the coefficient lists
-# are the oracle of both
+# width (inf) or at the per-step widths (-inf), the cut a // per quotient
+# (inf) or one reciprocal per step (0), and the coefficient lists are the
+# oracle of all three
 ROUTES = pytest.mark.parametrize(
-    "det", [single_width, per_step, ref_bareiss], ids=["integer", "per-step", "polynomial"]
+    "det",
+    [single_width, per_step, reciprocal, ref_bareiss],
+    ids=["integer", "per-step", "reciprocal", "polynomial"],
 )
 
 
@@ -716,6 +725,44 @@ def test_the_step_widths_never_narrow(R, data):
     assert widths[-1] == -(-(min(math.prod(R), math.prod(C)).bit_length() + 1) // 8) * 8
 
 
+@given(
+    st.integers(1, 40_000),
+    st.lists(st.tuples(st.integers(0, 40_000), st.booleans()), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@settings(deadline=None)
+@example(1, [(3000, False), (5, True)], False, 0)  # d = 1
+@example(4000, [(0, False), (0, True)], True, 0)  # every x = 0
+@example(40_000, [(40_000, True), (1, False), (0, False)], True, 0)  # the widest, and q = 0, 1 beside it
+def test_one_reciprocal_gives_each_exact_quotient(d_bits, quotients, negative_d, seed):
+    # an odd d of d_bits bits and its multiples q d, q of the given bit
+    # lengths and signs (0 bits: x = 0), their bits drawn from the seed
+    rnd = random.Random(seed)
+    d = (rnd.getrandbits(d_bits) | 1 | 1 << (d_bits - 1)) * (-1 if negative_d else 1)
+    xs = [(-1 if neg else 1) * rnd.getrandbits(q_bits) * d for q_bits, neg in quotients]
+    assert _divexact(xs, d) == [x // d for x in xs]
+
+
+def test_the_reciprocal_holds_at_its_rounding_bound():
+    # d = 2^(D-1) + 1, the least odd d of D bits, and q = 2^Q' - 1: where
+    # |x| is cut, at s = bits(x) - Q - 4 bits, the cut bits are all ones, so
+    # x / d is missed by nearly 1/16, the most the bound allows.  q = 1 and
+    # q = 0 stand beside it; with Q' >= D - 4, x = d has at most Q + 4 bits
+    # and nothing is cut.
+    sides = set()
+    for d_bits in (6, 100, 4001, 40_000):
+        for q_bits in (1, 5, 100, d_bits - 4, 40_000):
+            d = (1 << (d_bits - 1)) + 1
+            qs = [(1 << q_bits) - 1, -((1 << q_bits) - 1), 1, 0]
+            xs = [q * d for q in qs]
+            Q = max(x.bit_length() for x in xs) - d_bits + 1
+            sides |= {x.bit_length() > Q + 4 for x in xs[:3]}
+            assert _divexact(xs, d) == qs
+            assert _divexact(xs, -d) == [-q for q in qs]
+    assert sides == {True, False}
+
+
 def test_a_row_swap_above_the_floor_widens_by_the_permuted_rows():
     # step 1 finds a zero pivot and swaps in row 2, whose sum 2^20 then
     # bounds the 3-minor 2^32 z it writes.  By the rows before the swap,
@@ -843,7 +890,7 @@ topped_ints = wide_ints.filter(lambda a: a[-1])
 
 
 @given(topped_ints, topped_ints)
-@example([7], [3, 0, -2])  # a single coefficient scales the other
+@example([7], [3, 0, -2])  # a single coefficient, packed as any other
 @example([-(2**38)] * 4, [2**38] * 4)  # the middle coefficient is -h = -2^78, at w = 80
 @example([2**38] * 4, [2**38] * 4)  # and +h
 @example([1, 0, 0, 5], [0, 0, 1])  # zero digits inside either factor

@@ -11,7 +11,7 @@ from test_acceptance import EOP_SPECS, SPECTRUM_SPECS
 from test_exactmath import ref_add, ref_diff, ref_mul, ref_scale, ref_shift_up, ref_sub
 from test_regularity import _inadmissible_probes
 from xlag import exactmath, spectral
-from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence
+from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
 from xlag.exactmath import Poly
 from xlag.regularity import certify
 from xlag.seeds import laguerre
@@ -55,7 +55,47 @@ def ode_residual(g, alpha, nu, y):
     )
 
 
+def ref_build_potential(report):
+    """(rat_num, rat_den) of build_potential by Poly arithmetic, each
+    intermediate reduced by its own gcd: the route the int numerators
+    replaced, their oracle."""
+    g2, gd = report.g * report.g, report.g.diff()
+    g2d = g2.diff()
+    return (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-report.spec.omega), g2
+
+
 class TestPotential:
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            list(enumerate_lattice(max_k=4, max_m=4, alpha_steps=2)),  # perfbench's lattice
+            [  # the mu = 5, mu = 30 and nodal rungs
+                ExtensionSpec(F(9, 2), 1, (1,), (1, 2)),
+                ExtensionSpec(F(29, 2), 1, (2, 4, 6), (3, 5, 7)),
+                ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13)),
+            ],
+            [ExtensionSpec(F(3, 4), F(3, 2), (1,), (1,)), ExtensionSpec(F(7, 2), F(3, 2), (1, 3), (2,))],
+            [ExtensionSpec(F(3, 2), 1, (), ()), ExtensionSpec(F(5, 2), F(3, 2), (), ())],  # g = 1
+        ],
+        ids=["lattice", "rungs", "omega", "constant_g"],
+    )
+    def test_the_int_numerators_give_the_poly_route(self, specs):
+        for spec in specs:
+            report = compute_g(spec)
+            pot = build_potential(report)
+            assert (pot.rat_num, pot.rat_den) == ref_build_potential(report), spec
+
+    def test_negative_l_is_refused_before_any_product(self, monkeypatch):
+        spec, report, regular = pipeline("1/4", m_ii=(1,))
+        assert spec.l < 0
+
+        def no_product(a, b):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(spectral, "_int_mul", no_product)
+        with pytest.raises(SpecInvalid, match="negative"):
+            build_potential(report)
+
     def test_identity_extension_is_classical(self):
         spec, report, regular = pipeline("3/2")
         pot = build_potential(report)

@@ -14,14 +14,15 @@ from test_exactmath import (
     compose_neg,
     per_step,
     pochhammer,
+    reciprocal,
     ref_bareiss,
     ref_pochhammer,
     single_width,
 )
 from test_regularity import _inadmissible_probes
-from xlag import wronskian
+from xlag import exactmath, wronskian
 from xlag.errors import OracleMismatch, SpecInvalid
-from xlag.exactmath import _STEP_FLOOR, Poly, _poly, poly_mat_det
+from xlag.exactmath import _RECIP_CUT, _STEP_FLOOR, Poly, _bareiss, _poly, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
@@ -548,16 +549,20 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     # every gamma and Wronskian matrix of a sub-lattice, which stay at or
     # below the floor and run at one width, and the nodal, k = 6 and two
     # k = 8 gamma matrices, which run at the per-step widths; both packed
-    # schedules and the coefficient-list oracle agree on each
-    seen = []
+    # schedules, the reciprocal division and the coefficient-list oracle
+    # agree on each.  The 648 sub-lattice determinants, perfbench's
+    # `lattice`, never reach the reciprocal.
+    seen, divided = [], []
 
     def recording(rows, dens, minors=False):
         seen.append((rows, dens, minors))
         return poly_mat_det(rows, dens, minors)
 
     monkeypatch.setattr(wronskian, "poly_mat_det", recording)
+    monkeypatch.setattr(exactmath, "_divexact", lambda xs, d, real=exactmath._divexact: divided.append(d) or real(xs, d))
     for s in enumerate_lattice(4, 4, 2):
         wronskian_direct(compute_g(s))
+    assert len(seen) == 2 * 324 and not divided
     for name in ("nodal", "k6", "k8", "k8-type-ii"):
         compute_g(spec(*NAMED_SPECS[name]))
     sizes = [_packed_size(rows) for rows, _, _ in seen]
@@ -565,6 +570,7 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     for rows, dens, minors in seen:
         det = poly_mat_det(rows, dens, minors)
         assert det == single_width(rows, dens, minors) == per_step(rows, dens, minors) == ref_bareiss(rows, dens, minors)
+        assert det == reciprocal(rows, dens, minors)
 
 
 @pytest.mark.parametrize("name", ["nodal", "k6", "k7", "k8", "k8-type-ii"])
@@ -577,8 +583,44 @@ def test_a_transposed_gamma_matrix_has_the_same_determinant_on_both_routes(name)
     det = ref_bareiss(rows, ones, False)
     transposed = [list(col) for col in zip(*rows)]
     assert _packed_size(transposed) == _packed_size(rows)
-    for route in (single_width, per_step, ref_bareiss):
+    for route in (single_width, per_step, reciprocal, ref_bareiss):
         assert route(transposed, ones, False) == det
+
+
+@pytest.mark.parametrize(
+    "alpha, m_i, m_ii",
+    [pytest.param(*NAMED_SPECS[name], id=name) for name in ("nodal", "k6", "k7", "k8", "k8-type-ii")]
+    + [pytest.param("17/2", (2, 4), (1, 3, 5, 6, 8, 9, 10, 11), id="k10")],
+)
+def test_the_reciprocal_and_the_plain_division_give_the_same_determinant(alpha, m_i, m_ii):
+    # at poly_mat_det's floor, with the reciprocal at every step that writes
+    # two quotients or more (cut 0) and at none (cut inf)
+    rows, dens = build_gamma_matrix(spec(alpha, m_i, m_ii))
+    det = ref_bareiss(rows, dens, True)
+    for cut in (0, math.inf):
+        assert _bareiss(rows, dens, True, _STEP_FLOOR, cut) == det
+
+
+def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
+    # a step with n - k - 1 rows left writes (n - k - 1)^2 quotients, so the
+    # spy reads the step off the count.  At cut 0 every step but the last
+    # (one quotient) divides by the reciprocal, which gives each step's
+    # divisor; at the cut, exactly the steps whose divisor is longer do.
+    rows, dens = build_gamma_matrix(spec(*NAMED_SPECS["nodal"]))
+    n, divisor_bits = len(rows), {}
+
+    def spy(xs, d):
+        divisor_bits[n - 1 - math.isqrt(len(xs))] = d.bit_length()
+        return [x // d for x in xs]
+
+    monkeypatch.setattr(exactmath, "_divexact", spy)
+    _bareiss(rows, dens, False, _STEP_FLOOR, 0)
+    every = dict(divisor_bits)
+    assert sorted(every) == list(range(n - 2))
+    divisor_bits.clear()
+    poly_mat_det(rows, dens)
+    assert divisor_bits == {k: b for k, b in every.items() if b > _RECIP_CUT}
+    assert sorted(divisor_bits) == [3, 4, 5] and n == 8
 
 
 def test_report_pickles():
