@@ -9,8 +9,9 @@ per column and packs them at z = 2^B, so each Z[z] product and exact
 division is one big-int operation (Kronecker substitution); a large one
 widens B step by step.  The remainder chain divides each pseudo-remainder
 by its predicted content lc(A)^2 before a gcd takes the rest.  Packed ints
-also carry a Poly product (one big-int product), the Taylor shift (Horner
-at X + 1) and the gcd mod 2^61 - 1 (Euclid on 128-bit residue slots).
+also carry the product of two int lists (one big-int product), the Taylor
+shift (Horner at X + 1) and the gcd mod 2^61 - 1 (Euclid on 128-bit
+residue slots).
 """
 from __future__ import annotations
 
@@ -37,11 +38,11 @@ class Poly:
     no trailing zeros, over one positive int denominator `den`, reduced so
     that gcd(den, *num) = 1.
 
-    The form is canonical, so equality and hashing are tuple compares, and
-    arithmetic runs on the ints with a single gcd per result.  A Poly
-    equals only a Poly, never a scalar, so equal objects hash alike; a
-    constant is spelled `Poly((c,))`.  An int or Fraction, never a bool or
-    float, may stand on the right of + and -, and on either side of *.
+    A read-only value with no arithmetic operators: sums and products run
+    on `num` and `den` as int lists (`_int_mul`).  The form is canonical,
+    so equality and hashing are tuple compares, and each method result
+    takes a single gcd.  A Poly equals only a Poly, never a scalar, so
+    equal objects hash alike; a constant is spelled `Poly((c,))`.
     `coeffs` is a read-only Fraction view.  The zero polynomial `Poly()` is
     the only falsy one; it has num = (), den = 1 and degree `None` (a
     sentinel, so degree arithmetic never silently mixes in -1).  Instances
@@ -99,35 +100,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.num)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        a, b, den = self.num, other.num, self.den
-        if den != other.den:
-            g = math.gcd(den, other.den)
-            a = [c * (other.den // g) for c in a]
-            b = [c * (den // g) for c in b]
-            den = den // g * other.den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out, den)
-
-    def __neg__(self) -> "Poly":
-        return _poly([-c for c in self.num], self.den)
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
-
-    def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
-        return _poly(_int_mul(self.num, other.num), self.den * other.den)
-
-    __rmul__ = __mul__
 
     def diff(self) -> "Poly":
         """Exact formal derivative with respect to z."""
@@ -193,14 +165,6 @@ def _init(p: Poly, num: list, den: int) -> Poly:
 def _poly(num: list, den: int = 1) -> Poly:
     """The Poly num/den; num is consumed."""
     return _init(object.__new__(Poly), num, den)
-
-
-def _coerce(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly((v,))
-    raise TypeError(f"cannot coerce {type(v)!r} to Poly")
 
 
 def remainder_chain(a: Poly, b: Poly):
@@ -406,6 +370,17 @@ def _int_column(col):
     return tuple(tuple([c * f // g for c in a]) for a, f in col), den // g
 
 
+# Per-step widths took 1.1-1.6x the time of one width below 6k bits and
+# 0.5-0.9x above 9k (80 random k 4-7 gamma matrices, 2 vCPUs, Python 3.11).
+_STEP_FLOOR = 8_000
+# Divisor bits past which a step writing two quotients or more divides by
+# one reciprocal.  Per step on the deep pool, nodal and a k = 10 matrix, it
+# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from
+# 4,900 (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python
+# 3.11, whose // is quadratic; from 3.12, // is subquadratic past ~9,000 bits.
+_RECIP_CUT = 4_500
+
+
 def poly_mat_det(rows, dens, minors: bool = False):
     """Determinant of the square polynomial matrix whose entry (i, j) is
     rows[i][j] / dens[j]: int coefficient lists or tuples, lowest power
@@ -438,23 +413,6 @@ def poly_mat_det(rows, dens, minors: bool = False):
     rows 0..n-2 and columns 0..n-3, n-1, and the leading (n-2)-minor; None
     after a row swap.
     """
-    return _bareiss(rows, dens, minors, _STEP_FLOOR, _RECIP_CUT)
-
-
-# Per-step widths took 1.1-1.6x the time of one width below 6k bits and
-# 0.5-0.9x above 9k (80 random k 4-7 gamma matrices, 2 vCPUs, Python 3.11).
-_STEP_FLOOR = 8_000
-# Divisor bits past which a step writing two quotients or more divides by
-# one reciprocal.  Per step on the deep pool, nodal and a k = 10 matrix, it
-# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from
-# 4,900 (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python
-# 3.11, whose // is quadratic; from 3.12, // is subquadratic past ~9,000 bits.
-_RECIP_CUT = 4_500
-
-
-def _bareiss(rows, dens, minors, floor, cut):
-    """`poly_mat_det`, at one width where the packed size is at most floor,
-    and by one reciprocal where the divisor is longer than cut bits."""
     n = len(rows)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
@@ -473,7 +431,7 @@ def _bareiss(rows, dens, minors, floor, cut):
         deg += longest
     C = [c or 1 for c in C]
     bits = min(math.prod(R), math.prod(C)).bit_length() + 1
-    steps = n > 1 and bits * (min(deg, sum(col_deg)) - n + 1) > floor
+    steps = n > 1 and bits * (min(deg, sum(col_deg)) - n + 1) > _STEP_FLOOR
     bits = _step_bits(R, C, 0) if steps else bits
     M = [[_int_pack(a, bits) for a in row] for row in rows]
     prev, sgn, swapped, sub_minors = 1, 1, False, None
@@ -496,7 +454,7 @@ def _bareiss(rows, dens, minors, floor, cut):
         # the divisor's power of two (its z-power) comes off first
         tz = (prev & -prev).bit_length() - 1
         pivot, top, d = M[k][k], M[k], prev >> tz
-        if k < n - 2 and d.bit_length() > cut:
+        if k < n - 2 and d.bit_length() > _RECIP_CUT:
             qs = _divexact([(pivot * row[j] - row[k] * top[j]) >> tz for row in M[k + 1 :] for j in range(k + 1, n)], d)
             for i, row in enumerate(M[k + 1 :]):
                 row[k + 1 :] = qs[i * (n - k - 1) : (i + 1) * (n - k - 1)]

@@ -33,15 +33,15 @@ def laguerre_series(n: int, p: int, q: int, negated: bool = False) -> list:
 
 
 def laguerre(n: int, a: Fraction) -> Poly:
-    """Exact L_n^{(a)}(z) from the series; degree exactly n.  A float or
-    bool `a` is rejected with TypeError.
+    """Exact L_n^{(a)}(z) from the series; degree exactly n.  A bool `n`
+    and a float or bool `a` are rejected with TypeError.
 
     Coefficient of z^i is (-1)^i (a+i+1)_{n-i} / ((n-i)! i!), which gives
     L_n^{(a)}(0) = (a+1)_n / n!.  With a = p/q this is `laguerre_series`
     over n! q^n, reduced once at the end.
     """
-    if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
-        raise TypeError(f"laguerre argument must be int or Fraction, got {a!r}")
+    if isinstance(n, bool) or isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+        raise TypeError(f"laguerre degree must be int, argument must be int or Fraction, got {n!r}, {a!r}")
     if n < 0:
         raise ValueError("degree must be nonnegative")
     a = Fraction(a)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import xlag
 from xlag import cli, errors, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
+from xlag.exactmath import Poly
 from xlag.report import build_document
 
 
@@ -317,9 +318,9 @@ BARE_SPEC = wronskian.ExtensionSpec(Fraction(25, 2), 1, (1, 2, 3, 4, 5, 6), ())
 @pytest.mark.parametrize(
     "fault, failures",
     [
-        (lambda g: g * 3, ["lead", "const"]),
-        (lambda g: g + g.shift_up(2), ["mu"]),
-        (lambda g: g + 1, ["const"]),
+        (lambda g: Poly(3 * c for c in g.coeffs), ["lead", "const"]),
+        (lambda g: Poly(a + b for a, b in zip((*g.coeffs, 0, 0), (0, 0, *g.coeffs))), ["mu"]),  # (1 + z^2) g
+        (lambda g: Poly((g.constant + 1, *g.coeffs[1:])), ["const"]),
     ],
     ids=["scaled", "raised_degree", "shifted_constant"],
 )
@@ -351,7 +352,7 @@ def test_eop_on_a_perturbed_g_exits_3(capsys, monkeypatch):
     # solution
     def perturbed(spec):
         report = compute_g_real(spec)
-        return replace(report, g=report.g + 1)
+        return replace(report, g=Poly((report.g.constant + 1, *report.g.coeffs[1:])))
 
     compute_g_real = wronskian.compute_g
     monkeypatch.setattr(cli, "compute_g", perturbed)

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
     _STEP_FLOOR,
     Poly,
-    _bareiss,
     _divexact,
     _int_column,
     _int_coprime_mod,
@@ -131,18 +131,13 @@ def canonical(p):
     return list(p.coeffs)
 
 
-@given(coeff_lists, coeff_lists, scalars)
-@example([F(1, 2), F(-3, 4)], [F(5, 6), 0, F(-7, 9)], F(-2, 3))  # negative leading coefficients
-@example([], [0, 0], 0)  # zero polynomials
-def test_poly_matches_the_fraction_reference(a, b, s):
-    p, q = Poly(a), Poly(b)
-    a, b = ref(a), ref(b)
+@given(coeff_lists, scalars)
+@example([F(1, 2), F(-3, 4)], F(-2, 3))  # a negative leading coefficient
+@example([0, 0], 0)  # the zero polynomial, its zeros trimmed
+def test_poly_matches_the_fraction_reference(a, s):
+    p = Poly(a)
+    a = ref(a)
     assert canonical(p) == a
-    assert canonical(p + q) == ref_add(a, b)
-    assert canonical(p - q) == ref_sub(a, b)
-    assert canonical(-p) == ref_scale(a, -1)
-    assert canonical(p * q) == ref_mul(a, b)
-    assert canonical(p * s) == canonical(s * p) == ref_scale(a, s)
     assert canonical(p.diff()) == ref_diff(a)
     for e in range(3):
         assert canonical(p.shift_up(e)) == ref_shift_up(a, e)
@@ -154,16 +149,14 @@ def test_poly_matches_the_fraction_reference(a, b, s):
         assert p.leading == a[-1] and p.constant == a[0]
 
 
-@given(coeff_lists, coeff_lists, scalars.filter(bool))
-def test_equal_polynomials_from_different_routes_compare_and_hash_equal(a, b, s):
-    p, q = Poly(a), Poly(b)
+@given(coeff_lists)
+def test_equal_polynomials_from_different_routes_compare_and_hash_equal(a):
+    p = Poly(a)
     routes = [
         p,
         Poly(p.coeffs),
-        (p + q) - q,
-        p * s * (1 / F(s)),
+        _poly([6 * c for c in p.num], 6 * p.den),  # unreduced
         p.shift_up(2).divexact_zpow(2),
-        p * Poly((1,)),
     ]
     for r in routes:
         canonical(r)
@@ -177,13 +170,7 @@ def test_non_rational_coefficient_is_rejected():
     with pytest.raises(TypeError, match="must be int or Fraction"):
         Poly((True, False))
     with pytest.raises(TypeError):
-        Poly((1,)) * True
-    with pytest.raises(TypeError):
-        Poly((1,)) + False
-    with pytest.raises(TypeError):
         Poly((1, "2"))
-    with pytest.raises(TypeError):
-        Poly((1,)) + "x"
 
 
 def test_negative_shift_is_rejected():
@@ -197,20 +184,6 @@ def test_nullspace_of_integer_rows_stays_exact():
     basis = rational_nullspace([[2, 4], [1, 2]])
     assert basis == [[F(-2), F(1)]]
     assert all(type(v) is F for v in basis[0])
-
-
-def test_difference_of_squares():
-    assert Poly((1, 1)) * Poly((-1, 1)) == Poly((-1, 0, 1))
-
-
-def test_additive_identity():
-    p = Poly((F(1, 2), 3, F(-7, 5)))
-    assert p + Poly() == p
-
-
-def test_hand_convolution():
-    # (2z+3) * z^2 = 2z^3 + 3z^2
-    assert Poly((3, 2)) * Poly((0, 0, 1)) == Poly((0, 0, 3, 2))
 
 
 def test_diff_power_rule():
@@ -336,16 +309,6 @@ def test_the_zero_polynomial_has_no_monic_form():
         Poly().monic()
 
 
-@given(nonzero_polys, nonzero_polys)
-def test_degree_of_product(p, q):
-    assert (p * q).degree == p.degree + q.degree
-
-
-@given(polys, polys)
-def test_product_rule(p, q):
-    assert (p * q).diff() == p.diff() * q + p * q.diff()
-
-
 @given(rationals, st.integers(min_value=0, max_value=20))
 def test_pochhammer_recurrence(a, n):
     assert pochhammer(a, n) * (a + n) == pochhammer(a, n + 1)
@@ -370,12 +333,13 @@ def test_gcd_divides_both(p, q):
 
 
 def test_squarefree_part_collapses_multiplicity():
-    # the chain of p and p' ends in the repeated factor; p over it is square-free
-    p = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
+    # the chain of p = (z - 1)^2 (z + 2) and p' ends in the repeated factor;
+    # p over it, (z - 1)(z + 2), is square-free
+    p = Poly((2, -3, 0, 1))
     last = remainder_chain(p, p.diff())[-1]
     assert last.monic() == Poly((-1, 1))
-    quo = Poly((-2, 1, 1)) * (p.leading / last.leading)
-    assert ref_divmod(list(p.coeffs), list(last.coeffs)) == (list(quo.coeffs), [])
+    quo = [c * p.leading / last.leading for c in (-2, 1, 1)]
+    assert ref_divmod(list(p.coeffs), list(last.coeffs)) == (quo, [])
     assert poly_gcd(p, p.diff()) == Poly((-1, 1))
 
 
@@ -399,20 +363,17 @@ def ref_remainder_chain(a, b):
     return chain
 
 
-int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(Poly)
-
-
 @st.composite
 def chain_inputs(draw):
     """a with squared and cubed factors and an int content; b its
     derivative, a perturbed derivative, or any int polynomial (of degree
     at least a's, zero, or constant)."""
-    a = Poly((draw(st.integers(-6, 6).filter(bool)),))
-    for f in draw(st.lists(int_polys.filter(bool), max_size=3)):
+    a = [draw(st.integers(-6, 6).filter(bool))]
+    for f in draw(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any), max_size=3)):
         for _ in range(draw(st.integers(1, 3))):
-            a = a * f
-    other = draw(st.lists(st.integers(-30, 30), max_size=12).map(Poly))
-    b = draw(st.sampled_from((a.diff(), a.diff() + other, other)))
+            a = ref_int_mul(a, f)
+    a, other = Poly(a), draw(st.lists(st.integers(-30, 30), max_size=12))
+    b = draw(st.sampled_from((a.diff(), Poly(ref_int_add(list(a.diff().num), other)), Poly(other))))
     return a, b
 
 
@@ -421,7 +382,7 @@ def chain_inputs(draw):
 @example((Poly((-3, -3, -2, 3)), Poly((-3, -4, 9))))  # the divisor shrinks
 @example((Poly((2, 0, 1)), Poly()))  # zero b
 @example((Poly((5,)), Poly((1, 2, 3))))  # constant a, deg b above deg a
-@example((Poly((1, 2, 1)) * Poly((1, 2, 1)) * Poly((3, 1)), Poly((4, 0, 0, 1))))  # b not a'
+@example((Poly((3, 13, 22, 18, 7, 1)), Poly((4, 0, 0, 1))))  # a = (z + 1)^4 (z + 3), b not a'
 def test_remainder_chain_matches_the_plain_route(ab):
     a, b = ab
     assert remainder_chain(a, b) == ref_remainder_chain(a, b)
@@ -461,17 +422,21 @@ def test_remainder_chain_matches_the_plain_route_on_deep_specs(m_i, m_ii, alpha)
 
 
 def _det_cofactor(m):
-    # independent oracle: Laplace expansion
-    n = len(m)
-    if n == 0:
-        return Poly((1,))
-    if n == 1:
-        return m[0][0]
-    out = Poly()
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor)
-        out = out + (term if j % 2 == 0 else -term)
+    """The determinant of a square Poly matrix by Laplace expansion on its
+    int form, each product the schoolbook `ref_int_mul`: the independent
+    oracle of every determinant route."""
+    rows, dens = columns(m)
+    return _poly(ref_int_cofactor(rows), math.prod(dens))
+
+
+def ref_int_cofactor(rows):
+    # Laplace expansion along the first row of a square matrix of int lists
+    if not rows:
+        return [1]
+    out = []
+    for j, a in enumerate(rows[0]):
+        term = ref_int_mul(a, ref_int_cofactor([row[:j] + row[j + 1 :] for row in rows[1:]]))
+        out = ref_int_add(out, term if j % 2 == 0 else [-c for c in term])
     return out
 
 
@@ -509,6 +474,19 @@ def ref_int_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def ref_int_add(*terms):
+    """The sum of int lists, lowest power first, trimmed."""
+    out = [0] * max(map(len, terms))
+    for a in terms:
+        for i, c in enumerate(a):
+            out[i] += c
+    return _int_trim(out)
+
+
+def ref_int_diff(a):
+    return [i * c for i, c in enumerate(a) if i]
 
 
 def ref_int_divexact(a, b):
@@ -555,16 +533,17 @@ def ref_bareiss(rows, dens, minors):
     return (det, sub_minors) if minors else det
 
 
-def single_width(rows, dens, minors):
-    return _bareiss(rows, dens, minors, math.inf, math.inf)
+def forced(floor, cut):
+    """poly_mat_det with its width floor and reciprocal cut set to these."""
+
+    def det(rows, dens, minors):
+        with mock.patch.object(exactmath, "_STEP_FLOOR", floor), mock.patch.object(exactmath, "_RECIP_CUT", cut):
+            return poly_mat_det(rows, dens, minors)
+
+    return det
 
 
-def per_step(rows, dens, minors):
-    return _bareiss(rows, dens, minors, -math.inf, math.inf)
-
-
-def reciprocal(rows, dens, minors):
-    return _bareiss(rows, dens, minors, -math.inf, 0)
+single_width, per_step, reciprocal = forced(math.inf, math.inf), forced(-math.inf, math.inf), forced(-math.inf, 0)
 
 
 # the determinant at any size: the floor forces the packed ints at one
@@ -611,21 +590,21 @@ def test_both_routes_on_the_small_cases(det):
     assert det(*columns([[c]]), True) == (c, None)
     assert det(*columns([[Poly()]]), False) == Poly()
     assert not det(*columns([[a, b], [a, b]]), False)
-    assert det(*columns([[Poly(), b], [c, d]]), True) == (-(b * c), None)  # a swap
-    assert det(*columns([[Poly((-1,)), b], [Poly(), d]]), True) == (-d, (Poly((-1,)), b, Poly((1,))))
+    assert det(*columns([[Poly(), b], [c, d]]), True) == (Poly((0, F(-5, 3))), None)  # a swap
+    assert det(*columns([[Poly((-1,)), b], [Poly(), d]]), True) == (Poly((F(1, 2), -1)), (Poly((-1,)), b, Poly((1,))))
     assert det(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False) == Poly()
     # a zero row makes the row product 0, but the minors above it still read back
     assert det(*columns([[a, b], [Poly(), Poly()]]), True) == (Poly(), (a, b, Poly((1,))))
 
 
 def _sums(rows):
-    # the row and the column l1 sums, at least 1, that _bareiss bounds by
+    # the row and the column l1 sums, at least 1, that poly_mat_det bounds by
     norms = [[sum(map(abs, a)) for a in row] for row in rows]
     return tuple([max(1, sum(v)) for v in vs] for vs in (norms, zip(*norms)))
 
 
 def _side_bounds(rows):
-    # the row and the column product that _bareiss takes the smaller of
+    # the row and the column product that poly_mat_det takes the smaller of
     return tuple(map(math.prod, _sums(rows)))
 
 
@@ -642,9 +621,12 @@ def test_lopsided_matrices_pack_by_their_lighter_side(entries, heavy, e, d):
     # the heavy row and the column product for the heavy column, and the
     # transposes swap the two; every route and the Laplace expansion agree
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
-    scale = Poly((0,) * d + (2**e,))
-    heavy_row = [[a * scale if i == heavy else a for a in row] for i, row in enumerate(m)]
-    heavy_col = [[a * scale if j == heavy else a for j, a in enumerate(row)] for row in m]
+
+    def scaled(a):
+        return _poly([0] * d + [c * 2**e for c in a.num], a.den)
+
+    heavy_row = [[scaled(a) if i == heavy else a for a in row] for i, row in enumerate(m)]
+    heavy_col = [[scaled(a) if j == heavy else a for j, a in enumerate(row)] for row in m]
     heavy_row_t, heavy_col_t = ([list(c) for c in zip(*h)] for h in (heavy_row, heavy_col))
     for matrix, row_side in ((heavy_row, True), (heavy_col, False), (heavy_row_t, False), (heavy_col_t, True)):
         rows, dens = columns(matrix)
@@ -913,8 +895,8 @@ def test_the_nodal_g_squared_and_g_prime_squared_are_the_list_products(monkeypat
 
         monkeypatch.setattr(exactmath, name, spy)
     gd = g.diff()
-    assert g * g == _poly(ref_int_mul(g.num, g.num), g.den**2)
-    assert gd * gd == _poly(ref_int_mul(gd.num, gd.num), gd.den**2)
+    assert _int_mul(g.num, g.num) == ref_int_mul(g.num, g.num)
+    assert _int_mul(gd.num, gd.num) == ref_int_mul(gd.num, gd.num)
     assert routes.count(("_int_pack", True)) == 4 and routes.count(("_int_unpack", True)) == 2
 
 
@@ -950,10 +932,11 @@ def test_the_packed_gcd_mod_p_is_the_list_one(a, b, factor, p):
 
 def test_minors_of_a_2x2_and_a_swap():
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
-    assert poly_mat_det(*columns([[a, b], [c, d]]), minors=True) == (a * d - b * c, (a, b, Poly((1,))))
+    # ad - bc = -1/2 - 5/3 z + 2 z^2
+    assert poly_mat_det(*columns([[a, b], [c, d]]), minors=True) == (Poly((F(-1, 2), F(-5, 3), 2)), (a, b, Poly((1,))))
     # a zero (1,1) entry: the determinant still comes back, the minors do not
     zero = Poly()
-    assert poly_mat_det(*columns([[zero, b], [c, d]]), minors=True) == (-(b * c), None)
+    assert poly_mat_det(*columns([[zero, b], [c, d]]), minors=True) == (Poly((0, F(-5, 3))), None)
 
 
 def test_poly_pickles():

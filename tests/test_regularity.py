@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_exactmath import ref, ref_coprime_mod, ref_diff, ref_divmod, ref_eval, ref_monic
+from test_exactmath import ref, ref_coprime_mod, ref_diff, ref_divmod, ref_eval, ref_int_mul, ref_monic, ref_mul
 from xlag.errors import BoundaryRoot, ZeroPolynomial
 from xlag.exactmath import Poly, _int_coprime_mod, poly_gcd, remainder_chain
 from xlag.regularity import certify, count_roots_open_interval, sturm_sequence
@@ -24,7 +24,7 @@ def test_chain_quadratic():
 def test_chain_applies_squarefree_reduction():
     # no square-free pre-pass: the chain of p and p' ends in gcd(p, p'),
     # and read where p does not vanish it counts the double root once
-    p = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
+    p = _from_roots(1, 1, -2)
     chain = sturm_sequence(p)
     assert chain[:2] == [p, p.diff()]
     assert chain[-1].monic() == Poly((-1, 1))
@@ -45,7 +45,7 @@ def test_counts_simple():
 
 
 def test_counts_finite_interval():
-    p = Poly((-1, 1)) * Poly((-3, 1)) * Poly((5, 1))  # roots 1, 3, -5
+    p = _from_roots(1, 3, -5)
     assert count_roots_open_interval(p, 0, 2) == 1
     assert count_roots_open_interval(p, 0, 10) == 2
     assert count_roots_open_interval(p, 2, F(5, 2)) == 0
@@ -80,17 +80,15 @@ def test_a_float_or_bool_endpoint_is_refused(lo, hi):
 def test_counts_with_negative_leading_coefficient():
     # exercises the sign bookkeeping of the pseudo-remainder chain
     assert count_roots_open_interval(Poly((-3, 4, -1)), 0) == 2  # -(z-1)(z-3)
-    p = Poly((1,))
-    for r in (1, 2, 4):
-        p = p * Poly((-r, 1))
-    assert count_roots_open_interval(-p, 0) == 3
-    assert count_roots_open_interval(-p, F(3, 2), 5) == 2
+    p = _from_roots(1, 2, 4, extra=(-1,))
+    assert count_roots_open_interval(p, 0) == 3
+    assert count_roots_open_interval(p, F(3, 2), 5) == 2
 
 
 def test_count_invariant_under_positive_scaling():
     p = Poly((F(-1, 8), F(-1, 2), F(1, 2)))
     for c in (F(3), F(1, 7), F(22, 3)):
-        assert count_roots_open_interval(p * c, 0) == 1
+        assert count_roots_open_interval(Poly(c * x for x in p.coeffs), 0) == 1
 
 
 def _scan_sign_changes(p, lo, hi, samples=1000):
@@ -107,9 +105,7 @@ def test_sturm_agrees_with_sign_scanning_on_random_roots():
     for _ in range(25):
         nroots = rng.randint(1, 6)
         roots = rng.sample(pool, nroots)
-        p = Poly((1,))
-        for r in roots:
-            p = p * Poly((-r, 1))
+        p = _from_roots(*roots)
         positive = sum(1 for r in roots if 0 < r < 14)
         assert count_roots_open_interval(p, 0, 14) == positive
         assert _scan_sign_changes(p, F(0), F(14)) == positive
@@ -163,14 +159,14 @@ def _report(g):
 
 
 def test_certify_reports_multiplicity_defect():
-    g = Poly((-1, 1)) * Poly((-1, 1)) * Poly((2, 1))
+    g = _from_roots(1, 1, -2)
     cert = certify(_report(g))
     assert cert.repeated_root_defect == 1
     assert cert.root_count_positive_axis == 1  # the double root counts once
 
 
 def test_certify_strips_vanishing_constant_term():
-    g = (Poly((-2, 1)) * Poly((3, 1))).shift_up(2)  # z^2 (z-2)(z+3)
+    g = _from_roots(2, -3).shift_up(2)
     cert = certify(_report(g))
     assert cert.sign_at_zero == 0
     assert cert.root_count_positive_axis == 1
@@ -248,12 +244,10 @@ rational_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 def test_certify_agrees_with_the_squarefree_route_on_planted_roots(roots, quadratics, lead):
     # (z - r)^mult for each planted root, times (z^2 + c) factors with no
     # real root, times a constant; the factors fix both answers outright
-    g = Poly((lead,))
-    for r, mult in roots:
-        for _ in range(mult):
-            g = g * Poly((-r, 1))
+    extra = [lead]
     for c in quadratics:
-        g = g * Poly((c, 0, 1))
+        extra = ref_mul(extra, [c, 0, 1])
+    g = _from_roots(*(r for r, mult in roots for _ in range(mult)), extra=extra)
     positive = sum(1 for r, _ in roots if r > 0)
     defect = sum(mult - 1 for _, mult in roots) + 2 * (len(quadratics) - len(set(quadratics)))
     cert = certify(_report(g))
@@ -274,11 +268,12 @@ def _sturm_oracle(g):
     return count_roots_open_interval(g.divexact_zpow(order), 0), poly_gcd(g, g.diff()).degree
 
 
-def _from_roots(*roots, extra=Poly((1,))):
-    g = extra
+def _from_roots(*roots, extra=(1,)):
+    """The polynomial extra(z) prod (z - r), by the Fraction-list product."""
+    g = ref(extra)
     for r in roots:
-        g = g * Poly((-r, 1))
-    return g
+        g = ref_mul(g, [-r, 1])
+    return Poly(g)
 
 
 def _certify_as_oracle(g, method):
@@ -300,7 +295,7 @@ def _certify_as_oracle(g, method):
     ],
 )
 def test_vca_counts_roots_on_the_bisection_points(roots):
-    g = _from_roots(*roots, extra=Poly((3, 1, 1)))  # times z^2 + z + 3, no real root
+    g = _from_roots(*roots, extra=(3, 1, 1))  # times z^2 + z + 3, no real root
     cert = _certify_as_oracle(g, "vca")
     assert cert.root_count_positive_axis == sum(1 for r in roots if r > 0)
     assert cert.repeated_root_defect == 0
@@ -308,12 +303,12 @@ def test_vca_counts_roots_on_the_bisection_points(roots):
 
 @pytest.mark.parametrize("r", [F(1, 3), F(1, 2), 1, F(5, 2), 7, 1000])
 def test_vca_separates_a_root_pair_two_to_the_minus_twenty_apart(r):
-    g = _from_roots(r, r + F(1, 2**20), extra=Poly((1, 0, 1)))
+    g = _from_roots(r, r + F(1, 2**20), extra=(1, 0, 1))
     assert _certify_as_oracle(g, "vca").root_count_positive_axis == 2
 
 
 def test_one_sign_change_is_one_root_by_descartes():
-    g = _from_roots(F(7, 3), -1, -2, extra=Poly((1, 0, 1)))
+    g = _from_roots(F(7, 3), -1, -2, extra=(1, 0, 1))
     cert = _certify_as_oracle(g, "descartes")
     assert (cert.root_count_positive_axis, cert.sign_variations) == (1, 1)
 
@@ -328,13 +323,13 @@ def test_a_lead_divisible_by_the_prime_falls_back_to_sturm():
     # mod 2^61 - 1 the double factor (pz + 1)^2 is 1, so without the lead
     # test the gcd mod p would call g square-free and drop its defect
     p = 2**61 - 1
-    g = Poly((1, p)) * Poly((1, p)) * _from_roots(1, 3, -2)
+    g = _from_roots(1, 3, -2, extra=(1, 2 * p, p * p))
     cert = _certify_as_oracle(g, "sturm")
     assert (cert.root_count_positive_axis, cert.repeated_root_defect, cert.sign_variations) == (2, 1, 2)
 
 
 def test_a_repeated_positive_root_falls_back_to_sturm():
-    g = _from_roots(2, 2, 5, -1, extra=Poly((1, 0, 1)))
+    g = _from_roots(2, 2, 5, -1, extra=(1, 0, 1))
     cert = _certify_as_oracle(g, "sturm")
     assert (cert.root_count_positive_axis, cert.repeated_root_defect) == (2, 1)
     assert cert.sign_variations >= 2
@@ -348,7 +343,7 @@ small_ints = st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda 
 @example([1, -2, 1], [1, 1], False)  # (z - 1)^2
 def test_the_gcd_mod_p_is_constant_exactly_when_the_chain_ends_in_one(a, s, plant):
     # certify's proof that a core is square-free, against the chain over Q
-    g = Poly(a) * Poly(s) * Poly(s) if plant else Poly(a)
+    g = Poly(ref_int_mul(ref_int_mul(a, s), s) if plant else a)
     squarefree = remainder_chain(g, g.diff())[-1].degree == 0
     a = list(g.num)
     assert _int_coprime_mod(a, [i * c for i, c in enumerate(a) if i], 2**61 - 1) == squarefree

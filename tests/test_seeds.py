@@ -8,7 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_exactmath import columns, compose_neg, int_columns, ref_pochhammer
+from test_exactmath import (
+    columns,
+    compose_neg,
+    int_columns,
+    ref_add,
+    ref_diff,
+    ref_int_add,
+    ref_int_diff,
+    ref_mul,
+    ref_pochhammer,
+    ref_scale,
+    ref_shift_up,
+    ref_sub,
+)
 from xlag.errors import SpecInvalid
 from xlag.exactmath import Poly, _poly
 from xlag.regularity import count_roots_open_interval
@@ -89,11 +102,14 @@ def test_laguerre_low_orders():
 def test_laguerre_rejects_a_float_parameter(a):
     # a float is neither converted to its binary fraction nor, as 0.5 equals
     # and hashes like F(1, 2), served from a cache; a bool, which equals
-    # and hashes like an int, is refused the same way
+    # and hashes like an int, is refused the same way, as a degree too
+    # (laguerre(True, 1) would be L_1)
     laguerre(1, F(1, 2))
     laguerre(1, 1)
     with pytest.raises(TypeError, match="must be int or Fraction"):
         laguerre(1, a)
+    with pytest.raises(TypeError, match="degree must be int"):
+        laguerre(True, F(1, 2))
 
 
 def test_laguerre_rejects_a_negative_degree():
@@ -135,8 +151,8 @@ def test_polyval_is_bit_identical_to_the_fraction_route(coeffs):
 @given(st.integers(min_value=1, max_value=9), params)
 def test_laguerre_three_term_recurrence(n, a):
     # independent route: (n+1) L_{n+1} = (2n+1+a-z) L_n - (n+a) L_{n-1}
-    lhs = laguerre(n + 1, a) * (n + 1)
-    rhs = Poly((2 * n + 1 + a, -1)) * laguerre(n, a) - laguerre(n - 1, a) * (n + a)
+    lhs = ref_scale(laguerre(n + 1, a).coeffs, n + 1)
+    rhs = ref_sub(ref_mul([2 * n + 1 + a, -1], laguerre(n, a).coeffs), ref_scale(laguerre(n - 1, a).coeffs, n + a))
     assert lhs == rhs
 
 
@@ -144,8 +160,8 @@ def test_laguerre_three_term_recurrence(n, a):
 @settings(deadline=None)
 def test_laguerre_ode_identity(n, a):
     # z y'' + (a+1-z) y' + n y = 0 as an exact polynomial identity
-    y = laguerre(n, a)
-    residual = y.diff().diff().shift_up(1) + Poly((a + 1, -1)) * y.diff() + y * n
+    y = list(laguerre(n, a).coeffs)
+    residual = ref_add(ref_shift_up(ref_diff(ref_diff(y)), 1), ref_add(ref_mul([a + 1, -1], ref_diff(y)), ref_scale(y, n)))
     assert not residual
 
 
@@ -218,11 +234,13 @@ def test_quasipoly_diff_examples():
 
 
 def ref_quasipoly_diff(qp):
-    """The scalar-times-Poly route that QuasiPoly.diff's integer pass replaces."""
+    """The three terms a P + (s/2) z P + z P' summed apart on P's int
+    numerators over 2 den(a) den(P): the route QuasiPoly.diff's one integer
+    pass replaces."""
     a, s, p = qp.zpower, qp.expsign, qp.poly
-    zp = p.shift_up(1)
-    new = a * p + zp * F(s, 2) + p.diff().shift_up(1)
-    return QuasiPoly(a - 1, s, new)
+    an, ad = a.numerator, a.denominator
+    terms = [2 * an * c for c in p.num], [0, *(s * ad * c for c in p.num)], [0, *(2 * ad * c for c in ref_int_diff(p.num))]
+    return QuasiPoly(a - 1, s, _poly(ref_int_add(*terms), 2 * ad * p.den))
 
 
 @given(

@@ -8,11 +8,21 @@ import numpy as np
 import pytest
 
 from test_acceptance import EOP_SPECS, SPECTRUM_SPECS
-from test_exactmath import ref_add, ref_diff, ref_mul, ref_scale, ref_shift_up, ref_sub
+from test_exactmath import (
+    ref_add,
+    ref_diff,
+    ref_int_add,
+    ref_int_diff,
+    ref_int_mul,
+    ref_mul,
+    ref_scale,
+    ref_shift_up,
+    ref_sub,
+)
 from test_regularity import _inadmissible_probes
 from xlag import exactmath, spectral
 from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
-from xlag.exactmath import Poly
+from xlag.exactmath import Poly, _poly
 from xlag.regularity import certify
 from xlag.seeds import laguerre
 from xlag.spectral import (
@@ -46,22 +56,29 @@ def eop_nullspace(g, alpha, nu, degree):
 
 
 def ode_residual(g, alpha, nu, y):
-    # z g y'' + [(alpha+1-z) g - 2z g'] y' + [(z-alpha) g' + z g'' + nu g] y
-    gd, gdd = g.diff(), g.diff().diff()
-    return (
-        (g * y.diff().diff()).shift_up(1)
-        + (Poly((alpha + 1, -1)) * g - gd.shift_up(1) * 2) * y.diff()
-        + (Poly((-alpha, 1)) * gd + gdd.shift_up(1) + g * nu) * y
-    )
+    """z g y'' + [(alpha+1-z) g - 2z g'] y' + [(z-alpha) g' + z g'' + nu g] y,
+    term by term on the int numerators G, Y of g, y and alpha = a/s, each
+    product the schoolbook `ref_int_mul`, over den(g) den(y) s."""
+    a, s, G, Y = alpha.numerator, alpha.denominator, g.num, y.num
+    G1, Y1 = ref_int_diff(G), ref_int_diff(Y)
+    G2 = ref_int_diff(G1)
+    p2 = [0, *(s * c for c in G)]
+    p1 = ref_int_add([(a + s) * c for c in G], [0, *(-s * c for c in G)], [0, *(-2 * s * c for c in G1)])
+    p0 = ref_int_add([0, *(s * c for c in G1)], [-a * c for c in G1], [0, *(s * c for c in G2)], [s * nu * c for c in G])
+    terms = (ref_int_mul(p2, ref_int_diff(Y1)), ref_int_mul(p1, Y1), ref_int_mul(p0, Y))
+    return _poly(ref_int_add(*terms), g.den * y.den * s)
 
 
 def ref_build_potential(report):
-    """(rat_num, rat_den) of build_potential by Poly arithmetic, each
-    intermediate reduced by its own gcd: the route the int numerators
+    """(rat_num, rat_den) of build_potential from -omega [A' + 2z (A'' - 4 B)]
+    over A, A = g^2 and B = g'^2 on g's int numerators by the schoolbook
+    `ref_int_mul`, each reduced by its own gcd: the route the packed products
     replaced, their oracle."""
-    g2, gd = report.g * report.g, report.g.diff()
-    g2d = g2.diff()
-    return (g2d + (g2d.diff() - gd * gd * 4).shift_up(1) * 2) * (-report.spec.omega), g2
+    G, omega, den = report.g.num, report.spec.omega, report.g.den**2
+    A = ref_int_mul(G, G)
+    A1, B = ref_int_diff(A), ref_int_mul(ref_int_diff(G), ref_int_diff(G))
+    num = ref_int_add(A1, [0, *(2 * c for c in ref_int_add(ref_int_diff(A1), [-4 * c for c in B]))])
+    return _poly([-omega.numerator * c for c in num], den * omega.denominator), _poly(A, den)
 
 
 class TestPotential:
@@ -196,7 +213,7 @@ class TestEOP:
 
     def test_perturbed_g_has_no_polynomial_solution(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
-        bad = replace(report, g=report.g + 1)
+        bad = replace(report, g=Poly((report.g.constant + 1, *report.g.coeffs[1:])))
         assert eop_nullspace(bad.g, spec.alpha, 0, bad.g.degree) == []
         with pytest.raises(NullSpaceDimension, match="^null space dimension 0, expected 1$"):
             solve_eop(bad, 0)
@@ -526,7 +543,7 @@ class TestOrthogonality:
         # norm product to inf and read exactly 0.0 for this pair
         spec, report, regular = pipeline("201/2", m_i=(1,))
         family = solve_eop(report, 1)
-        mixed = (family[0], family[0] + family[1])
+        mixed = (family[0], Poly(ref_add(family[0].coeffs, family[1].coeffs)))
         worst = orthogonality_check(report, mixed)
         assert worst > 1e-3
         assert abs(worst - pairwise_offdiag(report, mixed, 0, 1, gauss_rules)) < 1e-13
@@ -665,7 +682,7 @@ class TestSpectrum:
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
         pot = build_potential(report)
         assert spectrum_dev(spec, pot) < 1e-6
-        assert spectrum_dev(spec, replace(pot, rat_num=pot.rat_num * F(1001, 1000))) > 1e-6
+        assert spectrum_dev(spec, replace(pot, rat_num=Poly(ref_scale(pot.rat_num.coeffs, F(1001, 1000))))) > 1e-6
 
     def test_grid_too_coarse(self):
         # a well at z = 1 narrower than the step: -(1/100) / ((z - 1)^2 + 10^-4)

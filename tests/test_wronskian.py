@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import xlag_memos
 from test_exactmath import (
+    _det_cofactor,
     _packed_size,
     columns,
     compose_neg,
+    forced,
     per_step,
     pochhammer,
     reciprocal,
@@ -20,9 +22,11 @@ from test_exactmath import (
     single_width,
 )
 from test_regularity import _inadmissible_probes
+from test_seeds import SeedKind, make_seed, ref_quasipoly_diff
+from test_spectral import ode_residual, ref_build_potential
 from xlag import exactmath, wronskian
 from xlag.errors import OracleMismatch, SpecInvalid
-from xlag.exactmath import _RECIP_CUT, _STEP_FLOOR, Poly, _bareiss, _poly, poly_mat_det
+from xlag.exactmath import _RECIP_CUT, _STEP_FLOOR, Poly, _poly, poly_mat_det
 from xlag.seeds import laguerre
 from xlag.verify import enumerate_lattice
 from xlag.wronskian import (
@@ -126,9 +130,9 @@ class TestGammaMatrix:
         s = spec(a, m_i=(1,), m_ii=(1,))
         m = polys(build_gamma_matrix(s))
         assert m[0][0] == Poly((a + 1, 1))  # L_1^{(a)}(-z)
-        assert m[0][1] == Poly((0, 1)) * laguerre(1, -a)  # z L_1^{(-a)}(z)
+        assert m[0][1] == laguerre(1, -a).shift_up(1)  # z L_1^{(-a)}(z)
         assert m[1][0] == Poly((1,))  # L_0^{(a+1)}(-z)
-        assert m[1][1] == laguerre(2, -a - 1) * 2  # (m+1)_1 L_2^{(-a-1)}(z)
+        assert m[1][1] == Poly(2 * c for c in laguerre(2, -a - 1).coeffs)  # (m+1)_1 L_2^{(-a-1)}(z)
 
     def test_negative_degree_entries_are_zero(self):
         # q=2 pure type I with m=(1,2): row 2, column 1 hits degree -1
@@ -243,7 +247,7 @@ class TestWronskianOracle:
         # not come from them is caught
         report = compute_g(spec("5/2", m_i=(1,), m_ii=(1, 2)))
         with pytest.raises(OracleMismatch):
-            wronskian_direct(replace(report, g=report.g + Poly((1,))))
+            wronskian_direct(replace(report, g=Poly((report.g.constant + 1, *report.g.coeffs[1:]))))
 
     def test_runs_past_the_lattice_k(self):
         # k = 6, where verify.check_report skips the oracle for its cost: the
@@ -251,7 +255,7 @@ class TestWronskianOracle:
         report = compute_g(spec("21/2", m_ii=(1, 2, 3, 4, 5, 6)))
         assert wronskian_direct(report) == report.g.shift_up(15)
         with pytest.raises(OracleMismatch):
-            wronskian_direct(replace(report, g=report.g + Poly((1,))))
+            wronskian_direct(replace(report, g=Poly((report.g.constant + 1, *report.g.coeffs[1:]))))
 
 
 class TestOriginRecurrence:
@@ -263,7 +267,7 @@ class TestOriginRecurrence:
         assert check_origin_recurrence(report)
         # g(0) and the sub-extension constants are both read from the report:
         # doubling g alone breaks the identity
-        assert not check_origin_recurrence(replace(report, g=report.g * 2))
+        assert not check_origin_recurrence(replace(report, g=Poly(2 * c for c in report.g.coeffs)))
 
     def test_inapplicable(self):
         assert check_origin_recurrence(compute_g(spec("5/2", m_i=(1,), m_ii=(1,)))) is None
@@ -348,7 +352,12 @@ def _gamma_entry(i, j, k, q, m, ap):
     else:
         pref = math.perm(m + q, q) * pochhammer((m - i + q + 2) - ap, i - q - 1)
         body = _laguerre_or_zero(m + q, (1 - i) - ap, negated=False)
-    return (body * pref).shift_up(k - i)
+    return _scaled_up(body, pref, k - i)
+
+
+def _scaled_up(body, pref, e):
+    # pref z^e body, on body's int numerators
+    return _poly([0] * e + [c * pref.numerator for c in body.num], body.den * pref.denominator)
 
 
 def _gamma_matrix(k, q, ms, ap):
@@ -367,7 +376,7 @@ def _ref_gamma_entry(i, j, k, q, m, ap):
     else:
         pref = ref_pochhammer(F(m + 1), q) * ref_pochhammer(m - ap - i + q + 2, i - q - 1)
         body = _laguerre_or_zero(m + q, -ap - i + 1, negated=False)
-    return (body * pref).shift_up(k - i)
+    return _scaled_up(body, pref, k - i)
 
 
 def test_gamma_matrix_matches_the_fraction_prefactor_route():
@@ -598,7 +607,7 @@ def test_the_reciprocal_and_the_plain_division_give_the_same_determinant(alpha, 
     rows, dens = build_gamma_matrix(spec(alpha, m_i, m_ii))
     det = ref_bareiss(rows, dens, True)
     for cut in (0, math.inf):
-        assert _bareiss(rows, dens, True, _STEP_FLOOR, cut) == det
+        assert forced(_STEP_FLOOR, cut)(rows, dens, True) == det
 
 
 def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
@@ -614,7 +623,7 @@ def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
         return [x // d for x in xs]
 
     monkeypatch.setattr(exactmath, "_divexact", spy)
-    _bareiss(rows, dens, False, _STEP_FLOOR, 0)
+    forced(_STEP_FLOOR, 0)(rows, dens, False)
     every = dict(divisor_bits)
     assert sorted(every) == list(range(n - 2))
     divisor_bits.clear()
@@ -628,18 +637,6 @@ def test_report_pickles():
     assert pickle.loads(pickle.dumps(report)) == report
 
 
-def _det_cofactor(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = Poly()
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
 def test_gamma_determinant_z_power_divisibility_by_cofactor_oracle():
     # k=3, q=1: the determinant must vanish to order z^{(k-q)(k-q-1)} = z^2
     # at the origin; oracle is a full Laplace expansion, independent of the
@@ -650,13 +647,38 @@ def test_gamma_determinant_z_power_divisibility_by_cofactor_oracle():
     assert det.divexact_zpow(2) == compute_g(s).g
 
 
+def test_the_oracles_run_on_no_packed_kernel(monkeypatch):
+    # the oracles of poly_mat_det, build_potential, the band operator, the
+    # int gamma matrix and the seed tables check routes that run on the
+    # packed kernels, so they must not: with the kernels made to raise, each
+    # gives back the value it gave with them in place
+    s = spec(*RUNG_SPECS["mu5"])
+    report = compute_g(s)
+    oracles = {
+        "cofactor": lambda: _det_cofactor(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime)),
+        "potential": lambda: ref_build_potential(report),
+        "ode": lambda: ode_residual(report.g, s.alpha, 2, Poly((F(-1, 3), 2, 1))),
+        "gamma": lambda: _gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime),
+        "quasipoly": lambda: ref_quasipoly_diff(make_seed(SeedKind.TYPE_I, 3, F(7, 2))),
+    }
+    expect = {name: oracle() for name, oracle in oracles.items()}
+
+    def refuse(*args):
+        raise AssertionError("a packed kernel ran")
+
+    for name in ("_int_mul", "_int_pack", "_int_unpack"):
+        monkeypatch.setattr(exactmath, name, refuse)
+    for name, oracle in oracles.items():
+        assert oracle() == expect[name], name
+
+
 def test_column_permutation_flips_sign():
     # transposing two same-type indices flips the determinant sign, i.e.
     # the Vandermonde factor of the leading/constant coefficients
     s = spec("9/2", m_i=(1, 3), m_ii=(2,))
     sorted_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (1, 3, 2), s.alpha_prime)))
     swapped_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (3, 1, 2), s.alpha_prime)))
-    assert swapped_det == -sorted_det
+    assert swapped_det == _poly([-c for c in sorted_det.num], sorted_det.den)
 
 
 def test_random_specs_outside_lattice():
