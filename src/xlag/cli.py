@@ -40,6 +40,9 @@ from .wronskian import ExtensionSpec, compute_g
 # the numeric layer takes spec rationals as floats and exact outputs grow as
 # powers of them, so numerator and denominator are kept at most 2^53
 RATIONAL_MAX = 2**53
+# an index-m seed takes factorials of m and a degree-m column: `eop` ran 1.1 s on
+# I:300, 53 s on I:1000 (2 vCPUs), and ran out of memory on a 20-digit index
+INDEX_MAX = 1_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -61,12 +64,12 @@ def parse_seeds(text: str):
             m = int(m)
         except ValueError as exc:
             raise SpecInvalid(f"bad seed token {token!r}, expected I:<m> or II:<m>") from exc
-        if kind.strip().upper() == "I":
-            m_i.append(m)
-        elif kind.strip().upper() == "II":
-            m_ii.append(m)
-        else:
+        kind = kind.strip().upper()
+        if kind not in ("I", "II"):
             raise SpecInvalid(f"unknown seed type in {token!r}")
+        if m > INDEX_MAX:
+            raise SpecInvalid(f"{token!r} is out of range: seed indices must be at most {INDEX_MAX}")
+        (m_i if kind == "I" else m_ii).append(m)
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
 
 
@@ -182,8 +185,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = None if args.parallel else 1  # run_lattice applies XLAG_THREADS
-    results = run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid, workers=workers)
+    if args.max_m > INDEX_MAX:
+        raise SpecInvalid(f"--max-m {args.max_m} is out of range: seed indices must be at most {INDEX_MAX}")
+    results = run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid)
     summary = summarize(results)
     if not summary["total"]:
         raise SpecInvalid("the lattice is empty; --max-k, --max-m and --alpha-grid must be positive")
@@ -241,7 +245,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--max-k", type=int, default=4)
         p.add_argument("--max-m", type=int, default=6)
         p.add_argument("--alpha-grid", type=int, default=7, help="half-integer alpha' steps per index set")
-        p.add_argument("--parallel", action="store_true", help="fan out across processes (XLAG_THREADS caps)")
 
     if "sample" in names:
         p = sub.add_parser("sample", help="emit CSV of the potential and wavefunctions")

@@ -375,9 +375,10 @@ def _int_column(col):
 _STEP_FLOOR = 8_000
 # Divisor bits past which a step writing two quotients or more divides by
 # one reciprocal.  Per step on the deep pool, nodal and a k = 10 matrix, it
-# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from
-# 4,900 (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python
-# 3.11, whose // is quadratic; from 3.12, // is subquadratic past ~9,000 bits.
+# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from 4,900
+# (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python 3.11.
+# On 3.12 and 3.13 (// subquadratic past ~9,000 bits) the whole determinant
+# without it took 0.89-0.99x the time on deep but 1.02-1.03x on nodal.
 _RECIP_CUT = 4_500
 
 

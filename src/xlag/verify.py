@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotDivisible, OracleMismatch, SpecInvalid, XlagError
+from .errors import NotDivisible, OracleMismatch, XlagError
 from .regularity import RegularityCertificate, certify
 from .wronskian import ExtensionSpec, GReport, check_origin_recurrence, compute_g, wronskian_direct
 
@@ -123,32 +123,27 @@ def check_extension(spec: ExtensionSpec, negate_const_sign: bool = False) -> Spe
     return out
 
 
-def worker_cap(requested=None) -> int:
-    """Parallelism: `requested` workers, or when it is None every CPU this
-    process may run on (its affinity mask where the platform has one, which
-    taskset can narrow below os.cpu_count()), bounded by XLAG_THREADS."""
-    if requested is not None and requested < 1:
-        raise ValueError(f"workers must be at least 1, got {requested}")
-    n = requested or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) or 1
-    cap = os.environ.get("XLAG_THREADS")
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise SpecInvalid(f"XLAG_THREADS must be an integer, got {cap!r}") from exc
-        n = min(n, max(1, cap))
-    return n
+# lattice size from which run_lattice pools by default.  Each worker fills its own
+# column memos: 2 processes took 1.35-1.98x the serial time on 184-894 specs, 0.65-0.83x
+# on 1,225-5,551, 0.91-1.31x and 0.69x on 1,134 and 1,155 (medians, 2 vCPUs, Python 3.11)
+POOL_MIN_SPECS = 1_000
 
 
 def run_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, workers: int = None):
-    """Check every lattice spec, on `workers` processes (see worker_cap);
-    results come back in enumeration order regardless of scheduling."""
+    """Check every lattice spec on `workers` processes; where it is None,
+    on every CPU this process may run on (its affinity mask, which taskset
+    can narrow) once the lattice holds POOL_MIN_SPECS specs, else on one.
+    Results come back in enumeration order regardless of scheduling."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     specs = list(enumerate_lattice(max_k, max_m, alpha_steps))
-    n = worker_cap(workers)
-    if n > 1 and len(specs) > 8:
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = cpus if len(specs) >= POOL_MIN_SPECS else 1
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(n) as pool:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(check_extension, specs, chunksize=32)
     return [check_extension(s) for s in specs]
 

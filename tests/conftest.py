@@ -2,14 +2,15 @@ import sys
 
 import pytest
 
-from xlag.verify import run_lattice, worker_cap
+from xlag.verify import run_lattice
 
 
 @pytest.fixture(scope="session")
 def lattice_results():
     """Full default lattice (k <= 4, m <= 6, 7 alpha' steps) with the direct
-    Wronskian oracle on every member; shared across the acceptance tests."""
-    return run_lattice(max_k=4, max_m=6, alpha_steps=7, workers=worker_cap())
+    Wronskian oracle on every member; shared across the acceptance tests.
+    At 5,551 specs run_lattice pools on every CPU the process may run on."""
+    return run_lattice(max_k=4, max_m=6, alpha_steps=7)
 
 
 def xlag_memos():

@@ -109,7 +109,7 @@ def test_extend_seed_order_insensitive(capsys):
         ["extend", "--alpha", "3/2", "--omega", "0", "--seeds", ""],
         ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "-1"],
         ["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "-1"],
-        ["XLAG_THREADS=abc", "verify", "--max-k", "1", "--parallel"],
+        ["verify", "--max-m", "1001"],
         ["verify", "--max-k", "0"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-min", "0"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--points", "-1"],
@@ -121,14 +121,12 @@ def test_extend_seed_order_insensitive(capsys):
         ["sample", "--alpha", "1e999", "--seeds", "I:1", "--points", "16"],
         ["eop", "--alpha", "1e300", "--seeds", "I:1,II:1", "--nu-max", "14"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-max", "inf"],
+        # past INDEX_MAX: refused before the exact layer, which would take minutes or run out of memory
+        ["eop", "--alpha", "5/2", "--seeds", "I:1001", "--nu-max", "0"],
+        ["eop", "--alpha", "5/2", "--seeds", "I:99999999999999999999", "--nu-max", "0"],
     ],
 )
-def test_bad_input_exits_2(args, capsys, monkeypatch):
-    # a leading NAME=value sets that environment variable, as in a shell
-    if args and "=" in args[0]:
-        name, value = args[0].split("=", 1)
-        monkeypatch.setenv(name, value)
-        args = args[1:]
+def test_bad_input_exits_2(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
@@ -174,7 +172,7 @@ def _parse(parser, argv):
     [
         ["extend", "--alpha", "5/2", "--seeds", "I:1,II:1", "--nu-max", "2", "--skip-numeric"],
         ["extend", "--l=-1/2", "--omega", "3/2", "--out", "x.json"],
-        ["verify", "--max-k", "2", "--parallel"],
+        ["verify", "--max-k", "2", "--alpha-grid", "3"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-min", "0.5", "--wavefunctions", "0,2", "--force"],
         ["eop", "--alpha", "-1/2", "--seeds", "II:1"],
         ["extend", "--bogus"],
@@ -210,7 +208,7 @@ FUZZ_VALUES = {
     "--l": ["2", "1", "-1", "1/2", "x"],
     "--omega": ["1", "2", "1/3", "0", "-1", "nan"],
     "--seeds": ["", "I:1", "II:2", "I:1,II:1", "I:2,II:1,II:3", "I:4,II:4", "I:0", "X:1",
-                "I:1,I:1", "I:x", "II:", ",", "I:1:2"],
+                "I:1,I:1", "I:x", "II:", ",", "I:1:2", "I:99999999999999999999"],
     "--nu-max": ["0", "2", "5", "-1", "abc", "1.5", ""],
     "--points": ["16", "50", "0", "-1", "x"],
     "--x-min": ["0.05", "0.5", "0", "-1", "nan", "inf", "y"],
@@ -899,34 +897,95 @@ class TestVerify:
         assert code == 0
         assert "all invariants hold" in out
 
-    def test_parallel_path(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--max-k", "2", "--max-m", "2", "--alpha-grid", "2", "--parallel"],
-            capsys,
-        )
-        assert code == 0
-        assert "all invariants hold" in out
+    @pytest.fixture
+    def pools_started(self, monkeypatch):
+        """pools_started(mask, workers=None): the pools run_lattice starts on
+        a 3-spec lattice under a stubbed multiprocessing.Pool, with `mask` the
+        CPUs in the affinity mask, as under taskset, or None for a platform
+        with no mask (os.cpu_count() is 8 unless a test patches it)."""
+        import multiprocessing
 
-    def test_thread_cap_env(self, monkeypatch):
-        from xlag.verify import worker_cap
+        pools = []
 
-        monkeypatch.setenv("XLAG_THREADS", "1")
-        assert worker_cap(8) == 1
-        monkeypatch.delenv("XLAG_THREADS")
-        assert worker_cap(3) == 3
+        class Pool:
+            def __init__(self, n):
+                pools.append(n)
 
-    def test_worker_cap_counts_the_cpus_the_process_may_run_on(self, monkeypatch):
-        from xlag.verify import worker_cap
+            def __enter__(self):
+                return self
 
-        monkeypatch.delenv("XLAG_THREADS", raising=False)
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs, chunksize):
+                return [fn(s) for s in specs]
+
+        def started(mask, workers=None):
+            if mask is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+            pools.clear()
+            assert verify.run_lattice(max_k=2, max_m=1, alpha_steps=1, workers=workers) == serial
+            return list(pools)
+
+        monkeypatch.setattr(multiprocessing, "Pool", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert worker_cap() == 1  # as under taskset -c 3 on 8 CPUs
-        assert worker_cap(4) == 4  # an explicit count stands
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert worker_cap() == 8  # no affinity mask on the platform
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert worker_cap() == 1
+        serial = [verify.check_extension(s) for s in verify.enumerate_lattice(2, 1, 1)]
+        assert len(serial) == 3
+        return started
+
+    def test_parallel_path(self, capsys, monkeypatch):
+        # the default verify on a real pool, with the threshold patched down
+        # and two CPUs in the mask, prints what one process prints
+        import multiprocessing
+
+        pools, real_pool = [], multiprocessing.Pool
+
+        def spy_pool(n):
+            pools.append(n)
+            return real_pool(n)
+
+        argv = ["verify", "--max-k", "2", "--max-m", "2", "--alpha-grid", "2"]
+        serial = run_cli(argv, capsys)
+        assert serial[0] == 0 and "all invariants hold" in serial[1]
+        monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 1)
+        assert run_cli(argv, capsys) == serial
+        assert pools == [2]
+
+    def test_thread_cap_env(self, pools_started, monkeypatch):
+        # the affinity mask taskset sets caps the default pool; an explicit
+        # count stands against the mask and the threshold alike
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 3)
+        assert pools_started(range(2)) == [2]
+        assert pools_started({0}) == []  # as under taskset -c 0
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 4)
+        assert pools_started({0}, workers=2) == pools_started(range(4), workers=2) == [2]
+
+    def test_worker_cap_counts_the_cpus_the_process_may_run_on(self, pools_started, monkeypatch):
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 3)
+        assert pools_started({3}) == []  # as under taskset -c 3 on 8 CPUs
+        assert pools_started(None) == [8]  # no affinity mask on the platform
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the CPU count is unknown
+        assert pools_started(None) == []
+
+    def test_the_pool_starts_on_every_cpu_from_pool_min_specs(self, pools_started, monkeypatch):
+        # below POOL_MIN_SPECS one process; from it on, every CPU in the mask
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 4)
+        assert pools_started(range(4)) == []
+        monkeypatch.setattr(verify, "POOL_MIN_SPECS", 3)
+        assert pools_started(range(4)) == [4]
+
+    def test_the_pool_returns_the_serial_verdicts(self):
+        # the pool first, while this process's memos are cold, so each
+        # worker fills its own; then the serial loop
+        lattice = {"max_k": 3, "max_m": 3, "alpha_steps": 2}
+        pooled = verify.run_lattice(workers=2, **lattice)
+        serial = verify.run_lattice(workers=1, **lattice)
+        assert len(serial) == 82 and all(r.passed for r in serial)
+        assert pooled == serial
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_are_refused(self, workers):
