@@ -34,7 +34,7 @@ from .spectral import (
     solve_eop,
     wavefunction,
 )
-from .verify import CHECK_NAMES, check_report, run_lattice, summarize
+from .verify import CHECK_NAMES, check_report, lattice_size, run_lattice, summarize
 from .wronskian import ExtensionSpec, compute_g
 
 # the numeric layer takes spec rationals as floats and exact outputs grow as
@@ -43,6 +43,10 @@ RATIONAL_MAX = 2**53
 # an index-m seed takes factorials of m and a degree-m column: `eop` ran 1.1 s on
 # I:300, 53 s on I:1000 (2 vCPUs), and ran out of memory on a 20-digit index
 INDEX_MAX = 1_000
+# 18x the default lattice: ~100 MB of results at 1.06 KB a SpecCheck (tracemalloc)
+LATTICE_MAX = 100_000
+# `sample --points 1000000` took 5.4 s and wrote a 79 MB CSV
+POINTS_MAX = 1_000_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -73,14 +77,14 @@ def parse_seeds(text: str):
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for an int >= 0."""
+def _nonnegative_int(text: str, top: float = math.inf) -> int:
+    """argparse type for an int from 0 to top."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    if not 0 <= value <= top:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, {top}], got {text!r}")
     return value
 
 
@@ -187,10 +191,9 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_m > INDEX_MAX:
         raise SpecInvalid(f"--max-m {args.max_m} is out of range: seed indices must be at most {INDEX_MAX}")
-    results = run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid)
-    summary = summarize(results)
-    if not summary["total"]:
-        raise SpecInvalid("the lattice is empty; --max-k, --max-m and --alpha-grid must be positive")
+    if not 0 < (size := lattice_size(args.max_k, args.max_m, args.alpha_grid)) <= LATTICE_MAX:
+        raise SpecInvalid(f"the lattice of --max-k, --max-m and --alpha-grid holds {size} specs, not 1 to {LATTICE_MAX}")
+    summary = summarize(run_lattice(max_k=args.max_k, max_m=args.max_m, alpha_steps=args.alpha_grid))
     print(f"lattice: {summary['total']} admissible specs "
           f"(k <= {args.max_k}, m <= {args.max_m}, {args.alpha_grid} alpha steps)")
     print(f"{'invariant':<18} {'checked':>8} {'passed':>8} {'failed':>8}")
@@ -251,7 +254,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_spec_flags(p)
         p.add_argument("--x-min", type=float, default=0.05)
         p.add_argument("--x-max", type=float, default=8.0)
-        p.add_argument("--points", type=_nonnegative_int, default=1000)
+        p.add_argument("--points", type=lambda text: _nonnegative_int(text, POINTS_MAX), default=1000)
         p.add_argument("--wavefunctions", type=lambda text: [_nonnegative_int(t) for t in text.split(",") if t.strip()],
                        default="", help='comma list of nu values, e.g. "0,1,2"')
         p.add_argument("--force", action="store_true", help="sample even when not regular")

@@ -382,18 +382,18 @@ _STEP_FLOOR = 8_000
 _RECIP_CUT = 4_500
 
 
-def poly_mat_det(rows, dens, minors: bool = False):
-    """Determinant of the square polynomial matrix whose entry (i, j) is
-    rows[i][j] / dens[j]: int coefficient lists or tuples, lowest power
-    first with no trailing zeros, over one positive int denominator per
-    column, so the determinant is det(rows) / prod(dens).  `_int_column`
-    builds its columns.
+def poly_mat_det(cols, minors: bool = False):
+    """Determinant of the square polynomial matrix whose column j is cols[j]
+    = (entries, den), as `_int_column` builds it: entry (i, j) is
+    entries[i] / den, an int coefficient list or tuple, lowest power first
+    with no trailing zeros, over the column's positive int denominator, so
+    the determinant is det(M) / prod(den), M the matrix of the entries.
 
     Bareiss (1968) elimination on ints, entries evaluated at X = 2^B: a
     ring homomorphism, so every division, exact in Z[z], stays exact in Z,
     and one-to-one on coefficients below X/2, so a pivot is 0 exactly when
     its polynomial is, and balanced base-X digits give back what fits.  Each
-    stored entry is a minor of the row-permuted M = rows, so (Leibniz) its
+    stored entry is a minor of the row-permuted M, so (Leibniz) its
     coefficients are at most the product of its rows' l1 sums R_i =
     max(1, sum_j |M_ij|_1) and that of its columns' C_j.  Step k writes the
     minors on rows 0..k, i and columns 0..k, j (i, j > k), which need
@@ -414,27 +414,27 @@ def poly_mat_det(rows, dens, minors: bool = False):
     rows 0..n-2 and columns 0..n-3, n-1, and the leading (n-2)-minor; None
     after a row swap.
     """
-    n = len(rows)
+    n = len(cols)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
-    R, C, deg, col_deg = [], [0] * n, 0, [0] * n  # l1 sums and lengths, in one pass
-    for row in rows:
-        r = longest = 0
-        for j, a in enumerate(row):
+    dens, R, C, deg, row_deg = [den for _, den in cols], [0] * n, [], 0, [0] * n
+    for entries, _ in cols:  # l1 sums and lengths, in one pass
+        c = longest = 0
+        for i, a in enumerate(entries):
             s, m = sum(map(abs, a)), len(a)
-            r += s
-            C[j] += s
+            R[i] += s
+            c += s
             if m > longest:
                 longest = m
-            if m > col_deg[j]:
-                col_deg[j] = m
-        R.append(r or 1)
+            if m > row_deg[i]:
+                row_deg[i] = m
+        C.append(c or 1)
         deg += longest
-    C = [c or 1 for c in C]
+    R = [r or 1 for r in R]
     bits = min(math.prod(R), math.prod(C)).bit_length() + 1
-    steps = n > 1 and bits * (min(deg, sum(col_deg)) - n + 1) > _STEP_FLOOR
+    steps = n > 1 and bits * (min(deg, sum(row_deg)) - n + 1) > _STEP_FLOOR
     bits = _step_bits(R, C, 0) if steps else bits
-    M = [[_int_pack(a, bits) for a in row] for row in rows]
+    M = [[_int_pack(a, bits) for a in row] for row in zip(*(entries for entries, _ in cols))]
     prev, sgn, swapped, sub_minors = 1, 1, False, None
     for k in range(n - 1):
         if not M[k][k]:

@@ -6,6 +6,7 @@ every verdict is collected; every CLI subcommand runs it too.
 """
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -39,7 +40,7 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7):
     """All admissible specs with k <= max_k, index values <= max_m, and
     alpha' running over half-integer steps above the admissibility bound
     (above 1 when there are no type-II seeds), at omega = 1."""
-    for k in range(1, max_k + 1):
+    for k in range(1, min(max_k, 2 * max_m) + 1):  # each type holds at most max_m indices
         for q in range(k + 1):
             for m_i in combinations(range(1, max_m + 1), q):
                 for m_ii in combinations(range(1, max_m + 1), k - q):
@@ -48,6 +49,12 @@ def enumerate_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7):
                         ap = base + Fraction(j, 2)
                         alpha = ap - k + 2 * q
                         yield ExtensionSpec(alpha, 1, m_i, m_ii)
+
+
+def lattice_size(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7) -> int:
+    """How many specs enumerate_lattice yields, without building them: over all
+    q, a k-seed spec has C(2 max_m, k) index lists (Vandermonde's identity)."""
+    return max(alpha_steps, 0) * sum(math.comb(2 * max_m, k) for k in range(1, min(max_k, 2 * max_m) + 1))
 
 
 @dataclass
@@ -136,10 +143,10 @@ def run_lattice(max_k: int = 4, max_m: int = 6, alpha_steps: int = 7, workers: i
     Results come back in enumeration order regardless of scheduling."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    specs = list(enumerate_lattice(max_k, max_m, alpha_steps))
+    specs = enumerate_lattice(max_k, max_m, alpha_steps)
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = cpus if len(specs) >= POOL_MIN_SPECS else 1
+        workers = cpus if lattice_size(max_k, max_m, alpha_steps) >= POOL_MIN_SPECS else 1
     if workers > 1:
         import multiprocessing
 

@@ -107,10 +107,15 @@ class GReport:
     sub_constants: tuple = None
 
 
-def _gamma_column(k: int, q: int, type_i: bool, m: int, p: int, d: int) -> list:
-    """The gamma matrix's column of seed m at alpha' = p/d, as (num, den)
-    pairs: entry i is a Laguerre series over d^n n! (a negative n is the
-    zero polynomial), type I at -z, type II times its prefactor and z^(k-i)."""
+# Every spec is built from a few seeds at one alpha', so columns recur across
+# a run; each is built once, in poly_mat_det's column form (entries, den)
+# with tuple entries, only ever read.  174 is the smallest size at which both
+# memos reach their unbounded hit rate on the default lattice, serially.
+@lru_cache(maxsize=174)
+def _gamma_int_column(k: int, q: int, type_i: bool, m: int, p: int, d: int):
+    """The gamma matrix's column of seed m at alpha' = p/d, by `_int_column`:
+    entry i is a Laguerre series over d^n n! (a negative n is the zero
+    polynomial), type I at -z, type II times its prefactor and z^(k-i)."""
     col = []
     for i in range(1, k + 1):
         if type_i:
@@ -126,16 +131,7 @@ def _gamma_column(k: int, q: int, type_i: bool, m: int, p: int, d: int) -> list:
         body = [pref * c for c in laguerre_series(m + r, (1 - i) * d - p, d)]
         # pref is 0 where the factor passes an integer alpha': the zero polynomial
         col.append(([0] * (k - i) + body if pref else [], d ** (m + r + t) * math.factorial(m + r)))
-    return col
-
-
-# Every spec is built from a few seeds at one alpha', so columns recur across
-# a run; each is built once, in poly_mat_det's int form (entries, den) with
-# tuple entries, only ever read.  174 is the smallest size at which both
-# memos reach their unbounded hit rate on the default lattice, serially.
-@lru_cache(maxsize=174)
-def _gamma_int_column(k: int, q: int, type_i: bool, m: int, p: int, d: int):
-    return _int_column(_gamma_column(k, q, type_i, m, p, d))
+    return _int_column(col)
 
 
 @lru_cache(maxsize=174)
@@ -143,22 +139,15 @@ def _seed_int_column(type_i: bool, m: int, p: int, d: int, k: int):
     return _int_column(seed_derivatives(type_i, m, Fraction(p, d), k))
 
 
-def _matrix(cols):
-    """poly_mat_det's (rows, dens) of int-form columns, in new row lists."""
-    return [list(row) for row in zip(*(entries for entries, _ in cols))], [den for _, den in cols]
-
-
 def build_gamma_matrix(spec: ExtensionSpec):
     """The k x k polynomial matrix whose determinant carries g (times a
-    known power of z), in `poly_mat_det`'s int form (rows, dens): rows are
-    derivative levels, columns seed functions, type I first.  Its entries
-    are emitted straight from the Laguerre series on alpha' = p/d, with no
-    reduction of their own; one content gcd per column brings each column
-    to lowest terms.  Entries are tuples from a memo keyed by all the column
-    depends on."""
+    known power of z) as `poly_mat_det`'s columns, one per seed function,
+    type I first, rows the derivative levels: memoized tuples, keyed by all
+    a column depends on, emitted straight from the Laguerre series on
+    alpha' = p/d and brought to lowest terms by one content gcd each."""
     k, q, ap = spec.k, spec.q, spec.alpha_prime
     p, d = ap.numerator, ap.denominator
-    return _matrix([_gamma_int_column(k, q, j < q, m, p, d) for j, m in enumerate(spec.all_m)])
+    return [_gamma_int_column(k, q, j < q, m, p, d) for j, m in enumerate(spec.all_m)]
 
 
 def predict_mu_sigma_lead(spec: ExtensionSpec):
@@ -204,7 +193,7 @@ def compute_g(spec: ExtensionSpec) -> GReport:
     a property of the input.
     """
     k, q = spec.k, spec.q
-    det = poly_mat_det(*build_gamma_matrix(spec), minors=k - q >= 2)
+    det = poly_mat_det(build_gamma_matrix(spec), minors=k - q >= 2)
     det, minors = det if k - q >= 2 else (det, None)
     g = det.divexact_zpow((k - q) * (k - q - 1))
     sub_constants = None
@@ -240,11 +229,11 @@ def wronskian_direct(report: GReport) -> Poly:
     physical variable contributes an (omega*x)^(k(k-1)/2) prefactor, which
     is not part of the returned polynomial.  It is built on int lists by
     `seed_derivatives`, row r over den (2 ad)^r, and brought to
-    `poly_mat_det`'s int form by `_int_column`, once per column key.
+    `poly_mat_det`'s column form by `_int_column`, once per column key.
     """
     spec = report.spec
     k, q, p, d = spec.k, spec.q, spec.alpha_prime.numerator, spec.alpha_prime.denominator
-    w = poly_mat_det(*_matrix([_seed_int_column(j < q, m, p, d, k) for j, m in enumerate(spec.all_m)]))
+    w = poly_mat_det([_seed_int_column(j < q, m, p, d, k) for j, m in enumerate(spec.all_m)])
     if w != report.g.shift_up(k * (k - 1) // 2 - q * (k - q)):
         raise OracleMismatch(
             f"direct Wronskian disagrees with structured determinant for {spec}"

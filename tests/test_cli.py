@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import pickle
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlag
+from test_exactmath import cycle_rows
 from xlag import cli, errors, exactmath, regularity, spectral, verify, wronskian
 from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
 from xlag.exactmath import Poly
@@ -111,6 +113,11 @@ def test_extend_seed_order_insensitive(capsys):
         ["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "-1"],
         ["verify", "--max-m", "1001"],
         ["verify", "--max-k", "0"],
+        # past LATTICE_MAX (4.7e12 and 1e10 specs): refused before a spec is built
+        ["verify", "--max-m", "1000"],
+        ["verify", "--max-k", "2", "--max-m", "2", "--alpha-grid", "1000000000"],
+        # past POINTS_MAX: numpy would ask for 74.5 GiB
+        ["sample", "--alpha", "5/2", "--seeds", "I:1", "--points", "10000000000"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--x-min", "0"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--points", "-1"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "0,x"],
@@ -496,7 +503,7 @@ def test_every_error_type_exits_with_its_documented_status(error, capsys, monkey
 def test_a_vanishing_g_is_an_internal_inconsistency(argv, capsys, monkeypatch):
     # a zero g comes from the exact stage, never from the input: it exited 2
     # with "error: cannot certify the zero polynomial", as bad input
-    def zero_det(rows, dens, minors=False):
+    def zero_det(cols, minors=False):
         return (exactmath.Poly(), None) if minors else exactmath.Poly()
 
     monkeypatch.setattr(wronskian, "poly_mat_det", zero_det)
@@ -659,8 +666,7 @@ def _cycled_rows(bad):
     build_real = wronskian.build_gamma_matrix
 
     def build(spec):
-        rows, dens = build_real(spec)
-        return ([rows[2], rows[0], rows[1]] + rows[3:], dens) if spec == bad else (rows, dens)
+        return cycle_rows(build_real(spec)) if spec == bad else build_real(spec)
 
     return build
 
@@ -896,6 +902,28 @@ class TestVerify:
         )
         assert code == 0
         assert "all invariants hold" in out
+
+    def test_lattice_size_counts_the_enumeration(self):
+        # C(2 max_m, k) index lists per k over both types (Vandermonde's
+        # identity), alpha_steps each, and none on a non-positive input
+        for max_k, max_m, steps in itertools.product(range(-1, 7), range(-1, 5), range(-1, 4)):
+            specs = verify.enumerate_lattice(max_k, max_m, steps)
+            assert verify.lattice_size(max_k, max_m, steps) == sum(1 for _ in specs), (max_k, max_m, steps)
+        assert verify.lattice_size() == 5551 and verify.lattice_size(4, 4, 2) == 324
+
+    @pytest.mark.parametrize("argv", [["--max-m", "1000"], ["--max-k", "2", "--max-m", "2", "--alpha-grid", "1000000000"], ["--max-k", "0"]])
+    def test_a_lattice_out_of_range_is_refused_before_it_runs(self, argv, capsys, monkeypatch):
+        # counted, not built: a build past LATTICE_MAX would run for hours
+        monkeypatch.setattr(cli, "run_lattice", lambda **lattice: pytest.fail(f"ran {lattice}"))
+        code, out, err = run_cli(["verify", *argv], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: the lattice of --max-k") and err.count("\n") == 1
+
+    def test_a_huge_max_k_on_a_small_lattice_runs(self, capsys):
+        # k stops at 2 max_m, past which no spec exists: the enumeration once
+        # ran on through every k up to max_k
+        code, out, _ = run_cli(["verify", "--max-k", "100000000", "--max-m", "1", "--alpha-grid", "1"], capsys)
+        assert code == 0
+        assert out.startswith("lattice: 3 admissible specs") and "all invariants hold" in out
 
     @pytest.fixture
     def pools_started(self, monkeypatch):

@@ -425,7 +425,7 @@ def _det_cofactor(m):
     """The determinant of a square Poly matrix by Laplace expansion on its
     int form, each product the schoolbook `ref_int_mul`: the independent
     oracle of every determinant route."""
-    rows, dens = columns(m)
+    rows, dens = rows_and_dens(columns(m))
     return _poly(ref_int_cofactor(rows), math.prod(dens))
 
 
@@ -440,19 +440,28 @@ def ref_int_cofactor(rows):
     return out
 
 
-def int_columns(cols):
-    """The int form of the columns `_int_column` reduces, spelled as
-    `columns` spells it: entries as lists, in row lists."""
-    cols = [_int_column(col) for col in cols]
-    return [[list(a) for a in row] for row in zip(*(entries for entries, _ in cols))], [den for _, den in cols]
-
-
 def columns(matrix):
-    """poly_mat_det's int form of a square matrix of Poly, scaled as the
-    elimination scaled it when it took Polys: each column over the lcm of
-    its entries' denominators."""
-    dens = [math.lcm(*(e.den for e in col)) for col in zip(*matrix)]
-    return [[[c * (dens[j] // e.den) for c in e.num] for j, e in enumerate(row)] for row in matrix], dens
+    """poly_mat_det's columns of a square matrix of Poly, scaled as the
+    elimination scaled it when it took Polys: each column (entries, den)
+    over the lcm of its entries' denominators, with int tuple entries, as
+    `_int_column` spells it."""
+    out = []
+    for col in zip(*matrix):
+        den = math.lcm(*(e.den for e in col))
+        out.append((tuple(tuple(c * (den // e.den) for c in e.num) for e in col), den))
+    return out
+
+
+def rows_and_dens(cols):
+    """The entries of poly_mat_det's columns in new row lists, and their
+    denominators: the row form the oracles eliminate on."""
+    return [list(row) for row in zip(*(entries for entries, _ in cols))], [den for _, den in cols]
+
+
+def cycle_rows(cols):
+    """The columns with rows 0, 1, 2 of their matrix reordered as 2, 0, 1:
+    entries 0, 1 and 2 permuted within every column."""
+    return [((e[2], e[0], e[1], *e[3:]), den) for e, den in cols]
 
 
 @given(
@@ -465,7 +474,7 @@ def test_int_columns_reduce_unreduced_entries_to_the_poly_columns(entries, scale
     # give back the columns of the reduced Polys
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
     pairs = [([c * s for c in e.num], e.den * s) for e, s in zip(entries, scales)]
-    assert int_columns([pairs[j::3] for j in range(3)]) == columns(m)
+    assert [_int_column(pairs[j::3]) for j in range(3)] == columns(m)
 
 
 def ref_int_mul(a, b):
@@ -500,14 +509,15 @@ def ref_int_divexact(a, b):
     return quot
 
 
-def ref_bareiss(rows, dens, minors):
-    """`poly_mat_det` on the coefficient lists: every product and exact
-    division in Z[z], with no packing and so no bound to get wrong.  The
-    oracle of both packed schedules."""
-    n = len(rows)
+def ref_bareiss(cols, minors):
+    """`poly_mat_det` on the coefficient lists, in row form: every product
+    and exact division in Z[z], with no packing and so no bound to get
+    wrong.  The oracle of both packed schedules."""
+    M, dens = rows_and_dens(cols)
+    n = len(M)
     if n == 0:
         return (Poly((1,)), None) if minors else Poly((1,))
-    M, prev, sgn, swapped, sub_minors = [list(row) for row in rows], [1], 1, False, None
+    prev, sgn, swapped, sub_minors = [1], 1, False, None
     for k in range(n - 1):
         if not M[k][k]:
             i = next((i for i in range(k + 1, n) if M[i][k]), None)
@@ -536,9 +546,9 @@ def ref_bareiss(rows, dens, minors):
 def forced(floor, cut):
     """poly_mat_det with its width floor and reciprocal cut set to these."""
 
-    def det(rows, dens, minors):
+    def det(cols, minors):
         with mock.patch.object(exactmath, "_STEP_FLOOR", floor), mock.patch.object(exactmath, "_RECIP_CUT", cut):
-            return poly_mat_det(rows, dens, minors)
+            return poly_mat_det(cols, minors)
 
     return det
 
@@ -562,7 +572,7 @@ ROUTES = pytest.mark.parametrize(
 @settings(deadline=None, max_examples=25)
 def test_bareiss_matches_cofactor_expansion(det, entries):
     m = [entries[3 * i : 3 * i + 3] for i in range(3)]
-    assert det(*columns(m), False) == _det_cofactor(m)
+    assert det(columns(m), False) == _det_cofactor(m)
 
 
 @ROUTES
@@ -571,7 +581,7 @@ def test_bareiss_matches_cofactor_expansion(det, entries):
 @example([Poly((c,)) for c in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 7)])
 def test_bareiss_minors_match_cofactor_expansion(det, entries):
     m = [entries[4 * i : 4 * i + 4] for i in range(4)]
-    d, minors = det(*columns(m), True)
+    d, minors = det(columns(m), True)
     assert d == _det_cofactor(m)
     if not m[0][0]:
         assert minors is None  # a row swap was needed
@@ -586,26 +596,26 @@ def test_bareiss_minors_match_cofactor_expansion(det, entries):
 @ROUTES
 def test_both_routes_on_the_small_cases(det):
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
-    assert det([], [], True) == (Poly((1,)), None)
-    assert det(*columns([[c]]), True) == (c, None)
-    assert det(*columns([[Poly()]]), False) == Poly()
-    assert not det(*columns([[a, b], [a, b]]), False)
-    assert det(*columns([[Poly(), b], [c, d]]), True) == (Poly((0, F(-5, 3))), None)  # a swap
-    assert det(*columns([[Poly((-1,)), b], [Poly(), d]]), True) == (Poly((F(1, 2), -1)), (Poly((-1,)), b, Poly((1,))))
-    assert det(*columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False) == Poly()
+    assert det([], True) == (Poly((1,)), None)
+    assert det(columns([[c]]), True) == (c, None)
+    assert det(columns([[Poly()]]), False) == Poly()
+    assert not det(columns([[a, b], [a, b]]), False)
+    assert det(columns([[Poly(), b], [c, d]]), True) == (Poly((0, F(-5, 3))), None)  # a swap
+    assert det(columns([[Poly((-1,)), b], [Poly(), d]]), True) == (Poly((F(1, 2), -1)), (Poly((-1,)), b, Poly((1,))))
+    assert det(columns([[a, b, c], [Poly(), Poly(), Poly()], [d, a, b]]), False) == Poly()
     # a zero row makes the row product 0, but the minors above it still read back
-    assert det(*columns([[a, b], [Poly(), Poly()]]), True) == (Poly(), (a, b, Poly((1,))))
+    assert det(columns([[a, b], [Poly(), Poly()]]), True) == (Poly(), (a, b, Poly((1,))))
 
 
-def _sums(rows):
+def _sums(cols):
     # the row and the column l1 sums, at least 1, that poly_mat_det bounds by
-    norms = [[sum(map(abs, a)) for a in row] for row in rows]
-    return tuple([max(1, sum(v)) for v in vs] for vs in (norms, zip(*norms)))
+    norms = [[sum(map(abs, a)) for a in entries] for entries, _ in cols]
+    return tuple([max(1, sum(v)) for v in vs] for vs in (zip(*norms), norms))
 
 
-def _side_bounds(rows):
+def _side_bounds(cols):
     # the row and the column product that poly_mat_det takes the smaller of
-    return tuple(map(math.prod, _sums(rows)))
+    return tuple(map(math.prod, _sums(cols)))
 
 
 @given(
@@ -629,11 +639,11 @@ def test_lopsided_matrices_pack_by_their_lighter_side(entries, heavy, e, d):
     heavy_col = [[scaled(a) if j == heavy else a for j, a in enumerate(row)] for row in m]
     heavy_row_t, heavy_col_t = ([list(c) for c in zip(*h)] for h in (heavy_row, heavy_col))
     for matrix, row_side in ((heavy_row, True), (heavy_col, False), (heavy_row_t, False), (heavy_col_t, True)):
-        rows, dens = columns(matrix)
-        by_rows, by_cols = _side_bounds(rows)
+        cols = columns(matrix)
+        by_rows, by_cols = _side_bounds(cols)
         assert (by_rows < by_cols) == row_side
-        packed = single_width(rows, dens, True)
-        assert packed == per_step(rows, dens, True) == ref_bareiss(rows, dens, True)
+        packed = single_width(cols, True)
+        assert packed == per_step(cols, True) == ref_bareiss(cols, True)
         assert packed[0] == _det_cofactor(matrix)
 
 
@@ -644,9 +654,9 @@ def test_the_packing_bound_holds_at_equality(sign):
     diag = [Poly((0, sign * 2**3)), Poly((0, 0, -(2**5))), Poly((-(2**7),))]
     m = [[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)]
     for det in (single_width, per_step):
-        assert det(*columns(m), False) == Poly((0, 0, 0, sign * 2**15))
-        assert det(*columns([[Poly((sign * 2**200,))]]), False) == Poly((sign * 2**200,))
-    assert poly_mat_det(*columns([[Poly((sign * 2**200,))]])) == Poly((sign * 2**200,))
+        assert det(columns(m), False) == Poly((0, 0, 0, sign * 2**15))
+        assert det(columns([[Poly((sign * 2**200,))]]), False) == Poly((sign * 2**200,))
+    assert poly_mat_det(columns([[Poly((sign * 2**200,))]])) == Poly((sign * 2**200,))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -656,13 +666,13 @@ def test_a_step_minor_at_its_bound_survives_the_re_spacing(sign):
     # bytes, and at 2 it would read back as -2^15.  Step 1 widens to 4
     # bytes, so the minor is re-spaced from 3.
     diag = [Poly((0, sign * 2**7)), Poly((0, 0, 2**8)), Poly((2**8,))]
-    rows, dens = columns([[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)])
-    R, C = _sums(rows)
+    cols = columns([[diag[i] if i == j else Poly() for j in range(3)] for i in range(3)])
+    R, C = _sums(cols)
     assert math.prod(R[:1]) * max(R[1:]) == 2**15
     assert _step_bits(R, C, 0) == 24 and _step_bits(R, C, 1) == 32
     assert _int_unpack(_int_pack([0, 0, 0, 2**15], 16), 16) != [0, 0, 0, 2**15]
-    assert per_step(rows, dens, True) == ref_bareiss(rows, dens, True)
-    assert per_step(rows, dens, False) == Poly((0, 0, 0, sign * 2**23))
+    assert per_step(cols, True) == ref_bareiss(cols, True)
+    assert per_step(cols, False) == Poly((0, 0, 0, sign * 2**23))
 
 
 def test_the_rows_bound_one_step_and_the_columns_the_next():
@@ -671,12 +681,12 @@ def test_the_rows_bound_one_step_and_the_columns_the_next():
     # the width still never narrows
     h = 2**40
     m = [[Poly((0, 1)), Poly(), Poly()], [Poly((1,)), Poly((0, 0, h)), Poly()], [Poly(), Poly((h,)), Poly((0, 1))]]
-    rows, dens = columns(m)
-    R, C = _sums(rows)
+    cols = columns(m)
+    R, C = _sums(cols)
     assert R[0] * max(R[1:]) < C[0] * max(C[1:]) and math.prod(C) < math.prod(R)
     assert _step_bits(R, C, 0) <= _step_bits(R, C, 1)
     for minors in (False, True):
-        assert per_step(rows, dens, minors) == single_width(rows, dens, minors) == ref_bareiss(rows, dens, minors)
+        assert per_step(cols, minors) == single_width(cols, minors) == ref_bareiss(cols, minors)
 
 
 @pytest.mark.parametrize("zero_row", [0, 1, 3])
@@ -690,10 +700,10 @@ def test_a_zero_row_never_lowers_the_row_bound(zero_row):
          [Poly((0, 1100)), Poly((600,)), Poly((200, 0, 300)), Poly((1,))],
          [Poly((500,)), Poly((1, 100)), Poly((800,)), Poly((0, 200))]]
     m[zero_row] = [Poly()] * 4
-    rows, dens = columns(m)
+    cols = columns(m)
     for minors in (False, True):
-        assert per_step(rows, dens, minors) == ref_bareiss(rows, dens, minors)
-    assert per_step(rows, dens, True)[0] == Poly()
+        assert per_step(cols, minors) == ref_bareiss(cols, minors)
+    assert per_step(cols, True)[0] == Poly()
 
 
 @given(st.lists(st.integers(1, 2**40), min_size=2, max_size=8), st.data())
@@ -752,24 +762,23 @@ def test_a_row_swap_above_the_floor_widens_by_the_permuted_rows():
     # step 2, would read back wrong.
     m = [[Poly((c,)) for c in row] for row in ([1, 0, 0, 0], [0, 0, 0, 1], [0, 2**20, 0, 0], [0, 0, 0, 0])]
     m[3][2] = Poly((0, 2**12))
-    rows, dens = columns(m)
-    assert per_step(rows, dens, True) == ref_bareiss(rows, dens, True) == (Poly((0, 2**32)), None)
+    cols = columns(m)
+    assert per_step(cols, True) == ref_bareiss(cols, True) == (Poly((0, 2**32)), None)
     # and a gamma matrix above the floor with its rows cycled, at the floor
     # poly_mat_det itself uses
-    rows, dens = build_gamma_matrix(ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13)))
-    cycled = [rows[2], rows[0], rows[1], *rows[3:]]
+    cycled = cycle_rows(build_gamma_matrix(ExtensionSpec(F(5, 2), 1, (6, 8, 10, 12), (7, 9, 11, 13))))
     assert _packed_size(cycled) > _STEP_FLOOR
-    assert poly_mat_det(cycled, dens, True) == ref_bareiss(cycled, dens, True)
+    assert poly_mat_det(cycled, True) == ref_bareiss(cycled, True)
 
 
-def _packed_size(rows):
+def _packed_size(cols):
     # B (D + 1), as poly_mat_det's docstring defines it: H and D each the
     # smaller of the row and the column figure
-    norms = [[sum(map(abs, e)) for e in row] for row in rows]
-    lens = [[len(e) for e in row] for row in rows]
+    norms = [[sum(map(abs, e)) for e in entries] for entries, _ in cols]
+    lens = [[len(e) for e in entries] for entries, _ in cols]
     h = min(math.prod(max(1, sum(v)) for v in vs) for vs in (norms, zip(*norms)))
     d = min(sum(max(v) for v in vs) for vs in (lens, zip(*lens)))
-    return (h.bit_length() + 1) * (d - len(rows) + 1)
+    return (h.bit_length() + 1) * (d - len(cols) + 1)
 
 
 def ref_int_unpack(v, bits):
@@ -933,10 +942,10 @@ def test_the_packed_gcd_mod_p_is_the_list_one(a, b, factor, p):
 def test_minors_of_a_2x2_and_a_swap():
     a, b, c, d = Poly((1, 2)), Poly((F(1, 3),)), Poly((0, 5)), Poly((F(-1, 2), 1))
     # ad - bc = -1/2 - 5/3 z + 2 z^2
-    assert poly_mat_det(*columns([[a, b], [c, d]]), minors=True) == (Poly((F(-1, 2), F(-5, 3), 2)), (a, b, Poly((1,))))
+    assert poly_mat_det(columns([[a, b], [c, d]]), minors=True) == (Poly((F(-1, 2), F(-5, 3), 2)), (a, b, Poly((1,))))
     # a zero (1,1) entry: the determinant still comes back, the minors do not
     zero = Poly()
-    assert poly_mat_det(*columns([[zero, b], [c, d]]), minors=True) == (Poly((0, F(-5, 3))), None)
+    assert poly_mat_det(columns([[zero, b], [c, d]]), minors=True) == (Poly((0, F(-5, 3))), None)
 
 
 def test_poly_pickles():
@@ -946,6 +955,6 @@ def test_poly_pickles():
 
 
 def test_det_of_empty_and_singular():
-    assert poly_mat_det([], []) == Poly((1,))
+    assert poly_mat_det([]) == Poly((1,))
     row = [Poly((1, 2)), Poly((3, 4))]
-    assert not poly_mat_det(*columns([row, row]))
+    assert not poly_mat_det(columns([row, row]))

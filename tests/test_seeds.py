@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from test_exactmath import (
     columns,
     compose_neg,
-    int_columns,
     ref_add,
     ref_diff,
     ref_int_add,
@@ -23,7 +22,7 @@ from test_exactmath import (
     ref_sub,
 )
 from xlag.errors import SpecInvalid
-from xlag.exactmath import Poly, _poly
+from xlag.exactmath import Poly, _int_column, _poly
 from xlag.regularity import count_roots_open_interval
 from xlag.seeds import HALF, laguerre, laguerre_series, seed_derivatives
 from xlag.spectral import _polyval, build_potential, expected_spectrum
@@ -320,7 +319,7 @@ def test_seed_derivatives_equal_the_quasipoly_table(kind):
                 table = seed_derivatives(kind is SeedKind.TYPE_I, m, ap, k)
                 polys = quasipoly_table(kind, m, ap, k)
                 assert [_poly(list(num), den) for num, den in table] == polys
-                assert int_columns([table]) == columns([[p] for p in polys])
+                assert [_int_column(table)] == columns([[p] for p in polys])
                 checked += 1
     assert checked == 5 * 6 * 6
 

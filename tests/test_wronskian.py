@@ -13,6 +13,7 @@ from test_exactmath import (
     _packed_size,
     columns,
     compose_neg,
+    cycle_rows,
     forced,
     per_step,
     pochhammer,
@@ -44,10 +45,9 @@ def spec(alpha, m_i=(), m_ii=(), omega=1):
     return ExtensionSpec(F(alpha), omega, tuple(m_i), tuple(m_ii))
 
 
-def polys(form):
-    """The Poly matrix of poly_mat_det's int form (rows, dens)."""
-    rows, dens = form
-    return [[_poly(list(a), d) for a, d in zip(row, dens)] for row in rows]
+def polys(cols):
+    """The Poly matrix of poly_mat_det's columns."""
+    return [list(row) for row in zip(*([_poly(list(a), den) for a in entries] for entries, den in cols))]
 
 
 def predictions_hold(rep):
@@ -141,8 +141,8 @@ class TestGammaMatrix:
         assert m[1][0] == compose_neg(laguerre(0, s.alpha_prime + 1))
         # row index 2 (i=2), m_1 - i + 1 = 0 -> L_0; no zero here, use k=3
         s3 = spec("13/2", m_i=(1, 2, 3))
-        rows, _ = build_gamma_matrix(s3)
-        assert rows[2][0] == ()  # L_{-1} convention
+        entries, _ = build_gamma_matrix(s3)[0]
+        assert entries[2] == ()  # L_{-1} convention
 
 
 class TestComputeG:
@@ -416,11 +416,11 @@ def test_the_int_gamma_matrix_is_the_poly_one_scaled_per_column(specs, count):
     # one content gcd per column leaves nothing the reduced Polys do not
     checked = 0
     for s in specs():
-        rows, dens = build_gamma_matrix(s)
-        old_rows, old_dens = columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime))
-        assert (rows, dens) == ([[tuple(a) for a in row] for row in old_rows], old_dens), s
-        assert _packed_size(rows) == _packed_size(old_rows)
-        assert poly_mat_det(rows, dens, True) == poly_mat_det(old_rows, old_dens, True)
+        cols = build_gamma_matrix(s)
+        old = columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime))
+        assert cols == old, s
+        assert _packed_size(cols) == _packed_size(old)
+        assert poly_mat_det(cols, True) == poly_mat_det([([list(a) for a in e], den) for e, den in old], True)
         checked += 1
     assert checked == count
 
@@ -452,16 +452,17 @@ def test_warm_and_cold_builds_agree():
 
 def test_a_mutated_matrix_cannot_change_a_later_build():
     s = spec(*NAMED_SPECS["mu30"])
-    rows, dens = build_gamma_matrix(s)
-    expect = ([list(row) for row in rows], list(dens))
-    rows[0][0], dens[0] = (1,), 7
-    rows[1].append(())
-    rows.pop()
+    cols = build_gamma_matrix(s)
+    expect = list(cols)
+    cols[0] = ((1,),) * s.k, 7
+    cols.append(cols[1])
+    cols.pop(1)
     again = build_gamma_matrix(s)
     assert again == expect
     assert wronskian._gamma_int_column.cache_info().hits == s.k
-    # and the entries the memo shares cannot be changed in place
-    assert all(isinstance(a, tuple) for row in again[0] for a in row)
+    # and the columns and entries the memo shares cannot be changed in place
+    assert all(isinstance(col, tuple) and isinstance(col[0], tuple) for col in again)
+    assert all(isinstance(a, tuple) for entries, _ in again for a in entries)
 
 
 def test_every_memo_is_a_module_level_cache_that_clears():
@@ -476,15 +477,15 @@ def test_every_memo_is_a_module_level_cache_that_clears():
 
 
 def test_a_prefactor_through_zero_is_the_zero_entry():
-    rows, _ = build_gamma_matrix(spec(*NAMED_SPECS["zero-prefactor"]))
-    assert rows[1][1] == () and rows[0][1]  # trimmed, as the int form requires
+    entries, _ = build_gamma_matrix(spec(*NAMED_SPECS["zero-prefactor"]))[1]
+    assert entries[1] == () and entries[0]  # trimmed, as the int form requires
     wronskian_direct(compute_g(spec(*NAMED_SPECS["zero-prefactor"])))
 
 
 def _poly_route_sub_constants(s):
     """sub_constants as read from the minors of the Poly gamma matrix, which
     compute_g once asked for on every spec."""
-    _, minors = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime)), minors=True)
+    _, minors = poly_mat_det(columns(_gamma_matrix(s.k, s.q, s.all_m, s.alpha_prime)), minors=True)
     if s.k - s.q < 2:
         return None
     r = s.k - s.q - 1
@@ -495,9 +496,9 @@ def _poly_route_sub_constants(s):
 def test_compute_g_asks_for_minors_only_where_it_reads_them(monkeypatch):
     asked = []
 
-    def recording(rows, dens, minors=False):
+    def recording(cols, minors=False):
         asked.append(minors)
-        return poly_mat_det(rows, dens, minors)
+        return poly_mat_det(cols, minors)
 
     monkeypatch.setattr(wronskian, "poly_mat_det", recording)
     specs = list(enumerate_lattice(max_k=4, max_m=4, alpha_steps=2))
@@ -545,11 +546,11 @@ def test_a_row_swap_raises_rather_than_read_permuted_minors(monkeypatch):
     # shift of the first three rows keeps det, and so g, but puts that zero
     # in the (1,1) entry, so the elimination must swap rows
     s = spec("5/2", m_i=(1, 2), m_ii=(1, 2))
-    rows, dens = build_gamma_matrix(s)
-    assert not rows[2][0] and rows[0][0]
-    shifted = [rows[2], rows[0], rows[1]] + rows[3:]
-    assert poly_mat_det(shifted, dens) == poly_mat_det(rows, dens)
-    monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: (shifted, dens))
+    cols = build_gamma_matrix(s)
+    assert not cols[0][0][2] and cols[0][0][0]
+    shifted = cycle_rows(cols)
+    assert poly_mat_det(shifted) == poly_mat_det(cols)
+    monkeypatch.setattr(wronskian, "build_gamma_matrix", lambda _: shifted)
     with pytest.raises(OracleMismatch, match="swapped rows"):
         compute_g(s)
 
@@ -563,9 +564,9 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     # `lattice`, never reach the reciprocal.
     seen, divided = [], []
 
-    def recording(rows, dens, minors=False):
-        seen.append((rows, dens, minors))
-        return poly_mat_det(rows, dens, minors)
+    def recording(cols, minors=False):
+        seen.append((cols, minors))
+        return poly_mat_det(cols, minors)
 
     monkeypatch.setattr(wronskian, "poly_mat_det", recording)
     monkeypatch.setattr(exactmath, "_divexact", lambda xs, d, real=exactmath._divexact: divided.append(d) or real(xs, d))
@@ -574,26 +575,25 @@ def test_both_determinant_routes_agree_on_the_matrices_g_is_built_from(monkeypat
     assert len(seen) == 2 * 324 and not divided
     for name in ("nodal", "k6", "k8", "k8-type-ii"):
         compute_g(spec(*NAMED_SPECS[name]))
-    sizes = [_packed_size(rows) for rows, _, _ in seen]
+    sizes = [_packed_size(cols) for cols, _ in seen]
     assert len(sizes) == 2 * 324 + 4 and max(sizes[:-4]) <= _STEP_FLOOR < min(sizes[-4:])
-    for rows, dens, minors in seen:
-        det = poly_mat_det(rows, dens, minors)
-        assert det == single_width(rows, dens, minors) == per_step(rows, dens, minors) == ref_bareiss(rows, dens, minors)
-        assert det == reciprocal(rows, dens, minors)
+    for cols, minors in seen:
+        det = poly_mat_det(cols, minors)
+        assert det == single_width(cols, minors) == per_step(cols, minors) == ref_bareiss(cols, minors)
+        assert det == reciprocal(cols, minors)
 
 
 @pytest.mark.parametrize("name", ["nodal", "k6", "k7", "k8", "k8-type-ii"])
 def test_a_transposed_gamma_matrix_has_the_same_determinant_on_both_routes(name):
     # the transpose swaps the row and the column bound; over unit
-    # denominators its determinant is det(rows) on both packed schedules
-    # and the coefficient-list oracle
-    rows, _ = build_gamma_matrix(spec(*NAMED_SPECS[name]))
-    ones = [1] * len(rows)
-    det = ref_bareiss(rows, ones, False)
-    transposed = [list(col) for col in zip(*rows)]
-    assert _packed_size(transposed) == _packed_size(rows)
+    # denominators its determinant is that of the entries on both packed
+    # schedules and the coefficient-list oracle
+    cols = [(entries, 1) for entries, _ in build_gamma_matrix(spec(*NAMED_SPECS[name]))]
+    det = ref_bareiss(cols, False)
+    transposed = [(row, 1) for row in zip(*(entries for entries, _ in cols))]
+    assert _packed_size(transposed) == _packed_size(cols)
     for route in (single_width, per_step, reciprocal, ref_bareiss):
-        assert route(transposed, ones, False) == det
+        assert route(transposed, False) == det
 
 
 @pytest.mark.parametrize(
@@ -604,10 +604,10 @@ def test_a_transposed_gamma_matrix_has_the_same_determinant_on_both_routes(name)
 def test_the_reciprocal_and_the_plain_division_give_the_same_determinant(alpha, m_i, m_ii):
     # at poly_mat_det's floor, with the reciprocal at every step that writes
     # two quotients or more (cut 0) and at none (cut inf)
-    rows, dens = build_gamma_matrix(spec(alpha, m_i, m_ii))
-    det = ref_bareiss(rows, dens, True)
+    cols = build_gamma_matrix(spec(alpha, m_i, m_ii))
+    det = ref_bareiss(cols, True)
     for cut in (0, math.inf):
-        assert forced(_STEP_FLOOR, cut)(rows, dens, True) == det
+        assert forced(_STEP_FLOOR, cut)(cols, True) == det
 
 
 def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
@@ -615,19 +615,19 @@ def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
     # spy reads the step off the count.  At cut 0 every step but the last
     # (one quotient) divides by the reciprocal, which gives each step's
     # divisor; at the cut, exactly the steps whose divisor is longer do.
-    rows, dens = build_gamma_matrix(spec(*NAMED_SPECS["nodal"]))
-    n, divisor_bits = len(rows), {}
+    cols = build_gamma_matrix(spec(*NAMED_SPECS["nodal"]))
+    n, divisor_bits = len(cols), {}
 
     def spy(xs, d):
         divisor_bits[n - 1 - math.isqrt(len(xs))] = d.bit_length()
         return [x // d for x in xs]
 
     monkeypatch.setattr(exactmath, "_divexact", spy)
-    forced(_STEP_FLOOR, 0)(rows, dens, False)
+    forced(_STEP_FLOOR, 0)(cols, False)
     every = dict(divisor_bits)
     assert sorted(every) == list(range(n - 2))
     divisor_bits.clear()
-    poly_mat_det(rows, dens)
+    poly_mat_det(cols)
     assert divisor_bits == {k: b for k, b in every.items() if b > _RECIP_CUT}
     assert sorted(divisor_bits) == [3, 4, 5] and n == 8
 
@@ -676,8 +676,8 @@ def test_column_permutation_flips_sign():
     # transposing two same-type indices flips the determinant sign, i.e.
     # the Vandermonde factor of the leading/constant coefficients
     s = spec("9/2", m_i=(1, 3), m_ii=(2,))
-    sorted_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (1, 3, 2), s.alpha_prime)))
-    swapped_det = poly_mat_det(*columns(_gamma_matrix(s.k, s.q, (3, 1, 2), s.alpha_prime)))
+    sorted_det = poly_mat_det(columns(_gamma_matrix(s.k, s.q, (1, 3, 2), s.alpha_prime)))
+    swapped_det = poly_mat_det(columns(_gamma_matrix(s.k, s.q, (3, 1, 2), s.alpha_prime)))
     assert swapped_det == _poly([-c for c in sorted_det.num], sorted_det.den)
 
 
