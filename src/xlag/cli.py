@@ -47,6 +47,8 @@ INDEX_MAX = 1_000
 LATTICE_MAX = 100_000
 # `sample --points 1000000` took 5.4 s and wrote a 79 MB CSV
 POINTS_MAX = 1_000_000
+# `eop --alpha 5/2 --seeds I:1` took 1.1 s at nu-max 300, 5.0 s (330 MB) at 500
+NU_MAX = 300
 
 
 def parse_rational(text: str) -> Fraction:
@@ -77,7 +79,7 @@ def parse_seeds(text: str):
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
 
 
-def _nonnegative_int(text: str, top: float = math.inf) -> int:
+def _nonnegative_int(text: str, top: int) -> int:
     """argparse type for an int from 0 to top."""
     try:
         value = int(text)
@@ -239,7 +241,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "extend" in names:
         p = sub.add_parser("extend", help="build one extension and report everything about it")
         _add_spec_flags(p)
-        p.add_argument("--nu-max", type=_nonnegative_int, default=3, help="levels of the polynomial family (default 3)")
+        p.add_argument("--nu-max", type=lambda text: _nonnegative_int(text, NU_MAX), default=3,
+                       help="levels of the polynomial family (default 3)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
 
@@ -255,15 +258,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--x-min", type=float, default=0.05)
         p.add_argument("--x-max", type=float, default=8.0)
         p.add_argument("--points", type=lambda text: _nonnegative_int(text, POINTS_MAX), default=1000)
-        p.add_argument("--wavefunctions", type=lambda text: [_nonnegative_int(t) for t in text.split(",") if t.strip()],
-                       default="", help='comma list of nu values, e.g. "0,1,2"')
+        p.add_argument("--wavefunctions", default="", help='comma list of nu values, e.g. "0,1,2"',
+                       type=lambda text: [_nonnegative_int(t, NU_MAX) for t in text.split(",") if t.strip()])
         p.add_argument("--force", action="store_true", help="sample even when not regular")
         p.add_argument("--out")
 
     if "eop" in names:
         p = sub.add_parser("eop", help="polynomial family coefficients only")
         _add_spec_flags(p)
-        p.add_argument("--nu-max", type=_nonnegative_int, default=3)
+        p.add_argument("--nu-max", type=lambda text: _nonnegative_int(text, NU_MAX), default=3)
         p.add_argument("--out")
 
     return parser

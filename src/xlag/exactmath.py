@@ -8,7 +8,8 @@ A polynomial determinant takes int coefficient lists over one denominator
 per column and packs them at z = 2^B, so each Z[z] product and exact
 division is one big-int operation (Kronecker substitution); a large one
 widens B step by step.  The remainder chain divides each pseudo-remainder
-by its predicted content lc(A)^2 before a gcd takes the rest.  Packed ints
+by its predicted content lc(A)^2 before a gcd takes the rest; both divide
+by one truncated reciprocal past `_RECIP_CUT` bits.  Packed ints
 also carry the product of two int lists (one big-int product), the Taylor
 shift (Horner at X + 1) and the gcd mod 2^61 - 1 (Euclid on 128-bit
 residue slots).
@@ -181,8 +182,9 @@ def remainder_chain(a: Poly, b: Poly):
     remainder R = lb^2 A - (la lb z + e) B, e = lb a_(n-1) - la b_(n-2), in
     one pass; other degree drops take `_int_prem`.  The content of R is
     lc(A)^2 up to a ratio of subresultant contents (Collins 1967, Brown &
-    Traub 1971), so `_int_divide_out` divides that out first and a gcd
-    takes only the small rest: exact for any divisor, which sets the speed.
+    Traub 1971), so `_int_divide_out` divides that out first, past
+    `_RECIP_CUT` bits by one reciprocal, and a gcd takes only the small
+    rest: exact for any divisor, which sets the speed.
     """
     chain = [a, b] if b else [a]
     A, B = _int_primitive(a.num), _int_primitive(b.num)
@@ -242,14 +244,18 @@ def _int_prem(a, b):
 
 
 def _int_divide_out(a, h):
-    """a over gcd(h, *a), h > 0, found while dividing: on a remainder m, h
-    shrinks to gcd(h, m) and the quotients so far scale by old h / new h."""
-    out = []
+    """a over gcd(h, *a), h > 0, found while dividing: on a remainder m =
+    c - q h, h shrinks to g = gcd(h, m), the quotients so far scale by h / g
+    and c's quotient is q h / g + m / g.  Past `_RECIP_CUT` bits, q comes off
+    one reciprocal of h per divisor (`_divexact`), not a divmod: gcd(h, m) =
+    gcd(h, c) for any q, so q, exact where h divides c, sets only the speed."""
+    out, qs = [], _divexact(a, h) if h.bit_length() > _RECIP_CUT else None
     for c in a:
-        q, m = divmod(c, h)
+        q, m = divmod(c, h) if qs is None else (q := next(qs), c - q * h)
         if m:
-            g = math.gcd(h, m)
-            out, h, q = [x * (h // g) for x in out], g, c // g
+            f = h // (g := math.gcd(h, m))
+            out, h, q = [x * f for x in out], g, q * f + m // g
+            qs = _divexact(a[len(out) + 1 :], h) if h.bit_length() > _RECIP_CUT else None
         out.append(q)
     return out
 
@@ -373,12 +379,15 @@ def _int_column(col):
 # Per-step widths took 1.1-1.6x the time of one width below 6k bits and
 # 0.5-0.9x above 9k (80 random k 4-7 gamma matrices, 2 vCPUs, Python 3.11).
 _STEP_FLOOR = 8_000
-# Divisor bits past which a step writing two quotients or more divides by
-# one reciprocal.  Per step on the deep pool, nodal and a k = 10 matrix, it
-# took 0.99-1.1x the //s' time at 3,700-4,400 bits and 0.63-0.94x from 4,900
-# (1.06-1.09x on three 4-quotient steps near 6,000) on 2 vCPUs, Python 3.11.
-# On 3.12 and 3.13 (// subquadratic past ~9,000 bits) the whole determinant
-# without it took 0.89-0.99x the time on deep but 1.02-1.03x on nodal.
+# Divisor bits past which a Bareiss step writing two quotients or more, and
+# a chain step's divide-out, take one reciprocal.  Per Bareiss step on the
+# deep pool, nodal and a k = 10 matrix, it took 0.99-1.1x the //s' time at
+# 3,700-4,400 bits and 0.63-0.94x from 4,900 (1.06-1.09x on three 4-quotient
+# steps near 6,000) on 2 vCPUs, Python 3.11.  On 3.12 and 3.13 (//
+# subquadratic past ~9,000 bits) the whole determinant without it took
+# 0.89-0.99x the time on deep but 1.02-1.03x on nodal.  The 12 deep-pool
+# chains took 0.87-0.95x the divmods' time at this cut, 0.83-0.95x at 500 to
+# 3,500 bits and 0.92-1.0x at 9,000 (3 sweeps, min of 6, Python 3.11).
 _RECIP_CUT = 4_500
 
 
@@ -457,8 +466,8 @@ def poly_mat_det(cols, minors: bool = False):
         pivot, top, d = M[k][k], M[k], prev >> tz
         if k < n - 2 and d.bit_length() > _RECIP_CUT:
             qs = _divexact([(pivot * row[j] - row[k] * top[j]) >> tz for row in M[k + 1 :] for j in range(k + 1, n)], d)
-            for i, row in enumerate(M[k + 1 :]):
-                row[k + 1 :] = qs[i * (n - k - 1) : (i + 1) * (n - k - 1)]
+            for row in M[k + 1 :]:
+                row[k + 1 :] = [next(qs) for _ in range(k + 1, n)]
         else:
             for row in M[k + 1 :]:
                 rk = row[k]
@@ -470,18 +479,18 @@ def poly_mat_det(cols, minors: bool = False):
 
 
 def _divexact(xs, d):
-    """[x // d for x in xs], each exact: with D = bits(d), Q = max bits(x) -
-    D + 1 >= bits(x // d) and P = D + Q + 6, |x| cut to its top Q + 4 bits,
-    times floor(2^P / |d|) over 2^P, is below |x / d| by under 1/16 + 1/128."""
+    """x / d for x in xs, lazily: exact wherever d divides x, else its floor
+    or ceiling.  With D = bits(d), Q = max bits(x) - D + 1 >= bits(x // d)
+    and P = D + Q + 6, |x| cut to its top Q + 4 bits, times floor(2^P /
+    |d|) over 2^P, is below |x / d| by under 1/16 + 1/128, and rounds."""
     D = d.bit_length()
     Q = max(1, max(x.bit_length() for x in xs) - D + 1)
-    P, out = D + Q + 6, []
+    P = D + Q + 6
     r = (1 << P) // abs(d)
     for x in xs:
         s = max(x.bit_length() - Q - 4, 0)
         q = ((abs(x) >> s) * r + (1 << (P - s - 1))) >> (P - s)
-        out.append(q if (x < 0) == (d < 0) else -q)
-    return out
+        yield q if (x < 0) == (d < 0) else -q
 
 
 def _step_bits(R, C, k):

@@ -122,6 +122,10 @@ def test_extend_seed_order_insensitive(capsys):
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--points", "-1"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "0,x"],
         ["sample", "--alpha", "3/2", "--seeds", "I:1", "--wavefunctions", "-1"],
+        # past NU_MAX: refused before the exact solve, which ran out of memory at nu-max 1000
+        ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "301"],
+        ["eop", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "1000"],
+        ["sample", "--alpha", "5/2", "--seeds", "I:1", "--wavefunctions", "0,301"],
         ["extend", "--alpha", "5/2", "--seeds", "I:1", "--nu-max", "abc"],
         [],
         ["extend", "--alpha", "5/2", "--seeds", "I:1", "--bogus"],

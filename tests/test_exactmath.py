@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from xlag import exactmath
 from xlag.errors import NotDivisible, ZeroPolynomial
 from xlag.exactmath import (
+    _RECIP_CUT,
     _STEP_FLOOR,
     Poly,
     _divexact,
@@ -388,6 +389,56 @@ def test_remainder_chain_matches_the_plain_route(ab):
     assert remainder_chain(a, b) == ref_remainder_chain(a, b)
 
 
+def ref_divide_out(a, h):
+    """a over gcd(h, *a), h > 0, one divmod per entry: on a remainder m, h
+    shrinks to gcd(h, m) and the quotients so far scale by old h / new h."""
+    out = []
+    for c in a:
+        q, m = divmod(c, h)
+        if m:
+            g = math.gcd(h, m)
+            out, h, q = [x * (h // g) for x in out], g, c // g
+        out.append(q)
+    return out
+
+
+@st.composite
+def divide_out_inputs(draw):
+    """h, a product of one to four odd factors of 1 to 3,000 bits, and a list
+    of multiples of h less some of its factors (none: exact), of either sign
+    or zero, or of any int; the bits are drawn from a seed."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    sizes = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+    factors = [rnd.getrandbits(b) | 1 << (b - 1) | 1 for b in sizes]
+    entry = st.tuples(st.sets(st.integers(0, len(factors) - 1)), st.integers(0, 400), st.booleans(), st.booleans())
+    a = []
+    for dropped, q_bits, negative, free in draw(st.lists(entry, min_size=1, max_size=12)):
+        kept = math.prod(f for i, f in enumerate(factors) if i not in dropped)
+        a.append((-1 if negative else 1) * rnd.getrandbits(q_bits) * (rnd.getrandbits(3000) if free else kept))
+    return a, math.prod(factors)
+
+
+H = 3**3000  # 4,755 bits, past the cut; 3^2999 is too, 3^2000 and 3^1000 are not
+
+
+@pytest.mark.parametrize("cut", [0, _RECIP_CUT, math.inf], ids=["reciprocal", "at-the-cut", "divmod"])
+@given(divide_out_inputs())
+@settings(deadline=None)
+@example(([261, 186], 9))  # h shrinks once, 9 -> 3
+@example(([261, 186, 2], 9))  # and twice, 9 -> 3 -> 1
+@example(([5 * H, 2 * H // 3], H))  # once past the cut, which it stays past
+@example(([11 * H, -4 * 3**1000, 0, 5 * 3**1000], H))  # once, from past the cut to below it mid-list
+@example(([5 * H, -(H // 3), 2 * 3**2000, 7], H))  # three times: past the cut, below it, then to 1
+@example(([0, -14, 0], 4))  # zero and negative entries
+@example(([0, -(2**100) * H, 0, 0], H))  # and past the cut
+@example(([q * H for q in (1, -1, 0, 2**4000 + 1, -(3**2000))], H))  # exact throughout
+@example(([H - 1, -H - 1, H + 1, 1 - H], H))  # x / h just off an integer, on either side
+def test_the_divide_out_matches_one_divmod_per_entry(cut, case):
+    a, h = case
+    with mock.patch.object(exactmath, "_RECIP_CUT", cut):
+        assert _int_divide_out(a, h) == ref_divide_out(a, h)
+
+
 def test_the_predicted_divisor_shrinks_where_it_misses():
     # a = 3z^3 - 2z^2 - 3z - 3, b = a': the normal step's R is 261 + 186z,
     # h = lc(a)^2 = 9 divides 261 but not 186, so h shrinks to 3 and the
@@ -412,6 +463,7 @@ def test_remainder_chain_matches_the_plain_route_on_the_benchmark_lattice():
         ((15,), (1, 3, 5, 6, 15), F(23, 2)),  # k = 6, deg 40
         ((6, 8), (4, 5, 7, 12, 15), 13),  # k = 7, deg 56
         ((3, 10, 12, 15), (1, 2, 3, 18), F(37, 2)),  # k = 8, deg 68: the divisor misses at 37 of 67 steps
+        ((7,), (4, 8, 9, 15, 16, 17, 18), 13),  # k = 8, deg 80
     ],
 )
 def test_remainder_chain_matches_the_plain_route_on_deep_specs(m_i, m_ii, alpha):
@@ -419,6 +471,26 @@ def test_remainder_chain_matches_the_plain_route_on_deep_specs(m_i, m_ii, alpha)
     chain = remainder_chain(g, g.diff())
     assert chain == ref_remainder_chain(g, g.diff())
     assert len(chain) == g.degree + 1
+
+
+def test_a_chain_step_takes_the_reciprocal_where_its_divisor_is_past_the_cut(monkeypatch):
+    # each step divides its pseudo-remainder by h = lc(A)^2 and takes one
+    # reciprocal of h exactly where h is longer than the cut, then one more
+    # after each miss that leaves the shrunk h past it.  On this k = 8 g, the
+    # 41 steps from step 26 on (h of 4,790 bits and up) are past it, and 23
+    # of them take a second reciprocal.
+    g = compute_g(ExtensionSpec(F(37, 2), 1, (3, 10, 12, 15), (1, 2, 3, 18))).g
+    steps = []
+    monkeypatch.setattr(exactmath, "_int_divide_out", lambda a, h, f=_int_divide_out: steps.append([h]) or f(a, h))
+    monkeypatch.setattr(exactmath, "_divexact", lambda xs, d, f=_divexact: steps[-1].append(d) or f(xs, d))
+    chain = remainder_chain(g, g.diff())
+    assert [h for h, *_ in steps] == [_int_primitive(p.num)[-1] ** 2 for p in chain[:-2]]
+    past = [j for j, (h, *_) in enumerate(steps) if h.bit_length() > _RECIP_CUT]
+    assert [j for j, (_, *ds) in enumerate(steps) if ds] == past == list(range(26, 67))
+    for h, *ds in steps:
+        assert ds[:1] in ([], [h])
+        assert all(d % e == 0 and d > e and e.bit_length() > _RECIP_CUT for d, e in zip(ds, ds[1:]))
+    assert sum(len(ds) > 1 for _, *ds in steps) == 23
 
 
 def _det_cofactor(m):
@@ -733,7 +805,23 @@ def test_one_reciprocal_gives_each_exact_quotient(d_bits, quotients, negative_d,
     rnd = random.Random(seed)
     d = (rnd.getrandbits(d_bits) | 1 | 1 << (d_bits - 1)) * (-1 if negative_d else 1)
     xs = [(-1 if neg else 1) * rnd.getrandbits(q_bits) * d for q_bits, neg in quotients]
-    assert _divexact(xs, d) == [x // d for x in xs]
+    assert list(_divexact(xs, d)) == [x // d for x in xs]
+
+
+@given(
+    st.integers(1, 6000),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.lists(st.integers(-(2**9000), 2**9000), min_size=1, max_size=4),
+)
+@example(4501, False, 0, [0, 1, -1, 2**9000])
+def test_one_reciprocal_gives_a_floor_or_ceiling_where_d_does_not_divide(d_bits, negative_d, seed, xs):
+    # the chain's divide-out reads any x / d off the reciprocal, then checks it;
+    # each x is joined by x d - 1 and x d + 1, just off a multiple of d
+    d = (random.Random(seed).getrandbits(d_bits) | 1 | 1 << (d_bits - 1)) * (-1 if negative_d else 1)
+    xs += [x * d + r for x in xs for r in (-1, 1)]
+    for x, q in zip(xs, _divexact(xs, d)):
+        assert q in (x // d, -(-x // d))
 
 
 def test_the_reciprocal_holds_at_its_rounding_bound():
@@ -750,8 +838,8 @@ def test_the_reciprocal_holds_at_its_rounding_bound():
             xs = [q * d for q in qs]
             Q = max(x.bit_length() for x in xs) - d_bits + 1
             sides |= {x.bit_length() > Q + 4 for x in xs[:3]}
-            assert _divexact(xs, d) == qs
-            assert _divexact(xs, -d) == [-q for q in qs]
+            assert list(_divexact(xs, d)) == qs
+            assert list(_divexact(xs, -d)) == [-q for q in qs]
     assert sides == {True, False}
 
 

@@ -620,7 +620,7 @@ def test_the_reciprocal_runs_where_the_divisor_is_past_the_cut(monkeypatch):
 
     def spy(xs, d):
         divisor_bits[n - 1 - math.isqrt(len(xs))] = d.bit_length()
-        return [x // d for x in xs]
+        return (x // d for x in xs)
 
     monkeypatch.setattr(exactmath, "_divexact", spy)
     forced(_STEP_FLOOR, 0)(cols, False)
