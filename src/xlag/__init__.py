@@ -3,7 +3,7 @@ the radial oscillator and their exceptional Laguerre polynomial families.
 
 The exact layer (polynomials over rationals, structured determinants,
 Sturm certificates) proves structure and regularity with zero tolerance;
-the numeric layer (quadrature, finite differences) sanity-checks the
+the numeric layer (Clenshaw-Curtis quadrature) sanity-checks the
 resulting spectra and orthogonality at desk scale.  The package exports
 the names of the README's library sketch; everything else is imported
 from its module (xlag.exactmath, xlag.spectral, ...).

@@ -11,7 +11,7 @@ main builds argv[0]'s subparser alone; --help and unknown commands get all four.
 Exit codes: 0 ok (including regular=false reports for inadmissible but
 computable specs), 1 a failed verify lattice, and otherwise the exit_code of
 the XlagError raised: 2 bad input, 3 internal inconsistency, 1 a numeric
-check that did not converge.
+check that failed or did not converge.
 """
 from __future__ import annotations
 
@@ -23,20 +23,21 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import OracleMismatch, SpecInvalid, XlagError
+from .errors import NumericCheckFailed, OracleMismatch, SpecInvalid, XlagError
 from .regularity import CERTIFY_METHODS, certify
 from .report import SCHEMA_VERSION, build_document, eop_section, spec_section
-from .spectral import (
-    build_potential,
-    expected_spectrum,
-    numeric_spectrum,
-    orthogonality_check,
-    solve_eop,
-    wavefunction,
-)
+from .spectral import (build_potential, expected_spectrum, numeric_spectrum, orthogonality_check, solve_eop,
+                       wavefunction)
 from .verify import CHECK_NAMES, check_report, lattice_size, run_lattice, summarize
 from .wronskian import ExtensionSpec, compute_g
 
+# II:1..k at --alpha 201/2 is the dear direction: `eop --nu-max 0` took 2.4 s
+# at k = 15, 9.4 s at 18, 29 s at 21 and over 60 s at 24; I:1..k/2,II:1..k/2
+# took 0.7, 2.7, 9.4 and 21.6 s, and I:1..k under 0.5 s up to 24 (2 vCPUs)
+K_MAX = 20
+# extend's relative bound on its levels' deviation: exact families read at most 2.2e-13
+# (alpha = 51/100), and a 0.1% fault in the rational part of 7/2 I:1,II:1,II:2 reads 8.8e-6
+SPECTRUM_BOUND = 1e-9
 # the numeric layer takes spec rationals as floats and exact outputs grow as
 # powers of them, so numerator and denominator are kept at most 2^53
 RATIONAL_MAX = 2**53
@@ -76,6 +77,8 @@ def parse_seeds(text: str):
         if m > INDEX_MAX:
             raise SpecInvalid(f"{token!r} is out of range: seed indices must be at most {INDEX_MAX}")
         (m_i if kind == "I" else m_ii).append(m)
+    if len(m_i) + len(m_ii) > K_MAX:
+        raise SpecInvalid(f"{len(m_i) + len(m_ii)} seeds is out of range: at most {K_MAX}")
     return tuple(sorted(m_i)), tuple(sorted(m_ii))
 
 
@@ -146,12 +149,13 @@ def cmd_extend(args) -> int:
         numeric = {}
         if not args.skip_numeric:
             numeric["orthogonality_max_offdiag"] = orthogonality_check(ext.report, ext.family)
-            n_levels = min(args.nu_max, 3) + 1
-            levels = numeric_spectrum(potential, n_levels)
-            expected = expected_spectrum(spec, n_levels)
-            numeric["spectrum_computed"] = levels
-            numeric["spectrum_expected"] = [str(e) for e in expected]
-            numeric["spectrum_max_rel_dev"] = max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected))
+            expected = expected_spectrum(spec, min(args.nu_max, 3) + 1)
+            levels = numeric_spectrum(ext.report, ext.family[:len(expected)], potential)
+            dev = max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected))
+            if not dev <= SPECTRUM_BOUND:  # a NaN fails too
+                raise NumericCheckFailed(f"the levels deviate from omega(2 nu + alpha + 1) + C by {dev:.3g} relative")
+            numeric.update(spectrum_computed=levels, spectrum_expected=[str(e) for e in expected],
+                           spectrum_max_rel_dev=dev)
     _emit(json.dumps(build_document(*ext, potential=potential, numeric=numeric), indent=2), args.out)
     return 0
 
@@ -244,7 +248,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--nu-max", type=lambda text: _nonnegative_int(text, NU_MAX), default=3,
                        help="levels of the polynomial family (default 3)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--skip-numeric", action="store_true", help="omit quadrature/eigensolve checks")
+        p.add_argument("--skip-numeric", action="store_true", help="omit the orthogonality and spectrum checks")
 
     if "verify" in names:
         p = sub.add_parser("verify", help="run the exact invariant lattice")

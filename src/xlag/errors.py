@@ -16,7 +16,7 @@ class InternalInconsistency(XlagError):
 
 
 class NumericCheckFailed(XlagError):
-    """A numeric check of the float layer did not converge."""
+    """A numeric check of the float layer failed or did not converge."""
 
     exit_code, prefix = 1, "numeric check failed"
 
@@ -49,7 +49,3 @@ class NullSpaceDimension(InternalInconsistency):
 
 class QuadratureNonconvergence(NumericCheckFailed):
     """Two quadrature node counts disagree beyond tolerance."""
-
-
-class GridTooCoarse(NumericCheckFailed):
-    """Finite-difference grid fails the step-halving convergence check."""

@@ -1,15 +1,15 @@
 """Extended potential assembly, exceptional-polynomial construction by
 exact back-substitution on their banded differential operator, bound-state
-wavefunctions, and the numeric verification layer (orthogonality by a
-nested pair of Clenshaw-Curtis rules, their weights one inverse real FFT,
-and a finite-difference eigensolve).
+wavefunctions, and the numeric verification layer: orthogonality, and the
+levels as Rayleigh quotients of the exact family in the float potential,
+both on a nested pair of Clenshaw-Curtis rules, their weights one inverse
+real FFT.
 
-The polynomial layer stays exact; floats appear only in evaluation,
-integration, and the eigensolver, all of them here: alpha, omega and g are
-read from the GReport (a family is a bare tuple of polynomials), and every
-float polynomial value comes from `_polyval`.  Only those float functions
-import numpy, and the eigensolver scipy, on first use, so `import xlag` and
-the exact layer load neither.
+The polynomial layer stays exact; floats appear only in evaluation and
+integration, all of them here: alpha, omega and g are read from the
+GReport (a family is a bare tuple of polynomials), and every float
+polynomial value comes from `_polyval`.  Only those float functions import
+numpy, on first use, so `import xlag` and the exact layer do not.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
+from .errors import NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
 from .exactmath import Poly, _int_mul, _poly
 from .wronskian import ExtensionSpec, GReport
 
@@ -157,45 +157,47 @@ def _clenshaw_curtis(n: int):
     return x, 0.5 * (w + w[::-1])
 
 
+def _nodes(report: GReport, d: int, graded: bool = False):
+    """z = u^2 on the n = 400 rule's nodes, the weight f of z^alpha e^-z dz/ds
+    there (s in [0, 1]), the mask u > 0, and (step, weights) of the n = 200
+    and n = 400 rules on every step-th node, for y_i y_j z^alpha e^-z / g^2
+    with deg y_i + deg y_j = d.  Its peaks, near z = alpha and p = alpha + d
+    - 2 deg g, are about 1 wide in u at large alpha, so u runs from well
+    below sqrt(alpha) (0 below alpha ~ 150) to well past sqrt(p); graded and
+    from 0, as u_max s^2.  f is taken in log space and scaled by its largest
+    value: no overflow."""
+    import numpy as np
+    a = float(report.spec.alpha)
+    p = max(a + d - 2 * report.g.degree, 0.0)
+    umax = math.sqrt(max(60.0 + 4.0 * (d + 2), p + 40.0 + 9.0 * math.sqrt(p)))
+    umin = math.sqrt(max(a - 40.0 - 9.0 * math.sqrt(max(a, 0.0)), 0.0))
+    x, fine = _clenshaw_curtis(400)
+    s = 0.5 * (x + 1.0)
+    u, du = (umax * s * s, 2.0 * umax * s) if graded and not umin else (umin + (umax - umin) * s, umax - umin)
+    z = u * u
+    f = np.zeros_like(u)  # 0 at u = 0
+    pos = u > 0
+    log_w = a * np.log(z[pos]) - z[pos]
+    f[pos] = (du * u)[pos] * np.exp(log_w - log_w.max())
+    return z, f, pos, ((2, _clenshaw_curtis(200)[1]), (1, fine))
+
+
 def orthogonality_check(report: GReport, family) -> float | None:
     """Largest normalized off-diagonal |G_ij| / sqrt(G_ii G_jj) of the Gram
     matrix G_ij = integral of y_i y_j z^alpha e^-z / g^2 over (0, inf), or
     None for a single level; family is solve_eop(report, ...), or any
-    polynomials in its place, and alpha and g are report's.
-
-    Mapped Clenshaw-Curtis with the z = u^2 substitution (removes the sqrt
-    endpoint behaviour of half-integer alpha); g, the weight and each y_nu
-    are evaluated once, on the n = 400 rule's 401 nodes, and G = (Y w) Y^T;
-    every other node is the n = 200 rule, for the coarse G.  The integrand
-    of a pair decays like z^p e^-z with p = alpha + nu_i + nu_j, which peaks
-    at z = p, so the one cutoff, set by the two highest degrees, sits far
-    enough past every pair's p for any alpha; the interval starts as far
-    below the lowest peak, z = alpha (at 0 below alpha ~ 150); a peak about
-    1 wide in u would otherwise get few of the nodes.  The weight is taken in log
-    space and divided by its largest value over the nodes, which the
-    normalization cancels, so z^alpha cannot overflow it at large alpha; it
-    is 0 at u = 0, where z^alpha u vanishes for alpha > -1/2.  The two rules
-    must agree to 1e-10 entrywise and both Gram matrices must be finite, or
-    QuadratureNonconvergence is raised.
-    """
+    polynomials in its place, and alpha and g are report's.  On the ungraded
+    _nodes of the two highest degrees, where g, the weight and each y_nu are
+    evaluated once, G = (Y w) Y^T for each rule.  The two rules must agree to
+    1e-10 entrywise, both finite, or QuadratureNonconvergence is raised."""
     if len(family) < 2:
         return None
     import numpy as np
-    d = sum(sorted(y.degree for y in family)[-2:])
-    a = float(report.spec.alpha)
-    p = max(a + d - 2 * report.g.degree, 0.0)
-    umax = np.sqrt(max(60.0 + 4.0 * (d + 2), p + 40.0 + 9.0 * np.sqrt(p)))
-    umin = np.sqrt(max(a - 40.0 - 9.0 * np.sqrt(max(a, 0.0)), 0.0))
-    x, fine = _clenshaw_curtis(400)
-    u = umin + 0.5 * (umax - umin) * (x + 1.0)
-    z = u * u
-    f = np.zeros_like(u)
-    pos = u > 0
-    log_w = a * np.log(z[pos]) - z[pos]
-    f[pos] = (umax - umin) * u[pos] * np.exp(log_w - log_w.max()) / _polyval(report.g, z[pos]) ** 2
+    z, f, pos, rules = _nodes(report, sum(sorted(y.degree for y in family)[-2:]))
+    f[pos] /= _polyval(report.g, z[pos]) ** 2
     Y = np.array([_polyval(y, z) for y in family])
     norm = []
-    for step, wts in ((2, _clenshaw_curtis(200)[1]), (1, fine)):
+    for step, wts in rules:
         G = (Y[:, ::step] * (wts * f[::step])) @ Y[:, ::step].T
         if not np.isfinite(G).all():
             raise QuadratureNonconvergence(f"the Gram matrix on {len(wts)} nodes has a non-finite entry")
@@ -210,33 +212,31 @@ def orthogonality_check(report: GReport, family) -> float | None:
     return float(norm[1][np.triu_indices(len(family), 1)].max())
 
 
-def _fd_levels(potential: ExtendedPotential, n_levels: int, x):
+def numeric_spectrum(report: GReport, family, potential: ExtendedPotential) -> list:
+    """Rayleigh quotient of -d^2/dx^2 + V, V the float potential, at each
+    psi_nu = z^((l+1)/2) e^(-z/2) y_nu / g of family (solve_eop(report, ...)),
+    z = omega x^2 / 2: E_nu plus the first-order shift of any fault in V.
+    With z = u^2, phi = y / g and K = ((l + 1) - z) phi / 2 + z phi', it is
+    [2 omega int z^l e^-z K^2 du + int z^(l+1) e^-z V phi^2 du] / int z^(l+1)
+    e^-z phi^2 du on the top level's graded _nodes (z^l is not smooth at u = 0
+    for fractional l).  The rules must agree to 1e-10 relative, or
+    QuadratureNonconvergence is raised."""
     import numpy as np
-    from scipy.linalg import eigvalsh_tridiagonal
-    h = x[0]  # the wall sits one step below, at x = 0
-    diag = 2.0 / h**2 + potential(x)
-    off = np.full(len(x) - 1, -1.0 / h**2)
-    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
-
-
-def numeric_spectrum(potential: ExtendedPotential, n_levels: int):
-    """Lowest n_levels eigenvalues of -d^2/dx^2 + V(x) between Dirichlet
-    walls at 0 and x_max, past the classical turning point of the highest
-    level, where that level has decayed far below round-off: second-order
-    differences on 500 interior points and on 1,001 (the step exactly
-    halved, every coarse point kept), Richardson-extrapolated to
-    (4 fine - coarse) / 3, which cancels the h^2 error.  GridTooCoarse if
-    the ground level moves by more than 1e-3 relative under the halving.
-    """
-    import numpy as np
-    w = float(potential.spec.omega)
-    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.spec.shift))
-    x_turn = 2.0 * math.sqrt(e_top) / w
-    x_max = math.sqrt(x_turn * x_turn + 120.0 / w)
-    coarse, fine = (_fd_levels(potential, n_levels, np.linspace(0.0, x_max, n + 2)[1:-1]) for n in (500, 1001))
-    if abs(fine[0] - coarse[0]) > 1e-3 * abs(fine[0]):
-        raise GridTooCoarse(f"ground level moved {coarse[0]} -> {fine[0]} under step halving")
-    return [float(e) for e in (4.0 * fine - coarse) / 3.0]
+    la, w = float(report.spec.l + 1), float(report.spec.omega)
+    z, f, pos, rules = _nodes(report, 2 * max(y.degree for y in family), graded=True)
+    z, f = z[pos], f[pos]  # f is z^(l+1) e^-z du/ds, scaled
+    v, g, dg = potential(np.sqrt(2.0 * z / w)), _polyval(report.g, z), _polyval(report.g.diff(), z)
+    energy, norm = np.zeros((2, len(family), len(pos)))
+    for row, y in enumerate(family):
+        phi = _polyval(y, z) / g
+        k = 0.5 * (la - z) * phi + z * (_polyval(y.diff(), z) - phi * dg) / g
+        energy[row, pos] = f * (2.0 * w * k * k / z + v * phi * phi)
+        norm[row, pos] = f * phi * phi
+    coarse, levels = ((energy[:, ::step] @ wts) / (norm[:, ::step] @ wts) for step, wts in rules)
+    for nu, (a, b) in enumerate(zip(coarse, levels)):
+        if not abs(b - a) <= 1e-10 * abs(b):  # a NaN fails too
+            raise QuadratureNonconvergence(f"level {nu} moved from {a} to {b} between the n = 200 and n = 400 rules")
+    return [float(e) for e in levels]
 
 
 def expected_spectrum(spec: ExtensionSpec, n_levels: int):

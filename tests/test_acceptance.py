@@ -130,15 +130,14 @@ def test_criterion_7_numeric_spectrum():
     for alpha, m_i, m_ii in SPECTRUM_SPECS:
         spec = _spec(alpha, m_i, m_ii)
         report = compute_g(spec)
-        pot = build_potential(report)
-        levels = numeric_spectrum(pot, 4)  # includes halving check
+        levels = numeric_spectrum(report, solve_eop(report, 3), build_potential(report))  # includes the two-rule check
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
             dev = abs(lv - float(e)) / abs(float(e))
             worst = max(worst, dev)
-    assert worst < 1e-6
-    print(f"\nPASS criterion 7: finite-difference levels nu <= 3 match "
-          f"omega(2nu+alpha+1)+(k-2q)omega on {len(SPECTRUM_SPECS)} specs, "
-          f"worst relative deviation {worst:.2e} < 1e-6")
+    assert worst < 1e-12
+    print(f"\nPASS criterion 7: Rayleigh quotients of the exact psi_nu, nu <= 3, in the float "
+          f"potential match omega(2nu+alpha+1)+(k-2q)omega on {len(SPECTRUM_SPECS)} specs, "
+          f"worst relative deviation {worst:.2e} < 1e-12")
 
 
 def test_criterion_8_classical_reduction():

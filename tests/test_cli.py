@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlag
+from test_acceptance import SPECTRUM_SPECS
 from test_exactmath import cycle_rows
+from test_spectral import RUNG_SPECS
 from xlag import cli, errors, exactmath, regularity, spectral, verify, wronskian
-from xlag.errors import GridTooCoarse, NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
+from xlag.errors import NotDivisible, QuadratureNonconvergence, SpecInvalid, ZeroPolynomial
 from xlag.exactmath import Poly
 from xlag.report import build_document
 
@@ -59,6 +61,28 @@ def test_extend_at_l_0_passes_its_numeric_check(seeds, capsys):
     code, out, err = run_cli(["extend", "--alpha", "1/2", "--seeds", seeds], capsys)
     assert code == 0, err
     assert json.loads(out)["numeric"]["spectrum_max_rel_dev"] < 1e-6
+
+
+@pytest.mark.parametrize("alpha, m_i, m_ii", SPECTRUM_SPECS + RUNG_SPECS)
+def test_extend_passes_its_spectrum_check(alpha, m_i, m_ii, capsys):
+    seeds = ",".join([f"I:{m}" for m in m_i] + [f"II:{m}" for m in m_ii])
+    code, out, err = run_cli(["extend", "--alpha", alpha, "--seeds", seeds], capsys)
+    assert code == 0, err
+    assert json.loads(out)["numeric"]["spectrum_max_rel_dev"] <= cli.SPECTRUM_BOUND
+
+
+@pytest.mark.parametrize("factor", [Fraction(11, 10), Fraction(1001, 1000)])
+def test_a_faulty_rational_part_fails_the_spectrum_check(factor, capsys, monkeypatch):
+    # unjudged, x 11/10 exited 0 at a relative deviation of 9.8e-4
+    def faulty(report):
+        pot = build_potential(report)
+        return replace(pot, rat_num=Poly(tuple(c * factor for c in pot.rat_num.coeffs)))
+
+    build_potential = spectral.build_potential
+    monkeypatch.setattr(cli, "build_potential", faulty)
+    code, out, err = run_cli(["extend", "--alpha", "7/2", "--seeds", "I:1,II:1,II:2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("numeric check failed: the levels deviate from ") and err.count("\n") == 1
 
 
 def test_extend_inadmissible_reports_irregular(capsys):
@@ -135,6 +159,9 @@ def test_extend_seed_order_insensitive(capsys):
         # past INDEX_MAX: refused before the exact layer, which would take minutes or run out of memory
         ["eop", "--alpha", "5/2", "--seeds", "I:1001", "--nu-max", "0"],
         ["eop", "--alpha", "5/2", "--seeds", "I:99999999999999999999", "--nu-max", "0"],
+        # past K_MAX: refused before the exact layer, where II:1..24 ran for over a minute
+        ["eop", "--alpha", "201/2", "--seeds", ",".join(f"II:{m}" for m in range(1, 25)), "--nu-max", "0"],
+        ["extend", "--alpha", "5/2", "--seeds", ",".join(f"I:{m}" for m in range(1, cli.K_MAX + 2))],
     ],
 )
 def test_bad_input_exits_2(args, capsys):
@@ -454,7 +481,7 @@ def test_extend_writes_the_family_of_a_regular_spec_with_negative_l(capsys):
 
 @pytest.mark.parametrize(
     "check, error",
-    [("numeric_spectrum", GridTooCoarse), ("orthogonality_check", QuadratureNonconvergence)],
+    [("numeric_spectrum", QuadratureNonconvergence), ("orthogonality_check", QuadratureNonconvergence)],
 )
 def test_failed_numeric_check_exits_1(check, error, capsys, monkeypatch):
     def fail(*args):
@@ -477,7 +504,6 @@ EXIT_STATUS = {
     "ZeroPolynomial": (3, "internal inconsistency"),
     "NullSpaceDimension": (3, "internal inconsistency"),
     "NumericCheckFailed": (1, "numeric check failed"),
-    "GridTooCoarse": (1, "numeric check failed"),
     "QuadratureNonconvergence": (1, "numeric check failed"),
 }
 
@@ -762,8 +788,8 @@ def test_extend_records_the_certificate_method(capsys):
 
 
 def test_verify_does_not_import_scipy():
-    # numpy and scipy serve only the numeric layer: import xlag, verify and
-    # eop load neither, and extend imports both on first use
+    # numpy serves only the numeric layer and scipy only the tests' oracles:
+    # import xlag, verify and eop load neither, and extend loads numpy alone
     script = (
         "import contextlib, io, sys\n"
         "import xlag\n"
@@ -783,7 +809,26 @@ def test_verify_does_not_import_scipy():
         [sys.executable, "-c", script, os.devnull], capture_output=True, text=True, timeout=120, env=CHILD_ENV
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 6 + ["True"] * 2
+    assert proc.stdout.split() == ["False"] * 6 + ["True", "False"]
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # with scipy blocked, importing it raises ImportError
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from xlag import cli\n"
+        "out = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(cli.main(['extend', '--alpha', '7/2', '--seeds', 'I:1,II:1,II:2', '--out', out]),\n"
+        "          cli.main(['sample', '--alpha', '5/2', '--seeds', 'I:1', '--points', '3', '--wavefunctions', '0,1', '--out', out]),\n"
+        "          cli.main(['eop', '--alpha', '5/2', '--seeds', 'I:1', '--nu-max', '2', '--out', out]),\n"
+        "          cli.main(['verify', '--max-k', '2', '--max-m', '2', '--alpha-grid', '1']), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")], capture_output=True, text=True, timeout=120, env=CHILD_ENV
+    )
+    assert (proc.returncode, proc.stderr) == (0, "0 0 0 0\n")
 
 
 def test_out_file(tmp_path, capsys):

@@ -21,7 +21,7 @@ from test_exactmath import (
 )
 from test_regularity import _inadmissible_probes
 from xlag import exactmath, spectral
-from xlag.errors import GridTooCoarse, NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
+from xlag.errors import NullSpaceDimension, QuadratureNonconvergence, SpecInvalid
 from xlag.exactmath import Poly, _poly
 from xlag.regularity import certify
 from xlag.seeds import laguerre
@@ -586,20 +586,48 @@ class TestOrthogonality:
             orthogonality_check(report, solve_eop(report, 5))
 
 
-def ref_fd_levels(potential, n_levels, n_points=2000):
-    """The replaced finite-difference solve, kept as the oracle: n_points
-    refined to 2 n_points - 1 from x_min = 0.01 / sqrt(omega) to the same
-    x_max, every point interior, so its implicit walls sit one step outside
-    the grid and move with the step; returns the refined grid's levels."""
+def ref_fd_levels(potential, n_levels, x):
+    """Lowest n_levels eigenvalues of -d^2/dx^2 + V on the uniform grid x by
+    second-order differences, its Dirichlet walls one step outside it."""
     from scipy.linalg import eigvalsh_tridiagonal
 
-    w = float(potential.spec.omega)
-    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.spec.shift))
-    x_max = np.sqrt((2.0 * np.sqrt(e_top) / w) ** 2 + 120.0 / w)
-    x = np.linspace(0.01 / np.sqrt(w), x_max, 2 * n_points - 1)
     h = x[1] - x[0]
     off = np.full(len(x) - 1, -1.0 / h**2)
     return eigvalsh_tridiagonal(2.0 / h**2 + potential(x), off, select="i", select_range=(0, n_levels - 1))
+
+
+def fd_x_max(potential, n_levels):
+    """A wall past the highest level's classical turning point, where that
+    level has decayed far below round-off."""
+    w = float(potential.spec.omega)
+    e_top = w * (2 * (n_levels - 1) + float(potential.spec.alpha) + 1) + abs(float(potential.spec.shift))
+    return math.sqrt((2.0 * math.sqrt(e_top) / w) ** 2 + 120.0 / w)
+
+
+def ref_fd_grids(potential, n_levels):
+    """500 and 1,001 interior points between walls at 0 and fd_x_max: the
+    step exactly halved, every coarse point kept."""
+    return [np.linspace(0.0, fd_x_max(potential, n_levels), n + 2)[1:-1] for n in (500, 1001)]
+
+
+def ref_fd_spectrum(potential, n_levels):
+    """The finite-difference eigensolve numeric_spectrum ran before the
+    Rayleigh quotients, kept as the fixed-wall oracle: the levels on both
+    grids of ref_fd_grids, Richardson-extrapolated to (4 fine - coarse) / 3,
+    which cancels the h^2 error.  The ground level may move by at most 1e-3
+    relative under the halving."""
+    coarse, fine = (ref_fd_levels(potential, n_levels, x) for x in ref_fd_grids(potential, n_levels))
+    assert abs(fine[0] - coarse[0]) <= 1e-3 * abs(fine[0]), f"grid too coarse: ground level {coarse[0]} -> {fine[0]}"
+    return (4.0 * fine - coarse) / 3.0
+
+
+def ref_moving_wall_levels(potential, n_levels, n_points=2000):
+    """The moving-wall oracle: n_points refined to 2 n_points - 1 from
+    x_min = 0.01 / sqrt(omega) to fd_x_max, every point interior, so its
+    implicit walls sit one step outside the grid and move with the step;
+    returns the refined grid's levels."""
+    x_min = 0.01 / math.sqrt(float(potential.spec.omega))
+    return ref_fd_levels(potential, n_levels, np.linspace(x_min, fd_x_max(potential, n_levels), 2 * n_points - 1))
 
 
 # the extend ladder's mu = 5 and mu = 30 rungs at each alpha they run at
@@ -608,100 +636,121 @@ RUNG_SPECS = [(a, (1,), (1, 2)) for a in ("9/2", "11/2", "13/2")] + [
 ]
 
 
-def spectrum_dev(spec, potential, n_levels=4):
-    levels = numeric_spectrum(potential, n_levels)
-    return max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(levels, expected_spectrum(spec, n_levels)))
+def quotients(report, potential, n_levels=4):
+    return numeric_spectrum(report, solve_eop(report, n_levels - 1), potential)
 
 
-@pytest.fixture
-def fd_grids(monkeypatch):
-    """The abscissae of each finite-difference solve, in call order."""
-    grids = []
-    fd_levels = spectral._fd_levels
-
-    def recorded(potential, n_levels, x):
-        grids.append(x)
-        return fd_levels(potential, n_levels, x)
-
-    monkeypatch.setattr(spectral, "_fd_levels", recorded)
-    return grids
+def spectrum_dev(report, potential, n_levels=4):
+    expected = expected_spectrum(report.spec, n_levels)
+    return max(abs(lv - float(e)) / abs(float(e)) for lv, e in zip(quotients(report, potential, n_levels), expected))
 
 
 class TestSpectrum:
     def test_classical_control(self):
         spec, report, regular = pipeline("3/2")  # l = 1, omega = 1
-        pot = build_potential(report)
-        levels = numeric_spectrum(pot, 3)
+        levels = quotients(report, build_potential(report), 3)
         for lv, e in zip(levels, [2.5, 4.5, 6.5]):  # omega*(2 nu + alpha + 1)
-            assert abs(lv - e) / e < 1e-6
+            assert abs(lv - e) / e < 1e-12
 
     def test_shifted_spectrum(self):
         spec, report, regular = pipeline("5/2", m_i=(1,))
-        pot = build_potential(report)
-        levels = numeric_spectrum(pot, 4)
+        levels = quotients(report, build_potential(report))
         expected = [float(e) for e in expected_spectrum(spec, 4)]
         for lv, e in zip(levels, expected):
-            assert abs(lv - e) / e < 1e-6
+            assert abs(lv - e) / e < 1e-12
         spacings = np.diff(levels)
-        assert np.allclose(spacings, 2.0, rtol=1e-6)
+        assert np.allclose(spacings, 2.0, rtol=1e-12, atol=0)
 
     def test_non_unit_omega(self):
         spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,), omega=F(3, 2))
-        pot = build_potential(report)
-        levels = numeric_spectrum(pot, 4)
+        levels = quotients(report, build_potential(report))
         for lv, e in zip(levels, expected_spectrum(spec, 4)):
-            assert abs(lv - float(e)) / abs(float(e)) < 1e-6
+            assert abs(lv - float(e)) / abs(float(e)) < 1e-12
         family = solve_eop(report, 2)
         assert orthogonality_check(report, family) < 1e-8
 
-    def test_large_alpha(self, fd_grids):
-        # l = 150: the centrifugal term reads ~1e7 at the first grid point
+    def test_large_alpha(self):
+        # l = 150: the centrifugal term reads ~1e7 at x = 0.01
         spec, report, regular = pipeline("301/2", m_i=(1,))
         pot = build_potential(report)
-        assert spectrum_dev(spec, pot) < 1e-6
-        assert pot(fd_grids[0][0]) > 1e6
+        assert spectrum_dev(report, pot) < 1e-12
+        assert pot(0.01) > 1e6
 
     def test_ten_levels(self):
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
-        assert spectrum_dev(spec, build_potential(report), 10) < 1e-6
+        assert spectrum_dev(report, build_potential(report), 10) < 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha, m_i, m_ii",
+        [("2/3", (), ()), ("51/100", (), ()), ("3/4", (), (1,)), ("1000001/2", (1,), ()), ("100000001/2", (1,), ())],
+    )
+    def test_fractional_l_and_large_alpha_read_round_off(self, alpha, m_i, m_ii):
+        # the fixed-wall finite differences read 4.8e-5 at 2/3 and 1.9e-5 at
+        # 51/100, where h^2 Richardson misses the wall's error, and 1.6e-5 at
+        # 1000001/2, where the step is wider than the well
+        spec, report, regular = pipeline(alpha, m_i, m_ii)
+        assert regular and spec.l >= 0
+        assert spectrum_dev(report, build_potential(report)) < 1e-12
 
     @pytest.mark.parametrize(
         "alpha, m_i, m_ii", [s for s in SPECTRUM_SPECS if F(s[0]) >= F(3, 2)] + RUNG_SPECS
     )
     def test_levels_match_the_moving_wall_oracle(self, alpha, m_i, m_ii):
+        # each finite-difference oracle within its own error, the quotients closer to E_nu
         spec, report, regular = pipeline(alpha, m_i, m_ii)
         pot = build_potential(report)
-        levels = np.array(numeric_spectrum(pot, 4))
-        oracle = ref_fd_levels(pot, 4)
+        levels = np.array(quotients(report, pot))
         expected = np.array([float(e) for e in expected_spectrum(spec, 4)])
-        assert np.all(np.abs(levels - oracle) < 1e-5 * oracle)
-        assert np.all(np.abs(levels - expected) <= np.abs(oracle - expected))
+        for oracle, bound in ((ref_moving_wall_levels(pot, 4), 1e-5), (ref_fd_spectrum(pot, 4), 1e-6)):
+            assert np.all(np.abs(levels - oracle) < bound * oracle)
+            assert np.all(np.abs(levels - expected) <= np.abs(oracle - expected))
 
     def test_a_scaled_rational_part_breaches_the_bound(self):
-        # a 0.1% fault reads 8.8e-6; a bound of 1e-3 would let a ~1% fault through
+        # a 0.1% fault reads 8.8e-6 here, as the finite differences read it
         spec, report, regular = pipeline("7/2", m_i=(1,), m_ii=(1, 2))
         pot = build_potential(report)
-        assert spectrum_dev(spec, pot) < 1e-6
-        assert spectrum_dev(spec, replace(pot, rat_num=Poly(ref_scale(pot.rat_num.coeffs, F(1001, 1000))))) > 1e-6
+        assert spectrum_dev(report, pot) < 1e-12
+        faulty = replace(pot, rat_num=Poly(ref_scale(pot.rat_num.coeffs, F(1001, 1000))))
+        assert spectrum_dev(report, faulty) > 1e-6
+        assert np.allclose(quotients(report, faulty), ref_fd_spectrum(faulty, 4), rtol=1e-6, atol=0)
 
     def test_grid_too_coarse(self):
-        # a well at z = 1 narrower than the step: -(1/100) / ((z - 1)^2 + 10^-4)
+        # a well at z = 1 narrower than the nodes, -(1/100) / ((z - 1)^2 + 10^-4):
+        # the two rules disagree, as the oracle's ground level moves 1.20 -> 0.92
+        # under step halving
         spec, report, regular = pipeline("3/2")
         pot = replace(
             build_potential(report), rat_num=Poly((F(-1, 100),)), rat_den=Poly((F(10001, 10000), -2, 1))
         )
-        with pytest.raises(GridTooCoarse):  # the ground level moves 1.20 -> 0.92
-            numeric_spectrum(pot, 2)
+        with pytest.raises(QuadratureNonconvergence, match="level 0 moved from"):
+            quotients(report, pot, 2)
+        with pytest.raises(AssertionError, match="grid too coarse"):
+            ref_fd_spectrum(pot, 2)
+
+    def test_a_low_order_rule_raises(self, monkeypatch):
+        # the n = 200 weights replaced by the n = 8 rule on every 25th node
+        def low_order(n):
+            x, w = clenshaw_curtis(n)
+            if n == 200:
+                w = np.zeros_like(x)
+                w[::25] = clenshaw_curtis(8)[1]
+            return x, w
+
+        clenshaw_curtis = spectral._clenshaw_curtis
+        monkeypatch.setattr(spectral, "_clenshaw_curtis", low_order)
+        spec, report, regular = pipeline("5/2", m_i=(1,), m_ii=(1,))
+        with pytest.raises(QuadratureNonconvergence, match="moved from"):
+            quotients(report, build_potential(report))
 
     @pytest.mark.parametrize(
         "alpha, m_i, m_ii, omega",
         [("3/2", (), (), 1), ("1/2", (), (1,), 1), ("5/2", (1,), (1,), F(3, 2)), ("301/2", (1,), (), 1)],
         ids=["classical", "l_0", "omega_3_2", "large_alpha"],
     )
-    def test_refinement_halves_the_step_between_fixed_walls(self, alpha, m_i, m_ii, omega, fd_grids):
+    def test_refinement_halves_the_step_between_fixed_walls(self, alpha, m_i, m_ii, omega):
+        # the fixed-wall oracle's grids
         spec, report, regular = pipeline(alpha, m_i, m_ii, omega)
-        numeric_spectrum(build_potential(report), 4)
-        coarse, fine = fd_grids
+        coarse, fine = ref_fd_grids(build_potential(report), 4)
         assert (len(coarse), len(fine)) == (500, 2 * 500 + 1)
         h = coarse[0]
         assert np.allclose(np.diff(coarse), h, rtol=1e-12, atol=0)
